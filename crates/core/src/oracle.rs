@@ -170,13 +170,14 @@ pub fn multi_form_check(template: &Engine, sql: &str, stmt: &Statement) -> Optio
     multi_form_check_with(template, sql, stmt, &reference)
 }
 
-/// [`multi_form_check`] with form A's outcome supplied by the caller,
-/// skipping one template clone and one prepared execution per check. The
-/// campaign's batch demux uses this: a batched statement's outcome *is* the
-/// prepared-path outcome, and batchable statements read neither tables nor
-/// mutable session state, so the outcome the shard engine produced is
-/// exactly what a private template clone would produce — the purity
-/// contract [`multi_form_check`] establishes by cloning.
+/// [`multi_form_check`] with form A's outcome supplied by the caller, so
+/// form A is not executed a second time. (Skipping form A's clone saves
+/// little: a clone copies only session state and shares the template's
+/// backend.) The campaign's batch demux uses this: a batched statement's
+/// outcome *is* the prepared-path outcome, and batchable statements read
+/// neither tables nor mutable session state, so the outcome the shard
+/// engine produced is exactly what a private template clone would produce —
+/// the purity contract [`multi_form_check`] establishes by cloning.
 pub fn multi_form_check_with(
     template: &Engine,
     sql: &str,

@@ -6,6 +6,8 @@
 //! and function-name resolution happen exactly once, and every subsequent
 //! execution walks the owned AST with allocation-free dispatch.
 
+use std::sync::Arc;
+
 use crate::catalog::Catalog;
 use crate::coverage::Coverage;
 use crate::error::{CrashReport, EngineError, ExecOutcome, SqlError};
@@ -56,8 +58,9 @@ pub(crate) struct DispatchEntry {
 /// function name case-folded and bound to its registry index up front, so
 /// [`Engine::execute_prepared`] does zero heap allocation per function
 /// dispatch. Produced by [`Engine::prepare`]; reusable any number of times
-/// against the engine that prepared it (or a clone of it — shard engines
-/// execute statements prepared by their template).
+/// on any engine that shares the preparing engine's backend — the engine
+/// itself or any clone of it (shard engines execute statements prepared by
+/// their template).
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub(crate) stmt: Statement,
@@ -87,15 +90,26 @@ impl Prepared {
 ///     other => panic!("unexpected {other:?}"),
 /// }
 /// ```
+///
+/// Cloning copies only the session (catalog, session state, coverage, crash
+/// log); the clone shares the configuration, registry and fault set with
+/// the original.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    config: EngineConfig,
-    registry: FunctionRegistry,
-    faults: FaultSet,
+    backend: Arc<Backend>,
     catalog: Catalog,
     coverage: Coverage,
     session: SessionState,
     crash_log: Vec<CrashReport>,
+}
+
+/// The half of an [`Engine`] that statements never mutate, built once and
+/// shared by every clone.
+#[derive(Debug)]
+struct Backend {
+    config: EngineConfig,
+    registry: FunctionRegistry,
+    faults: FaultSet,
 }
 
 impl Engine {
@@ -103,9 +117,7 @@ impl Engine {
     /// their targets).
     pub fn new(config: EngineConfig, registry: FunctionRegistry, faults: FaultSet) -> Engine {
         Engine {
-            config,
-            registry,
-            faults,
+            backend: Arc::new(Backend { config, registry, faults }),
             catalog: Catalog::new(),
             coverage: Coverage::new(),
             session: SessionState::default(),
@@ -124,17 +136,17 @@ impl Engine {
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.backend.config
     }
 
     /// The function registry.
     pub fn registry(&self) -> &FunctionRegistry {
-        &self.registry
+        &self.backend.registry
     }
 
     /// The active fault set.
     pub fn faults(&self) -> &FaultSet {
-        &self.faults
+        &self.backend.faults
     }
 
     /// Accumulated coverage of the SQL-function component.
@@ -182,10 +194,10 @@ impl Engine {
     /// before reaching the executor: `ResourceLimit` for over-long
     /// statements, `Parse` for lex/parse failures.
     pub fn prepare(&self, sql: &str) -> Result<Prepared, SqlError> {
-        if sql.len() > self.config.limits.max_statement_bytes {
+        let max_bytes = self.backend.config.limits.max_statement_bytes;
+        if sql.len() > max_bytes {
             return Err(SqlError::ResourceLimit(format!(
-                "statement longer than {} bytes",
-                self.config.limits.max_statement_bytes
+                "statement longer than {max_bytes} bytes"
             )));
         }
         // Stage 1: parsing.
@@ -204,7 +216,7 @@ impl Engine {
             if dispatch.iter().any(|e| &*e.spelling == name) {
                 return;
             }
-            if let Some((key, idx, _)) = self.registry.resolve_entry(name) {
+            if let Some((key, idx, _)) = self.backend.registry.resolve_entry(name) {
                 dispatch.push(DispatchEntry {
                     spelling: name.into(),
                     lower: key.into(),
@@ -222,20 +234,7 @@ impl Engine {
     /// table (falling back to the registry's allocation-free lookup), so
     /// the per-call hot path does no heap allocation.
     pub fn execute_prepared(&mut self, prepared: &Prepared) -> ExecOutcome {
-        let mut exec = Exec {
-            registry: &self.registry,
-            faults: &self.faults,
-            coverage: &mut self.coverage,
-            catalog: &mut self.catalog,
-            session: &mut self.session,
-            strictness: self.config.strictness,
-            limits: self.config.limits,
-            memory_used: 0,
-            subquery_depth: 0,
-            dispatch: &prepared.dispatch,
-            feature_buf: String::new(),
-        };
-        match exec.exec_statement(&prepared.stmt) {
+        match self.exec(&prepared.dispatch).exec_statement(&prepared.stmt) {
             Ok(outcome) => outcome,
             Err(EngineError::Sql(e)) => ExecOutcome::Error(e),
             Err(EngineError::Crash(c)) => {
@@ -250,10 +249,10 @@ impl Engine {
     /// functions, aggregates, …). Statements with equal keys can be handed
     /// to [`Engine::execute_batch`] as one group.
     pub fn shape_key(&self, prepared: &Prepared) -> Option<crate::batch::ShapeKey> {
-        if self.config.limits.max_rows < 1 {
+        if self.backend.config.limits.max_rows < 1 {
             return None;
         }
-        crate::batch::shape_key(&self.registry, &prepared.stmt)
+        crate::batch::shape_key(&self.backend.registry, &prepared.stmt)
     }
 
     /// Executes a group of same-shape prepared statements as one columnar
@@ -282,26 +281,32 @@ impl Engine {
             Some(m) => &m.dispatch,
             None => return Some(Vec::new()),
         };
-        let mut exec = Exec {
-            registry: &self.registry,
-            faults: &self.faults,
-            coverage: &mut self.coverage,
-            catalog: &mut self.catalog,
-            session: &mut self.session,
-            strictness: self.config.strictness,
-            limits: self.config.limits,
-            memory_used: 0,
-            subquery_depth: 0,
-            dispatch,
-            feature_buf: String::new(),
-        };
-        let outcomes = crate::batch::execute_batch(&mut exec, members, arena)?;
+        let outcomes = crate::batch::execute_batch(&mut self.exec(dispatch), members, arena)?;
         for o in &outcomes {
             if let ExecOutcome::Crash(c) = o {
                 self.crash_log.push(c.clone());
             }
         }
         Some(outcomes)
+    }
+
+    /// The executor for one statement (or one batch group): the shared
+    /// backend read-only, the session mutably.
+    fn exec<'e>(&'e mut self, dispatch: &'e [DispatchEntry]) -> Exec<'e> {
+        let backend = &*self.backend;
+        Exec {
+            registry: &backend.registry,
+            faults: &backend.faults,
+            coverage: &mut self.coverage,
+            catalog: &mut self.catalog,
+            session: &mut self.session,
+            strictness: backend.config.strictness,
+            limits: backend.config.limits,
+            memory_used: 0,
+            subquery_depth: 0,
+            dispatch,
+            feature_buf: String::new(),
+        }
     }
 
     /// Executes one SQL statement: [`Engine::prepare`] composed with
@@ -722,6 +727,64 @@ mod tests {
         assert_eq!(a.execute("SELECT COUNT(*) FROM snap"), b.execute("SELECT COUNT(*) FROM snap"));
         assert_eq!(a.coverage().branches_covered(), b.coverage().branches_covered());
         assert_eq!(a.coverage().functions_triggered(), b.coverage().functions_triggered());
+    }
+
+    #[test]
+    fn clones_share_the_backend_and_isolate_the_session() {
+        use crate::error::{CrashKind, Stage};
+        use crate::fault::{FaultSite, FaultSpec, PatternId, Trigger, ValuePred};
+        use soft_types::category::FunctionCategory;
+
+        let mut registry = FunctionRegistry::new();
+        functions::install_all(&mut registry);
+        functions::install_common_aliases(&mut registry);
+        let spec = FaultSpec {
+            id: "clone-test-abs".into(),
+            site: FaultSite::Function("abs".into()),
+            kind: CrashKind::SegmentationViolation,
+            stage: Stage::Execution,
+            trigger: Trigger::Arg { index: Some(0), pred: ValuePred::IntEquals(42) },
+            category: FunctionCategory::Math,
+            pattern: PatternId::P1_1,
+            fixed: false,
+            description: "test fault".into(),
+        };
+        let mut template =
+            Engine::new(EngineConfig::default(), registry, FaultSet::new(vec![spec]));
+        let _ = template.execute("CREATE TABLE seed (a INTEGER)");
+        let _ = template.execute("SELECT LOWER('A')");
+        let functions_before = template.coverage().functions_triggered();
+        let branches_before = template.coverage().branches_covered();
+
+        let mut clone = template.clone();
+        // The backend is shared, not copied.
+        assert!(std::ptr::eq(clone.config(), template.config()));
+        assert!(std::ptr::eq(clone.registry(), template.registry()));
+        assert!(std::ptr::eq(clone.faults(), template.faults()));
+
+        // The session is the clone's own.
+        assert!(matches!(
+            clone.execute("CREATE TABLE scratch (x INTEGER)"),
+            ExecOutcome::Ok(_)
+        ));
+        assert!(matches!(
+            clone.execute("INSERT INTO seed VALUES (1)"),
+            ExecOutcome::Ok(_)
+        ));
+        let _ = clone.execute("SELECT UPPER(NULL)");
+        assert!(clone.execute("SELECT ABS(42)").is_crash());
+        assert_eq!(clone.crash_log().len(), 1);
+        assert!(clone.coverage().functions_triggered() > functions_before);
+        assert!(clone.coverage().branches_covered() > branches_before);
+
+        assert!(template.catalog_mut().table("scratch").is_none());
+        assert_eq!(template.coverage().functions_triggered(), functions_before);
+        assert_eq!(template.coverage().branches_covered(), branches_before);
+        assert!(template.crash_log().is_empty());
+        assert_eq!(
+            scalar(&mut template, "SELECT COUNT(*) FROM seed"),
+            Value::Integer(0)
+        );
     }
 
     #[test]

@@ -47,11 +47,16 @@ pub use fault::{
 pub use registry::{FunctionDef, FunctionRegistry, Limits};
 
 // Thread-safety audit for the sharded campaign runner: every worker owns a
-// private `Engine`, so the engine and everything it transitively holds must
-// cross thread boundaries. The registry stores plain `fn` pointers, faults
-// and session state are owned data, and nothing uses interior mutability —
-// enforced here at compile time so a regression (an `Rc`, a `RefCell`, a
-// raw pointer) fails the build instead of the campaign.
+// private session (catalog, session state, coverage, crash log), but all
+// clones of one engine share its backend (config, registry, faults) through
+// an `Arc`, read by every worker at once. The campaign depends on nothing
+// in the backend using interior mutability: the registry stores plain `fn`
+// pointers and the faults are owned data. `Send + Sync` is enforced here at
+// compile time, so an `Rc`, a `RefCell` or a raw pointer fails the build
+// instead of the campaign. A `Mutex`, an atomic or a lazily filled cache
+// would pass this check yet let one shard's work change another's results,
+// and reports must not depend on the worker count: keep them out of the
+// backend.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Engine>();

@@ -25,6 +25,13 @@ RUST_TEST_THREADS=1 cargo test -q --offline --workspace
 echo "verify: rustdoc gate (missing/broken docs are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+echo "verify: campaign benchmark package tests (perfbench/)"
+# The benchmark is a package of its own, outside the workspace, so the
+# passes above do not reach it. Its tests check the committed per-campaign
+# report fingerprints, 1-worker vs 2-worker report equality and the traced
+# replay's fidelity to the real campaign.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "verify: telemetry smoke (repro campaign + repro trace round trip)"
 journal="$(mktemp -t soft-journal-XXXXXX).jsonl"
 csvdir="$(mktemp -d -t soft-csv-XXXXXX)"
@@ -251,4 +258,4 @@ for dialect in ClickHouse MonetDB; do
     }' || exit 1
 done
 
-echo "verify: OK (offline build + tests at both thread settings + docs + links + trace/oracle/forensics/scheduler/repository/flight-recorder/compare smoke + bench gates)"
+echo "verify: OK (offline build + tests at both thread settings + docs + links + benchmark package tests + trace/oracle/forensics/scheduler/repository/flight-recorder/compare smoke + bench gates)"
