@@ -8,7 +8,7 @@
 //! at a time and measures the split — the ablation justifying why all ten
 //! patterns are needed.
 
-use soft_core::campaign::{run_campaign, CampaignConfig};
+use soft_core::campaign::{default_workers, run_soft_parallel, CampaignConfig};
 use soft_dialects::{DialectId, DialectProfile};
 use soft_engine::PatternId;
 
@@ -62,7 +62,7 @@ pub fn run_ablation(budget: usize) -> Vec<AblationResult> {
             let mut by_group = [0usize; 3];
             for id in DialectId::ALL {
                 let profile = DialectProfile::build(id);
-                let report = run_campaign(
+                let report = run_soft_parallel(
                     &profile,
                     &CampaignConfig {
                         max_statements: budget,
@@ -70,6 +70,7 @@ pub fn run_ablation(budget: usize) -> Vec<AblationResult> {
                         patterns: Some(arm.patterns.clone()),
                         ..CampaignConfig::default()
                     },
+                    default_workers(),
                 );
                 bugs_total += report.findings.len();
                 for f in &report.findings {
@@ -98,7 +99,7 @@ pub fn render_ablation(results: &[AblationResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soft_core::campaign::run_soft;
+    use soft_core::campaign::run_soft_parallel;
 
     #[test]
     fn pattern_groups_partition_the_corpus() {
@@ -109,7 +110,7 @@ mod tests {
         let profile = DialectProfile::build(DialectId::Virtuoso);
         let budget = 25_000;
         let run = |patterns: Vec<PatternId>| {
-            run_soft(
+            run_soft_parallel(
                 &profile,
                 &CampaignConfig {
                     max_statements: budget,
@@ -117,6 +118,7 @@ mod tests {
                     patterns: Some(patterns),
                     ..CampaignConfig::default()
                 },
+                1,
             )
         };
         let p1 = run(vec![P1_1, P1_2, P1_3, P1_4]);

@@ -1,5 +1,5 @@
 fn main() {
-    use soft_core::campaign::{run_soft, CampaignConfig};
+    use soft_core::campaign::{run_soft_parallel, CampaignConfig};
     use soft_dialects::{DialectId, DialectProfile};
     let cfg = CampaignConfig::default();
     let mut total = 0;
@@ -7,7 +7,7 @@ fn main() {
     for id in DialectId::ALL {
         let p = DialectProfile::build(id);
         let t0 = std::time::Instant::now();
-        let r = run_soft(&p, &cfg);
+        let r = run_soft_parallel(&p, &cfg, 1);
         println!(
             "{:<12} found {:>2}/{:<2}  stmts {:>6}  fns {:>4}  branches {:>6}  fps {:>3} errs {:>6}  [{:?}]",
             id.name(), r.findings.len(), p.faults.len(), r.statements_executed,

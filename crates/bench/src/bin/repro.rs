@@ -55,7 +55,7 @@ use soft_bench::compare::{compare_traces, render_compare, write_compare_csv};
 use soft_bench::comparison::{render_metric, run_comparison, Tool, COMPARED_DIALECTS};
 use soft_bench::trace::{dialect_by_name, render_trace, write_trace_csv};
 use soft_core::campaign::{
-    run_campaign, run_soft_parallel_live, run_soft_parallel_timed, CampaignConfig, LivePlane,
+    default_workers, run_soft_parallel, run_soft_parallel_live, CampaignConfig, LivePlane,
 };
 use soft_core::report::render_table4;
 use soft_core::{
@@ -154,7 +154,7 @@ fn campaign(args: &[String], budget: usize) {
     };
     let workers = flag_value(args, "--workers")
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(soft_core::default_workers);
+        .unwrap_or_else(default_workers);
     let journal_path = flag_value(args, "--journal").map(std::path::PathBuf::from);
     let metrics_addr = flag_value(args, "--metrics-addr").cloned();
     let progress = args.iter().any(|a| a == "--progress");
@@ -410,7 +410,7 @@ fn bundle(args: &[String], budget: usize) {
     let profile = DialectProfile::build(id);
     let cfg =
         CampaignConfig { max_statements: budget, per_seed_cap: 64, ..CampaignConfig::default() };
-    let report = run_campaign(&profile, &cfg);
+    let report = run_soft_parallel(&profile, &cfg, default_workers());
     println!(
         "{}: {} statements, {} unique finding(s)",
         id.name(),
@@ -672,7 +672,7 @@ fn table4(budget: usize) {
         CampaignConfig { max_statements: budget, per_seed_cap: 64, ..CampaignConfig::default() };
     for id in DialectId::ALL {
         let profile = DialectProfile::build(id);
-        let run = run_soft_parallel_timed(&profile, &cfg, cfg.resolved_workers());
+        let run = run_soft_parallel_live(&profile, &cfg, default_workers(), &LivePlane::default());
         println!(
             "{:<12} {} workers, {:.0} statements/sec over {} shards",
             id.name(),
@@ -722,9 +722,10 @@ fn figure2(budget: usize) {
     );
     for id in DialectId::ALL {
         let profile = DialectProfile::build(id);
-        let report = run_campaign(
+        let report = run_soft_parallel(
             &profile,
             &CampaignConfig { max_statements: budget, per_seed_cap: 64, ..CampaignConfig::default() },
+            default_workers(),
         );
         println!(
             "{:<12} {} confirmed, {} fixed",

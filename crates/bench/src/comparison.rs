@@ -7,7 +7,7 @@
 //! PostgreSQL/MySQL/MariaDB/ClickHouse, and SOFT everything.
 
 use soft_baselines::{SqlancerLite, SqlsmithLite, SquirrelLite};
-use soft_core::campaign::{run_campaign, run_generator, CampaignConfig};
+use soft_core::campaign::{default_workers, run_generator, run_soft_parallel, CampaignConfig};
 use soft_dialects::{DialectId, DialectProfile};
 
 /// The tools compared.
@@ -88,15 +88,16 @@ pub fn run_comparison(budget: usize) -> Vec<ToolResult> {
                 continue;
             }
             let report = match tool {
-                // run_campaign shards across CampaignConfig::workers; the
+                // The campaign shards across every available core; the
                 // report is identical to the serial run by construction.
-                Tool::Soft => run_campaign(
+                Tool::Soft => run_soft_parallel(
                     &profile,
                     &CampaignConfig {
                         max_statements: budget,
                         per_seed_cap: 64,
                         ..CampaignConfig::default()
                     },
+                    default_workers(),
                 ),
                 Tool::Sqlsmith => {
                     let mut g = SqlsmithLite::new(&profile, 0xBEEF);

@@ -35,9 +35,21 @@
 //!
 //! Because the shard decomposition depends only on the configuration — never
 //! on the worker count — [`run_soft_parallel`] produces a byte-identical
-//! [`CampaignReport`] for any number of workers, and [`run_soft`] (the
-//! serial reference) is simply the same plan executed inline. Parallelism
-//! changes wall-clock time, nothing else.
+//! [`CampaignReport`] for any number of workers; one worker (the serial
+//! reference) is simply the same plan executed inline. Parallelism changes
+//! wall-clock time, nothing else.
+//!
+//! # One planner, two drivers
+//!
+//! The static driver and the feedback scheduler
+//! ([`CampaignConfig::schedule`]) share one seed + generation pass, one
+//! round-robin interleave (`plan_round_robin`) and one prepare → cut →
+//! execute step. The static driver plans once: one queue per active
+//! pattern, unbounded quotas, the budget as target. The scheduler plans
+//! per epoch: one queue per (pattern × seed-category) arm, the bandit's
+//! quotas. The drivers stay separate because only the scheduler records
+//! epoch reallocations and needs an internal observer, and only the static
+//! driver knows its exact shard count up front.
 //!
 //! # The live plane
 //!
@@ -60,14 +72,14 @@
 //! outside report equality, like every other surface here.
 
 use crate::collect::{self, Collection};
-use crate::oracle::{self, OracleConfig, OracleKind, OracleOptions};
+use crate::oracle::{self, LogicBug, OracleConfig, OracleKind, OracleOptions};
 use crate::patterns::{self, GenCtx, GeneratedCase};
 use crate::report::{BugFinding, CampaignReport, FindingKind, ShardStats};
 use crate::schedule::{ArmId, ArmReward, Bandit, ScheduleConfig, ScheduleOptions};
 use soft_dialects::DialectProfile;
 use soft_engine::{
-    BatchArena, Coverage, Engine, ExecOutcome, FaultSpec, PatternId, Prepared, ShapeKey,
-    SqlError, Stage, MIN_BATCH_GROUP,
+    BatchArena, Coverage, CrashReport, Engine, ExecOutcome, FaultSpec, PatternId, Prepared,
+    ShapeKey, SqlError, Stage, MIN_BATCH_GROUP,
 };
 use soft_obs::span::CAMPAIGN_TRACK;
 use soft_obs::{
@@ -92,11 +104,6 @@ pub struct CampaignConfig {
     /// Restrict generation to these patterns (None = all ten) — the
     /// ablation knob.
     pub patterns: Option<Vec<PatternId>>,
-    /// Worker threads for [`run_campaign`] (the parallel entry points take
-    /// an explicit count). Defaults to `std::thread::available_parallelism`;
-    /// `0` is treated as 1. The worker count never changes campaign results,
-    /// only wall-clock time.
-    pub workers: usize,
     /// Per-shard statement budget: the planned statement stream is cut into
     /// contiguous shards of this many statements, each executed on a private
     /// engine. The shard size *is* part of the campaign's semantics (shard
@@ -149,7 +156,6 @@ impl Default for CampaignConfig {
             max_statements: 200_000,
             per_seed_cap: 64,
             patterns: None,
-            workers: default_workers(),
             shard_statements: 256,
             telemetry: TelemetryConfig::Off,
             oracles: OracleConfig::Off,
@@ -157,13 +163,6 @@ impl Default for CampaignConfig {
             schedule: ScheduleConfig::Off,
             repository: None,
         }
-    }
-}
-
-impl CampaignConfig {
-    /// The effective worker count (`workers`, floored at 1).
-    pub fn resolved_workers(&self) -> usize {
-        self.workers.max(1)
     }
 }
 
@@ -198,6 +197,10 @@ struct PlannedCase {
     seed: usize,
 }
 
+/// One pattern's (or one scheduler arm's) generated cases in generation
+/// order, each tagged with the index of the seed it derives from.
+type Queue = Vec<(GeneratedCase, usize)>;
+
 /// The planned campaign: the exact statement stream plus the provenance
 /// tables telemetry needs. Building it involves no engine; [`Plan::prepare`]
 /// then compiles the stream against the shard template so each statement is
@@ -218,17 +221,34 @@ struct Plan {
     generated_per_pattern: Vec<(PatternId, usize)>,
     /// Root function of each seed statement (the first collected function
     /// expression), indexed by seed id — the journal's "target function"
-    /// for non-crashing statements. Interned once so the per-event journal
-    /// clones an `Arc`, not a `String`.
+    /// for non-crashing statements and the scheduler's arm attribution.
+    /// Interned once so the per-event journal clones an `Arc`, not a
+    /// `String`.
     seed_functions: Vec<Option<Arc<str>>>,
     /// Wall-clock generation time per active pattern (telemetry only).
     generate_latency: Vec<Duration>,
     /// Wall-clock prepare time per case (telemetry only, else empty) — the
     /// parse-stage histogram, now genuinely disjoint from execution.
     prepare_latency: Vec<Duration>,
+    /// The executed frontier: every case before it has been cut into a
+    /// shard and run.
+    executed: usize,
+    /// Shards cut so far — also the next shard's global index.
+    shards: usize,
 }
 
 impl Plan {
+    /// Where the case at plan position `i` surfaced a finding.
+    fn found_at(&self, i: usize) -> Found {
+        let case = &self.cases[i];
+        Found {
+            poc: case.sql.clone(),
+            pattern: case.pattern,
+            seed_function: self.seed_functions.get(case.seed).cloned().flatten(),
+            index: i + 1,
+        }
+    }
+
     /// Parses every not-yet-prepared planned statement once against the
     /// template engine — incremental, so the scheduler's epoch loop can
     /// extend the plan and prepare only the new tail. Serial by design: the
@@ -270,6 +290,76 @@ fn build_fault_index(profile: &DialectProfile) -> FaultIndex<'_> {
         .iter()
         .map(|f| (f.spec.id.as_str(), (Arc::from(f.spec.id.as_str()), &f.spec)))
         .collect()
+}
+
+/// Where a finding surfaced: the provenance both finding constructors
+/// stamp onto a [`BugFinding`].
+struct Found {
+    /// The triggering statement.
+    poc: String,
+    /// The pattern credited with generating it (`None` = P1.2, the
+    /// attribution of seed replays and campaign-level oracle probes).
+    pattern: Option<PatternId>,
+    /// Root function of the seed it derives from.
+    seed_function: Option<Arc<str>>,
+    /// Its 1-based global statement index.
+    index: usize,
+}
+
+/// The one crash-finding constructor. Category, credited pattern and fix
+/// status are the fault corpus's ground truth (`System`, P1.2 and unfixed
+/// for a fault outside the corpus).
+fn crash_finding(
+    profile: &DialectProfile,
+    fault_index: &FaultIndex<'_>,
+    crash: &CrashReport,
+    at: Found,
+) -> BugFinding {
+    let spec = fault_index.get(crash.fault_id.as_str()).map(|&(_, s)| s);
+    BugFinding {
+        fault_id: crash.fault_id.clone(),
+        dialect: profile.id,
+        kind: FindingKind::Crash(crash.kind),
+        stage: crash.stage,
+        category: spec.map_or(FunctionCategory::System, |s| s.category),
+        credited_pattern: spec.map_or(PatternId::P1_2, |s| s.pattern),
+        found_by_pattern: at.pattern.unwrap_or(PatternId::P1_2),
+        function: crash.function.clone(),
+        seed_function: at.seed_function,
+        poc: at.poc,
+        statements_until_found: at.index,
+        fixed: spec.is_some_and(|s| s.fixed),
+    }
+}
+
+/// The one wrong-result-finding constructor: the flagged function's
+/// category (`System` when it has none), and the generating pattern both
+/// credited and recorded as the finder.
+fn logic_finding(
+    profile: &DialectProfile,
+    fault_id: String,
+    bug: LogicBug,
+    function: Option<String>,
+    at: Found,
+) -> BugFinding {
+    let pattern = at.pattern.unwrap_or(PatternId::P1_2);
+    BugFinding {
+        fault_id,
+        dialect: profile.id,
+        kind: FindingKind::Logic(bug),
+        stage: Stage::Execution,
+        category: function
+            .as_deref()
+            .and_then(|f| profile.registry.resolve(f).map(|d| d.category))
+            .unwrap_or(FunctionCategory::System),
+        credited_pattern: pattern,
+        found_by_pattern: pattern,
+        function,
+        seed_function: at.seed_function,
+        poc: at.poc,
+        statements_until_found: at.index,
+        fixed: false,
+    }
 }
 
 /// Per-shard wall-clock observability (not part of the deterministic
@@ -366,45 +456,23 @@ struct ShardOutcome {
     spans: Vec<SpanRecord>,
 }
 
-/// Runs a full SOFT campaign against one dialect profile, serially — the
-/// reference semantics. Equivalent to [`run_soft_parallel`] with one worker
-/// (and byte-identical to it at *any* worker count).
-pub fn run_soft(profile: &DialectProfile, config: &CampaignConfig) -> CampaignReport {
-    run_soft_parallel(profile, config, 1)
-}
-
-/// Runs a campaign with the worker count taken from
-/// [`CampaignConfig::workers`].
-pub fn run_campaign(profile: &DialectProfile, config: &CampaignConfig) -> CampaignReport {
-    run_soft_parallel(profile, config, config.resolved_workers())
-}
-
 /// Runs a campaign with `n_workers` threads. The report is byte-identical
 /// for every worker count — parallelism must not change results, only
-/// wall-clock.
+/// wall-clock; one worker is the serial reference.
 pub fn run_soft_parallel(
     profile: &DialectProfile,
     config: &CampaignConfig,
     n_workers: usize,
 ) -> CampaignReport {
-    run_soft_parallel_timed(profile, config, n_workers).report
+    run_soft_parallel_live(profile, config, n_workers, &LivePlane::default()).report
 }
 
-/// [`run_soft_parallel`] plus wall-clock telemetry (per-shard statements/sec
-/// for the bench JSON and observability surfaces). Runs with the live plane
-/// fully off.
-pub fn run_soft_parallel_timed(
-    profile: &DialectProfile,
-    config: &CampaignConfig,
-    n_workers: usize,
-) -> CampaignRun {
-    run_soft_parallel_live(profile, config, n_workers, &LivePlane::default())
-}
-
-/// [`run_soft_parallel_timed`] with the live observability plane attached:
-/// workers feed `live.metrics` wait-free per statement, and `live.watchdog`
-/// (when set) runs a heartbeat-polling thread whose report lands on
-/// [`CampaignRun::watchdog`]. The live plane never changes the report.
+/// [`run_soft_parallel`] returning the whole [`CampaignRun`] — per-shard
+/// timings and stage latencies beside the report — with the live
+/// observability plane attached: workers feed `live.metrics` wait-free per
+/// statement, and `live.watchdog` (when set) runs a heartbeat-polling
+/// thread whose report lands on [`CampaignRun::watchdog`]. The live plane
+/// never changes the report.
 pub fn run_soft_parallel_live(
     profile: &DialectProfile,
     config: &CampaignConfig,
@@ -412,9 +480,8 @@ pub fn run_soft_parallel_live(
     live: &LivePlane,
 ) -> CampaignRun {
     let t0 = Instant::now();
-    let workers = n_workers.max(1);
     let telemetry_opts = config.telemetry.options();
-    let oracle_opts = config.oracles.options();
+    let schedule = config.schedule.options();
     let mut collection = collect::collect(profile);
 
     // The persistent repository (when configured): same-dialect PoCs join
@@ -440,8 +507,6 @@ pub fn run_soft_parallel_live(
     }
     let prep: Vec<String> = collection.preparation.iter().map(|s| s.to_string()).collect();
 
-    let fault_index = build_fault_index(profile);
-
     // The shard template: a fresh engine with preparation replayed. Cloning
     // it (or restoring from it after a crash) is exactly the state the
     // serial runner used to re-create by replaying preparation.
@@ -456,20 +521,36 @@ pub fn run_soft_parallel_live(
         .metrics
         .clone()
         .or_else(|| live.watchdog.map(|_| Arc::new(LiveMetrics::new())));
-    let live_metrics: Option<&LiveMetrics> = metrics.as_deref();
 
-    // One scope hosts the watchdog and (via `execute_shards`) the shard
-    // workers. The shard work finishes first; only then is the stop flag
-    // raised and the watchdog joined — so the watchdog observes the whole
-    // campaign and the scope cannot deadlock on it.
+    // When user telemetry is off, the scheduler still needs per-statement
+    // events to score arms — an internal observer with an unreachable
+    // snapshot interval and no journal records them, and the merge drops
+    // them from the report.
+    let internal =
+        TelemetryOptions { snapshot_interval: usize::MAX / 2, journal_path: None };
+    let campaign = Campaign {
+        profile,
+        fault_index: build_fault_index(profile),
+        template,
+        telemetry: telemetry_opts.or(schedule.map(|_| &internal)),
+        oracles: config.oracles.options(),
+        live: metrics.as_deref(),
+        batch: config.batch,
+        shard_size: config.shard_statements.max(1),
+        span_origin: live.spans.then_some(t0),
+        workers: n_workers.max(1),
+    };
+
     // The flight recorder: the campaign thread owns track 0 (planning
     // stages), each shard records onto track `shard + 1` inside its own
     // outcome buffer. All sinks share `t0` as the time origin.
     let mut campaign_sink: Option<SpanSink> =
         live.spans.then(|| SpanSink::new(t0, CAMPAIGN_TRACK));
-    let span_origin: Option<Instant> = live.spans.then_some(t0);
-    let campaign_sink_ref = &mut campaign_sink;
 
+    // One scope hosts the watchdog and (via `execute_shards`) the shard
+    // workers. The shard work finishes first; only then is the stop flag
+    // raised and the watchdog joined — so the watchdog observes the whole
+    // campaign and the scope cannot deadlock on it.
     let stop = AtomicBool::new(false);
     let stop_ref = &stop;
     let (plan, mut outcomes, epochs, watchdog_report) = std::thread::scope(|scope| {
@@ -477,67 +558,24 @@ pub fn run_soft_parallel_live(
             let registry = Arc::clone(metrics.as_ref().expect("watchdog implies a registry"));
             scope.spawn(move || soft_obs::watchdog::run(&registry, stop_ref, cfg))
         });
-        let (plan, outcomes, epochs) = match config.schedule.options() {
-            // The static planner: one plan, one prepare pass, one shard
+        let (plan, outcomes, epochs) = match schedule {
+            // The static driver: one plan, one prepare pass, one shard
             // decomposition — the reference semantics.
             None => {
-                let gen_start = campaign_sink_ref.as_ref().map(|s| s.now_ns());
-                let mut plan = build_plan(&collection, &ctx, config, workers);
-                if let (Some(sink), Some(start)) = (campaign_sink_ref.as_mut(), gen_start) {
-                    sink.record_since(
-                        "generate",
-                        start,
-                        Some(format!("{} cases", plan.cases.len())),
-                    );
+                let mut plan =
+                    plan_static(&collection, &ctx, config, campaign.workers, &mut campaign_sink);
+                if let Some(m) = campaign.live {
+                    let shards = plan.cases.len().div_ceil(campaign.shard_size);
+                    m.begin_campaign(profile.id.name(), shards, campaign.workers);
                 }
-                // Parse-once: compile the planned stream against the
-                // template. From here on the shards only execute ASTs.
-                let parse_start = campaign_sink_ref.as_ref().map(|s| s.now_ns());
-                plan.prepare(&template, telemetry_opts.is_some());
-                if let (Some(sink), Some(start)) = (campaign_sink_ref.as_mut(), parse_start) {
-                    sink.record_since("parse", start, None);
-                }
-                let shard_size = config.shard_statements.max(1);
-                let shards: Vec<(usize, usize, usize)> = (0..plan.cases.len())
-                    .step_by(shard_size)
-                    .enumerate()
-                    .map(|(i, start)| (i, start, shard_size.min(plan.cases.len() - start)))
-                    .collect();
-                if let Some(m) = live_metrics {
-                    m.begin_campaign(profile.id.name(), plan.cases.len(), shards.len(), workers);
-                }
-                let outcomes = execute_shards(
-                    profile,
-                    &fault_index,
-                    &template,
-                    &plan,
-                    &shards,
-                    workers,
-                    telemetry_opts,
-                    oracle_opts,
-                    live_metrics,
-                    config.batch,
-                    span_origin,
-                );
+                let outcomes = campaign.execute_tail(&mut plan, &mut campaign_sink);
                 (plan, outcomes, Vec::new())
             }
             // The feedback scheduler: plan-then-execute per epoch, budget
             // reallocated from the deterministic telemetry of prior epochs.
-            Some(sched) => run_scheduled(
-                profile,
-                &collection,
-                &ctx,
-                config,
-                sched,
-                workers,
-                &fault_index,
-                &template,
-                telemetry_opts,
-                oracle_opts,
-                live_metrics,
-                span_origin,
-                campaign_sink_ref,
-            ),
+            Some(sched) => {
+                campaign.run_scheduled(&collection, &ctx, config, sched, &mut campaign_sink)
+            }
         };
         stop.store(true, Ordering::Release);
         let wd = watchdog_handle.map(|h| h.join().expect("watchdog thread panicked"));
@@ -592,17 +630,18 @@ pub fn run_soft_parallel_live(
     // one past the last executed shard, whatever decomposition (static or
     // epoch-scheduled) produced the stream.
     let total_shards = stats.last().map(|s| s.shard + 1).unwrap_or(0);
+    let template = &campaign.template;
 
     // Campaign-level oracles: the pivot probes and the cross-dialect
     // differential suite run once, after the planned stream, and their
     // events land in the synthetic trailing shard so the journal stays
     // globally ordered. Everything here is a pure function of (profile,
     // template), so the report stays byte-identical across worker counts.
-    if let Some(opts) = oracle_opts {
+    if let Some(opts) = campaign.oracles {
         let oracle_start = campaign_sink.as_ref().map(|s| s.now_ns());
         let mut hits: Vec<(String, oracle::LogicBug, String)> = Vec::new();
         if opts.pivot {
-            hits.extend(oracle::pivot_check(&template));
+            hits.extend(oracle::pivot_check(template));
         }
         if opts.differential {
             hits.extend(oracle::differential_check(profile));
@@ -625,23 +664,11 @@ pub fn run_soft_parallel_live(
                 });
             }
             if found.insert(fault_id.clone()) {
-                if let Some(m) = live_metrics {
+                if let Some(m) = campaign.live {
                     m.record_unique_candidate(&fault_id);
                 }
-                findings.push(BugFinding {
-                    fault_id,
-                    dialect: profile.id,
-                    kind: FindingKind::Logic(bug),
-                    stage: Stage::Execution,
-                    category: soft_types::category::FunctionCategory::System,
-                    credited_pattern: PatternId::P1_2,
-                    found_by_pattern: PatternId::P1_2,
-                    function: None,
-                    seed_function: None,
-                    poc,
-                    statements_until_found: index,
-                    fixed: false,
-                });
+                let at = Found { poc, pattern: None, seed_function: None, index };
+                findings.push(logic_finding(profile, fault_id, bug, None, at));
             }
         }
         if !oracle_events.is_empty() {
@@ -742,12 +769,12 @@ pub fn run_soft_parallel_live(
     });
     // Terminate the live event stream: `/events` consumers see a final
     // `done` record and the chunked response closes.
-    if let Some(m) = live_metrics {
+    if let Some(m) = campaign.live {
         m.finish_campaign();
     }
     CampaignRun {
         report,
-        workers,
+        workers: campaign.workers,
         wall_nanos: t0.elapsed().as_nanos(),
         shard_timings: timings,
         stage_latency,
@@ -756,393 +783,358 @@ pub fn run_soft_parallel_live(
     }
 }
 
-/// Executes a set of planned shards — `(shard index, start, len)` triples —
-/// with up to `workers` threads, returning the outcomes sorted by shard
-/// index. Shard indices are caller-assigned so the scheduler's epoch loop
-/// can keep one global shard numbering across epochs; the static path
-/// numbers them `0..n` in a single call. Work-stealing completion order
-/// never leaks: outcomes are sorted before returning.
-fn execute_shards(
-    profile: &DialectProfile,
-    fault_index: &FaultIndex<'_>,
-    template: &Engine,
-    plan: &Plan,
-    shards: &[(usize, usize, usize)],
-    workers: usize,
-    telemetry: Option<&TelemetryOptions>,
-    oracles: Option<&OracleOptions>,
-    live: Option<&LiveMetrics>,
+/// The arguments that stay the same for a whole campaign, shared by both
+/// drivers, the prepare → cut → execute step and every shard.
+struct Campaign<'a> {
+    profile: &'a DialectProfile,
+    fault_index: FaultIndex<'a>,
+    /// The prepared template every shard clones and restores from.
+    template: Engine,
+    /// What each shard records: the caller's telemetry, or the scheduler's
+    /// internal observer when the caller's is off.
+    telemetry: Option<&'a TelemetryOptions>,
+    oracles: Option<&'a OracleOptions>,
+    live: Option<&'a LiveMetrics>,
     batch: bool,
+    /// Statements per shard ([`CampaignConfig::shard_statements`], at
+    /// least 1).
+    shard_size: usize,
+    /// The flight recorder's time origin, when spans are armed.
     span_origin: Option<Instant>,
-) -> Vec<ShardOutcome> {
-    if workers == 1 || shards.len() <= 1 {
-        return shards
-            .iter()
-            .map(|&(index, start, len)| {
-                run_shard(
-                    profile,
-                    fault_index,
-                    template,
-                    plan,
-                    start..start + len,
-                    index,
-                    telemetry,
-                    oracles,
-                    live,
-                    batch,
-                    span_origin,
-                )
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<ShardOutcome>> = Mutex::new(Vec::with_capacity(shards.len()));
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(shards.len()))
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(index, start, len)) = shards.get(i) else { break };
-                    let outcome = run_shard(
-                        profile,
-                        fault_index,
-                        template,
-                        plan,
-                        start..start + len,
-                        index,
-                        telemetry,
-                        oracles,
-                        live,
-                        batch,
-                        span_origin,
-                    );
-                    done.lock().expect("shard results poisoned").push(outcome);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("shard worker panicked");
+    workers: usize,
+}
+
+impl Campaign<'_> {
+    /// The one prepare → cut → execute step. Parses the plan's unexecuted
+    /// tail against the template (the parse-once discipline is
+    /// incremental), cuts it into shards numbered on from the shards
+    /// already cut, adds them to the live plan gauges, and executes them.
+    fn execute_tail(&self, plan: &mut Plan, sink: &mut Option<SpanSink>) -> Vec<ShardOutcome> {
+        let parse_start = sink.as_ref().map(|s| s.now_ns());
+        plan.prepare(&self.template, self.telemetry.is_some());
+        if let (Some(sink), Some(start)) = (sink.as_mut(), parse_start) {
+            sink.record_since("parse", start, None);
         }
-    });
-    let mut outcomes = done.into_inner().expect("shard results poisoned");
-    outcomes.sort_by_key(|o| o.stats.shard);
-    outcomes
+        let len = plan.cases.len();
+        let shards: Vec<(usize, usize, usize)> = (plan.executed..len)
+            .step_by(self.shard_size)
+            .enumerate()
+            .map(|(i, start)| (plan.shards + i, start, self.shard_size.min(len - start)))
+            .collect();
+        if let Some(m) = self.live {
+            m.plan_shards(len - plan.executed, shards.len());
+        }
+        plan.executed = len;
+        plan.shards += shards.len();
+        self.execute_shards(plan, &shards)
+    }
+
+    /// Executes a set of planned shards — `(shard index, start, len)`
+    /// triples — with up to `workers` threads, returning the outcomes
+    /// sorted by shard index. Work-stealing completion order never leaks:
+    /// outcomes are sorted before returning.
+    fn execute_shards(&self, plan: &Plan, shards: &[(usize, usize, usize)]) -> Vec<ShardOutcome> {
+        let run = |&(index, start, len): &(usize, usize, usize)| {
+            self.run_shard(plan, start..start + len, index)
+        };
+        if self.workers == 1 || shards.len() <= 1 {
+            return shards.iter().map(run).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let done: Mutex<Vec<ShardOutcome>> = Mutex::new(Vec::with_capacity(shards.len()));
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.workers.min(shards.len()))
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(shard) = shards.get(i) else { break };
+                        let outcome = run(shard);
+                        done.lock().expect("shard results poisoned").push(outcome);
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("shard worker panicked");
+            }
+        });
+        let mut outcomes = done.into_inner().expect("shard results poisoned");
+        outcomes.sort_by_key(|o| o.stats.shard);
+        outcomes
+    }
+
+    /// The feedback scheduler (plan-then-execute). The statement budget is
+    /// split into `sched.epochs` epochs; each epoch is *planned* from
+    /// per-arm quotas the bandit computed out of the merged, deterministic
+    /// telemetry of the epochs before it, then prepared and executed on
+    /// shards that continue the campaign's global numbering. An arm is a
+    /// (pattern × seed-function-category) pair.
+    ///
+    /// Every scheduling input is event-derived and therefore a pure
+    /// function of (profile, config, repository): identical at any worker
+    /// count, with batch execution on or off, and whether or not user
+    /// telemetry is enabled (when it is not, an internal observer records
+    /// events for scoring and the merge discards them). The adaptive
+    /// stream — and with it the report — stays byte-identical however the
+    /// campaign is parallelised.
+    fn run_scheduled(
+        &self,
+        collection: &Collection,
+        ctx: &GenCtx,
+        config: &CampaignConfig,
+        sched: &ScheduleOptions,
+        sink: &mut Option<SpanSink>,
+    ) -> (Plan, Vec<ShardOutcome>, Vec<EpochRealloc>) {
+        let (mut plan, mut seen, per_pattern) =
+            seed_and_generate(collection, ctx, config, self.workers, sink);
+        // Arm attribution: the category of each seed's root function (the
+        // registry's view), `System` when the seed has no resolvable function.
+        let seed_categories: Vec<FunctionCategory> = plan
+            .seed_functions
+            .iter()
+            .map(|f| {
+                f.as_deref()
+                    .and_then(|name| self.profile.registry.resolve(name).map(|d| d.category))
+                    .unwrap_or(FunctionCategory::System)
+            })
+            .collect();
+
+        // Partition the generated cases into arm queues, keyed (pattern
+        // position, category) so the arm order refines the static planner's
+        // pattern order. Within a queue, cases keep their generation order.
+        let mut by_arm: BTreeMap<(usize, FunctionCategory), Queue> = BTreeMap::new();
+        for (pi, cases) in per_pattern.into_iter().enumerate() {
+            for (case, seed) in cases {
+                let category =
+                    seed_categories.get(seed).copied().unwrap_or(FunctionCategory::System);
+                by_arm.entry((pi, category)).or_default().push((case, seed));
+            }
+        }
+        let arms: Vec<ArmId> = by_arm
+            .keys()
+            .map(|&(pi, category)| ArmId { pattern: plan.generated_per_pattern[pi].0, category })
+            .collect();
+        let queues: Vec<Queue> = by_arm.into_values().collect();
+        let arm_of: HashMap<(PatternId, FunctionCategory), usize> = arms
+            .iter()
+            .enumerate()
+            .map(|(a, arm)| ((arm.pattern, arm.category), a))
+            .collect();
+
+        let budget = config.max_statements;
+        let n_epochs = sched.epochs.max(1);
+        if let Some(m) = self.live {
+            // Heartbeat slots need an upper bound before execution: each
+            // epoch adds at most one partial shard beyond `len / shard_size`.
+            // The plan gauges grow as each epoch's shards are cut.
+            let slots = budget / self.shard_size + n_epochs + 1;
+            m.begin_campaign(self.profile.id.name(), slots, self.workers);
+        }
+
+        let mut bandit = Bandit::new(arms.len(), sched.clone());
+        let mut cursors = vec![0usize; queues.len()];
+        let mut outcomes: Vec<ShardOutcome> = Vec::new();
+        let mut epochs_out: Vec<EpochRealloc> = Vec::new();
+        let mut seen_faults: HashSet<Arc<str>> = HashSet::new();
+        let mut seen_functions: HashSet<Arc<str>> = HashSet::new();
+
+        for epoch in 0..n_epochs {
+            let epoch_span_start = sink.as_ref().map(|s| s.now_ns());
+            // Epoch k owns the budget slice up to `budget * (k+1) / n`;
+            // planning shortfalls (deduplication, dry queues) roll into the
+            // next epoch.
+            let target = budget * (epoch + 1) / n_epochs;
+            let epoch_start = plan.cases.len();
+            let epoch_budget = target.saturating_sub(epoch_start);
+            let available: Vec<usize> =
+                cursors.iter().zip(&queues).map(|(&c, q)| q.len() - c).collect();
+            if available.iter().all(|&n| n == 0) {
+                break;
+            }
+            if epoch_budget == 0 {
+                continue;
+            }
+
+            let scores = bandit.scores_milli();
+            let quotas = bandit.allocate(epoch_budget, &available);
+            // Plan the epoch: round-robin across arms up to each arm's quota
+            // (duplicates advance the cursor without consuming quota, the
+            // static planner's rule), then a spill pass tops the epoch up
+            // from any arm with cases left so a starved quota cannot shrink
+            // the campaign.
+            let mut planned = vec![0usize; arms.len()];
+            plan_round_robin(
+                &mut plan.cases,
+                &mut seen,
+                &queues,
+                &mut cursors,
+                &mut planned,
+                &quotas,
+                target,
+            );
+            if plan.cases.len() < target {
+                let spill = vec![usize::MAX; arms.len()];
+                plan_round_robin(
+                    &mut plan.cases,
+                    &mut seen,
+                    &queues,
+                    &mut cursors,
+                    &mut planned,
+                    &spill,
+                    target,
+                );
+            }
+
+            // Execute everything planned but not yet run — the epoch's
+            // quota, plus the seed corpus in epoch 0.
+            let epoch_outcomes = self.execute_tail(&mut plan, sink);
+
+            // Score the epoch from its merged events and let the bandit
+            // observe before the next epoch is planned.
+            let rewards = fold_rewards(
+                &epoch_outcomes,
+                &arm_of,
+                &seed_categories,
+                arms.len(),
+                &mut seen_faults,
+                &mut seen_functions,
+            );
+            bandit.observe(&rewards);
+
+            let start_statement = outcomes
+                .last()
+                .map(|o| o.stats.start_offset + o.stats.statements + 1)
+                .unwrap_or(1);
+            if let Some(m) = self.live {
+                m.record_epoch(epoch, start_statement, epoch_budget);
+            }
+            if let (Some(sink), Some(start)) = (sink.as_mut(), epoch_span_start) {
+                sink.record_since(
+                    "epoch",
+                    start,
+                    Some(format!("epoch {epoch}: budget {epoch_budget}")),
+                );
+            }
+            epochs_out.push(EpochRealloc {
+                epoch,
+                start_statement,
+                budget: epoch_budget,
+                allocations: arms
+                    .iter()
+                    .enumerate()
+                    .map(|(a, arm)| ArmAlloc {
+                        pattern: arm.pattern,
+                        category: arm.category,
+                        planned: quotas[a],
+                        executed: planned[a],
+                        score_milli: scores[a],
+                    })
+                    .collect(),
+            });
+            outcomes.extend(epoch_outcomes);
+            if plan.cases.len() >= budget {
+                break;
+            }
+        }
+        // Flush anything planned but never executed — possible when the
+        // budget is smaller than the seed corpus or every queue went dry
+        // before an epoch got to run.
+        if plan.executed < plan.cases.len() {
+            outcomes.extend(self.execute_tail(&mut plan, sink));
+        }
+        (plan, outcomes, epochs_out)
+    }
 }
 
-/// Root function of each seed statement (the first collected function
-/// expression), interned once — the journal's "target function" for
-/// non-crashing statements and the scheduler's arm attribution.
-fn seed_functions_of(collection: &Collection) -> Vec<Option<Arc<str>>> {
-    collection
-        .seeds
-        .iter()
-        .map(|s| {
-            soft_parser::visit::collect_function_exprs(s).first().map(|f| Arc::from(f.name.as_str()))
-        })
-        .collect()
-}
-
-/// The feedback scheduler (plan-then-execute). The statement budget is
-/// split into `sched.epochs` epochs; each epoch is *planned* from per-arm
-/// quotas the bandit computed out of the merged, deterministic telemetry of
-/// the epochs before it, prepared incrementally, and executed on shards
-/// that continue the campaign's global numbering. An arm is a
-/// (pattern × seed-function-category) pair.
-///
-/// Every scheduling input is event-derived and therefore a pure function of
-/// (profile, config, repository): identical at any worker count, with batch
-/// execution on or off, and whether or not user telemetry is enabled (when
-/// it is not, an internal observer records events for scoring and the merge
-/// discards them). The adaptive stream — and with it the report — stays
-/// byte-identical however the campaign is parallelised.
-fn run_scheduled(
-    profile: &DialectProfile,
+/// The seed phase and generation pass both drivers open with. Returns a
+/// plan holding the phase-1 seed statements (deduplicated and truncated at
+/// the budget; they prime coverage and take no arm quota), the set of
+/// statements planned so far, and one queue of generated cases per active
+/// pattern, in [`PATTERN_ORDER`].
+fn seed_and_generate(
     collection: &Collection,
     ctx: &GenCtx,
     config: &CampaignConfig,
-    sched: &ScheduleOptions,
     workers: usize,
-    fault_index: &FaultIndex<'_>,
-    template: &Engine,
-    telemetry: Option<&TelemetryOptions>,
-    oracles: Option<&OracleOptions>,
-    live: Option<&LiveMetrics>,
-    span_origin: Option<Instant>,
-    campaign_sink: &mut Option<SpanSink>,
-) -> (Plan, Vec<ShardOutcome>, Vec<EpochRealloc>) {
-    let gen_start = campaign_sink.as_ref().map(|s| s.now_ns());
-    let seed_functions = seed_functions_of(collection);
-    // Arm attribution: the category of each seed's root function (the
-    // registry's view), `System` when the seed has no resolvable function.
-    let seed_categories: Vec<FunctionCategory> = seed_functions
-        .iter()
-        .map(|f| {
-            f.as_deref()
-                .and_then(|name| profile.registry.resolve(name).map(|d| d.category))
-                .unwrap_or(FunctionCategory::System)
-        })
-        .collect();
-
+    sink: &mut Option<SpanSink>,
+) -> (Plan, HashSet<String>, Vec<Queue>) {
+    let gen_start = sink.as_ref().map(|s| s.now_ns());
     let active: Vec<PatternId> = match &config.patterns {
         None => PATTERN_ORDER.to_vec(),
         Some(ps) => PATTERN_ORDER.iter().copied().filter(|p| ps.contains(p)).collect(),
     };
-    let (per_pattern, generate_latency) =
-        generate_cases(collection, ctx, config, &active, workers);
+    let (queues, generate_latency) = generate_cases(collection, ctx, config, &active, workers);
     let generated_per_pattern: Vec<(PatternId, usize)> =
-        active.iter().zip(&per_pattern).map(|(&p, cases)| (p, cases.len())).collect();
-    if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), gen_start) {
-        let total: usize = generated_per_pattern.iter().map(|&(_, n)| n).sum();
+        active.iter().zip(&queues).map(|(&p, cases)| (p, cases.len())).collect();
+    if let (Some(sink), Some(start)) = (sink.as_mut(), gen_start) {
+        let total: usize = queues.iter().map(Vec::len).sum();
         sink.record_since("generate", start, Some(format!("{total} cases")));
     }
-
-    // Partition the generated cases into arm queues, keyed (pattern
-    // position, category) so the arm order refines the static planner's
-    // pattern order. Within a queue, cases keep their generation order.
-    let mut by_arm: BTreeMap<(usize, FunctionCategory), Vec<(GeneratedCase, usize)>> =
-        BTreeMap::new();
-    for (pi, cases) in per_pattern.into_iter().enumerate() {
-        for (case, seed) in cases {
-            let category =
-                seed_categories.get(seed).copied().unwrap_or(FunctionCategory::System);
-            by_arm.entry((pi, category)).or_default().push((case, seed));
-        }
-    }
-    let arms: Vec<ArmId> = by_arm
-        .keys()
-        .map(|&(pi, category)| ArmId { pattern: active[pi], category })
-        .collect();
-    let queues: Vec<Vec<(GeneratedCase, usize)>> = by_arm.into_values().collect();
-    let arm_of: HashMap<(PatternId, FunctionCategory), usize> = arms
-        .iter()
-        .enumerate()
-        .map(|(a, arm)| ((arm.pattern, arm.category), a))
-        .collect();
-
-    let budget = config.max_statements;
     let mut plan = Plan {
         cases: Vec::new(),
         prepared: Vec::new(),
         shapes: Vec::new(),
         generated_per_pattern,
-        seed_functions,
+        seed_functions: collection
+            .seeds
+            .iter()
+            .map(|s| {
+                let roots = soft_parser::visit::collect_function_exprs(s);
+                roots.first().map(|f| Arc::from(f.name.as_str()))
+            })
+            .collect(),
         generate_latency,
         prepare_latency: Vec::new(),
+        executed: 0,
+        shards: 0,
     };
-    let mut executed: HashSet<String> = HashSet::new();
-
-    // Phase 1: the seed corpus opens epoch 0, exactly like the static
-    // planner — seeds prime coverage and are not subject to arm quotas.
+    let mut seen: HashSet<String> = HashSet::new();
     for (si, stmt) in collection.seeds.iter().enumerate() {
-        if plan.cases.len() >= budget {
+        if plan.cases.len() >= config.max_statements {
             break;
         }
         let sql = stmt.to_string();
-        if executed.insert(sql.clone()) {
+        if seen.insert(sql.clone()) {
             plan.cases.push(PlannedCase { sql, pattern: None, seed: si });
         }
     }
-
-    let n_epochs = sched.epochs.max(1);
-    let shard_size = config.shard_statements.max(1);
-    if let Some(m) = live {
-        // Heartbeat slots need an upper bound before execution: each epoch
-        // adds at most one partial shard beyond `len / shard_size`.
-        m.begin_campaign(
-            profile.id.name(),
-            budget,
-            budget / shard_size + n_epochs + 1,
-            workers,
-        );
-    }
-
-    // When user telemetry is off, the scheduler still needs per-statement
-    // events to score arms — an internal observer with an unreachable
-    // snapshot interval and no journal records them, and the merge drops
-    // them from the report.
-    let internal =
-        TelemetryOptions { snapshot_interval: usize::MAX / 2, journal_path: None };
-    let effective: &TelemetryOptions = telemetry.unwrap_or(&internal);
-
-    let mut bandit = Bandit::new(arms.len(), sched.clone());
-    let mut cursors = vec![0usize; queues.len()];
-    let mut outcomes: Vec<ShardOutcome> = Vec::new();
-    let mut epochs_out: Vec<EpochRealloc> = Vec::new();
-    let mut shard_base = 0usize;
-    // The executed frontier: everything planned before it has run. Epoch
-    // 0's execution range starts at 0 — it carries the seed corpus in
-    // front of its own quota.
-    let mut exec_from = 0usize;
-    let mut seen_faults: HashSet<Arc<str>> = HashSet::new();
-    let mut seen_functions: HashSet<Arc<str>> = HashSet::new();
-
-    for epoch in 0..n_epochs {
-        let epoch_span_start = campaign_sink.as_ref().map(|s| s.now_ns());
-        // Epoch k owns the budget slice up to `budget * (k+1) / n`; planning
-        // shortfalls (deduplication, dry queues) roll into the next epoch.
-        let target = budget * (epoch + 1) / n_epochs;
-        let epoch_start = plan.cases.len();
-        let epoch_budget = target.saturating_sub(epoch_start);
-        let available: Vec<usize> =
-            cursors.iter().zip(&queues).map(|(&c, q)| q.len() - c).collect();
-        if available.iter().all(|&n| n == 0) {
-            break;
-        }
-        if epoch_budget == 0 {
-            continue;
-        }
-
-        let scores = bandit.scores_milli();
-        let quotas = bandit.allocate(epoch_budget, &available);
-        // Plan the epoch: round-robin across arms up to each arm's quota
-        // (duplicates advance the cursor without consuming quota, the static
-        // planner's rule), then a spill pass tops the epoch up from any arm
-        // with cases left so a starved quota cannot shrink the campaign.
-        let mut planned = vec![0usize; arms.len()];
-        plan_round_robin(
-            &mut plan.cases,
-            &mut executed,
-            &queues,
-            &mut cursors,
-            &mut planned,
-            &quotas,
-            target,
-        );
-        if plan.cases.len() < target {
-            let spill = vec![usize::MAX; arms.len()];
-            plan_round_robin(
-                &mut plan.cases,
-                &mut executed,
-                &queues,
-                &mut cursors,
-                &mut planned,
-                &spill,
-                target,
-            );
-        }
-
-        // Prepare only the epoch's tail (the plan's parse-once discipline is
-        // incremental), then execute everything planned but not yet run —
-        // the epoch's quota, plus the seed corpus in epoch 0 — on shards
-        // continuing the global numbering.
-        let parse_start = campaign_sink.as_ref().map(|s| s.now_ns());
-        plan.prepare(template, telemetry.is_some());
-        if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), parse_start) {
-            sink.record_since("parse", start, None);
-        }
-        let epoch_shards: Vec<(usize, usize, usize)> = (exec_from..plan.cases.len())
-            .step_by(shard_size)
-            .enumerate()
-            .map(|(i, start)| {
-                (shard_base + i, start, shard_size.min(plan.cases.len() - start))
-            })
-            .collect();
-        shard_base += epoch_shards.len();
-        exec_from = plan.cases.len();
-        let epoch_outcomes = execute_shards(
-            profile,
-            fault_index,
-            template,
-            &plan,
-            &epoch_shards,
-            workers,
-            Some(effective),
-            oracles,
-            live,
-            config.batch,
-            span_origin,
-        );
-
-        // Score the epoch from its merged events and let the bandit observe
-        // before the next epoch is planned.
-        let rewards = fold_rewards(
-            &epoch_outcomes,
-            &arm_of,
-            &seed_categories,
-            arms.len(),
-            &mut seen_faults,
-            &mut seen_functions,
-        );
-        bandit.observe(&rewards);
-
-        let start_statement = outcomes
-            .last()
-            .map(|o| o.stats.start_offset + o.stats.statements + 1)
-            .unwrap_or(1);
-        if let Some(m) = live {
-            m.record_epoch(epoch, start_statement, epoch_budget);
-        }
-        if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), epoch_span_start) {
-            sink.record_since(
-                "epoch",
-                start,
-                Some(format!("epoch {epoch}: budget {epoch_budget}")),
-            );
-        }
-        epochs_out.push(EpochRealloc {
-            epoch,
-            start_statement,
-            budget: epoch_budget,
-            allocations: arms
-                .iter()
-                .enumerate()
-                .map(|(a, arm)| ArmAlloc {
-                    pattern: arm.pattern,
-                    category: arm.category,
-                    planned: quotas[a],
-                    executed: planned[a],
-                    score_milli: scores[a],
-                })
-                .collect(),
-        });
-        outcomes.extend(epoch_outcomes);
-        if plan.cases.len() >= budget {
-            break;
-        }
-    }
-    // Flush anything planned but never executed — possible when the budget
-    // is smaller than the seed corpus or every queue went dry before an
-    // epoch got to run.
-    if exec_from < plan.cases.len() {
-        let parse_start = campaign_sink.as_ref().map(|s| s.now_ns());
-        plan.prepare(template, telemetry.is_some());
-        if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), parse_start) {
-            sink.record_since("parse", start, None);
-        }
-        let tail: Vec<(usize, usize, usize)> = (exec_from..plan.cases.len())
-            .step_by(shard_size)
-            .enumerate()
-            .map(|(i, start)| {
-                (shard_base + i, start, shard_size.min(plan.cases.len() - start))
-            })
-            .collect();
-        outcomes.extend(execute_shards(
-            profile,
-            fault_index,
-            template,
-            &plan,
-            &tail,
-            workers,
-            Some(effective),
-            oracles,
-            live,
-            config.batch,
-            span_origin,
-        ));
-    }
-    (plan, outcomes, epochs_out)
+    (plan, seen, queues)
 }
 
-/// One planning pass of the scheduler: round-robin across arm queues,
-/// pushing each arm's next not-yet-planned case until the arm reaches its
-/// quota, every queue is dry, or the plan reaches `target`. Duplicates
-/// advance the cursor without consuming quota — the same rule the static
-/// planner applies — so a quota buys `quota` *distinct* statements when the
-/// queue has them. Pure: no engine, no clock, no worker count.
+/// The static planner: the seed phase, then one round-robin pass over one
+/// queue per active pattern, with unbounded quotas and the budget as the
+/// target — the exact statement stream a serial run executes. Pure: no
+/// engine involved, so the stream is identical however it is sharded.
+fn plan_static(
+    collection: &Collection,
+    ctx: &GenCtx,
+    config: &CampaignConfig,
+    workers: usize,
+    sink: &mut Option<SpanSink>,
+) -> Plan {
+    let (mut plan, mut seen, queues) = seed_and_generate(collection, ctx, config, workers, sink);
+    let n = queues.len();
+    plan_round_robin(
+        &mut plan.cases,
+        &mut seen,
+        &queues,
+        &mut vec![0; n],
+        &mut vec![0; n],
+        &vec![usize::MAX; n],
+        config.max_statements,
+    );
+    plan
+}
+
+/// The one planning interleave: round-robin across queues, pushing each
+/// queue's next not-yet-planned case until the queue reaches its quota,
+/// every queue is dry, or the plan reaches `target`. Duplicates advance the
+/// cursor without consuming quota, so a quota buys `quota` *distinct*
+/// statements when the queue has them. Pure: no engine, no clock, no
+/// worker count.
 fn plan_round_robin(
     cases: &mut Vec<PlannedCase>,
-    executed: &mut HashSet<String>,
-    queues: &[Vec<(GeneratedCase, usize)>],
+    seen: &mut HashSet<String>,
+    queues: &[Queue],
     cursors: &mut [usize],
     planned: &mut [usize],
     quotas: &[usize],
@@ -1160,7 +1152,7 @@ fn plan_round_robin(
             while cursors[a] < queues[a].len() {
                 let (case, seed) = &queues[a][cursors[a]];
                 cursors[a] += 1;
-                if executed.insert(case.sql.clone()) {
+                if seen.insert(case.sql.clone()) {
                     cases.push(PlannedCase {
                         sql: case.sql.clone(),
                         pattern: Some(case.pattern),
@@ -1230,82 +1222,6 @@ fn fold_rewards(
     rewards
 }
 
-/// Plans the exact statement stream the campaign executes: phase-1 seeds,
-/// then the round-robin over per-pattern generated cases, globally
-/// deduplicated and truncated at the budget. Pure — no engine involved — so
-/// the stream is identical however it is later sharded or scheduled.
-fn build_plan(
-    collection: &Collection,
-    ctx: &GenCtx,
-    config: &CampaignConfig,
-    workers: usize,
-) -> Plan {
-    let mut plan: Vec<PlannedCase> = Vec::new();
-    let mut executed: HashSet<String> = HashSet::new();
-
-    // Seed provenance for the event journal: the root (first collected)
-    // function expression of each seed statement, interned once.
-    let seed_functions = seed_functions_of(collection);
-
-    // Phase 1: the seeds themselves (they should be crash-free, but they
-    // count toward the budget and they prime coverage).
-    for (si, stmt) in collection.seeds.iter().enumerate() {
-        if plan.len() >= config.max_statements {
-            break;
-        }
-        let sql = stmt.to_string();
-        if executed.insert(sql.clone()) {
-            plan.push(PlannedCase { sql, pattern: None, seed: si });
-        }
-    }
-
-    // Phase 2: pattern-based generation, interleaved round-robin across
-    // patterns so every pattern gets budget share.
-    let active: Vec<PatternId> = match &config.patterns {
-        None => PATTERN_ORDER.to_vec(),
-        Some(ps) => PATTERN_ORDER.iter().copied().filter(|p| ps.contains(p)).collect(),
-    };
-    let (per_pattern, generate_latency) =
-        generate_cases(collection, ctx, config, &active, workers);
-    let generated_per_pattern: Vec<(PatternId, usize)> =
-        active.iter().zip(&per_pattern).map(|(&p, cases)| (p, cases.len())).collect();
-
-    let mut cursors = vec![0usize; per_pattern.len()];
-    'outer: loop {
-        let mut progressed = false;
-        for (pi, cases) in per_pattern.iter().enumerate() {
-            if plan.len() >= config.max_statements {
-                break 'outer;
-            }
-            while cursors[pi] < cases.len() {
-                let (case, seed) = &cases[cursors[pi]];
-                cursors[pi] += 1;
-                if executed.insert(case.sql.clone()) {
-                    plan.push(PlannedCase {
-                        sql: case.sql.clone(),
-                        pattern: Some(case.pattern),
-                        seed: *seed,
-                    });
-                    progressed = true;
-                    break;
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    Plan {
-        cases: plan,
-        prepared: Vec::new(),
-        shapes: Vec::new(),
-        generated_per_pattern,
-        seed_functions,
-        generate_latency,
-        prepare_latency: Vec::new(),
-    }
-}
-
 /// Executes one prepared plan entry: the prepared AST when preparation
 /// succeeded, else its pre-execution error replayed as the outcome — the
 /// exact classification the string path produced for the same statement.
@@ -1327,8 +1243,8 @@ fn generate_cases(
     config: &CampaignConfig,
     active: &[PatternId],
     workers: usize,
-) -> (Vec<Vec<(GeneratedCase, usize)>>, Vec<Duration>) {
-    let generate_one = |pattern: PatternId| -> (Vec<(GeneratedCase, usize)>, Duration) {
+) -> (Vec<Queue>, Vec<Duration>) {
+    let generate_one = |pattern: PatternId| -> (Queue, Duration) {
         let t0 = Instant::now();
         // The cross-function patterns need wider per-seed budgets: their
         // search space is (seed × donor), not (seed × pool).
@@ -1337,7 +1253,7 @@ fn generate_cases(
             PatternId::P2_3 => config.per_seed_cap.max(128),
             _ => config.per_seed_cap,
         };
-        let mut tagged: Vec<(GeneratedCase, usize)> = Vec::new();
+        let mut tagged: Queue = Vec::new();
         let mut buf: Vec<GeneratedCase> = Vec::new();
         for (si, seed) in collection.seeds.iter().enumerate() {
             patterns::apply_salted(pattern, seed, ctx, cap, si, &mut buf);
@@ -1356,7 +1272,7 @@ fn generate_cases(
         return (cases, durations);
     }
     let next = AtomicUsize::new(0);
-    type Generated = (usize, Vec<(GeneratedCase, usize)>, Duration);
+    type Generated = (usize, Queue, Duration);
     let done: Mutex<Vec<Generated>> = Mutex::new(Vec::with_capacity(active.len()));
     std::thread::scope(|scope| {
         for _ in 0..workers.min(active.len()) {
@@ -1551,240 +1467,206 @@ fn batch_window(
     }
 }
 
-/// Executes one shard of the planned (and prepared) stream on a private
-/// engine cloned from the template. Pure function of (profile, template,
-/// shard range): no state is shared with other shards.
-///
-/// With `batch` on, the shard executes window by window: each window's
-/// same-shape groups are evaluated as columnar batches up front
-/// ([`batch_window`]), and the serial loop below then *demultiplexes* the
-/// precomputed outcomes — every per-statement observation (telemetry event,
-/// live counter, oracle check, finding, crash restore) happens at exactly
-/// the point, in exactly the order, the scalar path performs it.
-fn run_shard(
-    profile: &DialectProfile,
-    fault_index: &FaultIndex<'_>,
-    template: &Engine,
-    plan: &Plan,
-    range: std::ops::Range<usize>,
-    shard: usize,
-    telemetry: Option<&TelemetryOptions>,
-    oracles: Option<&OracleOptions>,
-    live: Option<&LiveMetrics>,
-    batch: bool,
-    span_origin: Option<Instant>,
-) -> ShardOutcome {
-    let t0 = Instant::now();
-    // The flight recorder: this worker owns the sink exclusively, so every
-    // record is a plain Vec push — no locks, no atomics. Track `shard + 1`
-    // keeps the campaign thread's track 0 distinct in the exported trace.
-    let mut sink = span_origin.map(|origin| SpanSink::new(origin, shard as u64 + 1));
-    let shard_span_start = sink.as_ref().map(|s| s.now_ns());
-    let start_offset = range.start;
-    let cases = &plan.cases[range.clone()];
-    let prepared = &plan.prepared[range.clone()];
-    let shapes = &plan.shapes[range];
-    let mut engine = template.clone();
-    // The batch plane: per-statement precomputed outcomes, one reusable
-    // column arena for the whole shard, and the window cursor. Windows end
-    // at coverage-snapshot indices (one window per shard when telemetry is
-    // off) so snapshots observe exactly the serial coverage set.
-    let mut arena = BatchArena::new();
-    let mut pre: Vec<Option<(ExecOutcome, Duration)>> = Vec::new();
-    if batch {
-        pre.resize_with(cases.len(), || None);
-    }
-    let snapshot_interval = telemetry.map(|opts| opts.snapshot_interval.max(1));
-    let mut window_end = 0usize;
-    let mut found: HashSet<String> = HashSet::new();
-    let mut findings: Vec<BugFinding> = Vec::new();
-    let mut observer = telemetry
-        .map(|opts| ShardObserver::new(opts, &plan.seed_functions, fault_index, cases.len()));
-    // The live plane: this worker owns heartbeat slot `shard` exclusively
-    // while the shard runs, so every update below is wait-free.
-    let live = live.map(|m| (m, m.beats()));
-    if let Some((m, beats)) = &live {
-        m.shard_started(&beats[shard], shard);
-    }
-    let mut crashes = 0usize;
-    let mut false_positives = 0usize;
-    let mut errors = 0usize;
-    let mut logic_bugs = 0usize;
-    for (i, case) in cases.iter().enumerate() {
-        if batch && i >= window_end {
-            // Entering the next window: its end is the next global snapshot
-            // index (or the shard end), and its shape groups batch-execute
-            // now, against exactly the engine state a serial walk has at
-            // this point.
-            window_end = match snapshot_interval {
-                Some(iv) => (((start_offset + i) / iv + 1) * iv - start_offset).min(cases.len()),
-                None => cases.len(),
-            };
-            batch_window(
-                &mut engine,
-                prepared,
-                shapes,
-                i..window_end,
-                &mut pre,
-                &mut arena,
-                &mut sink,
-            );
+impl Campaign<'_> {
+    /// Executes one shard of the planned (and prepared) stream on a private
+    /// engine cloned from the template. Pure function of (profile, template,
+    /// shard range): no state is shared with other shards.
+    ///
+    /// With `batch` on, the shard executes window by window: each window's
+    /// same-shape groups are evaluated as columnar batches up front
+    /// ([`batch_window`]), and the serial loop below then *demultiplexes* the
+    /// precomputed outcomes — every per-statement observation (telemetry event,
+    /// live counter, oracle check, finding, crash restore) happens at exactly
+    /// the point, in exactly the order, the scalar path performs it.
+    fn run_shard(&self, plan: &Plan, range: std::ops::Range<usize>, shard: usize) -> ShardOutcome {
+        let t0 = Instant::now();
+        // The flight recorder: this worker owns the sink exclusively, so every
+        // record is a plain Vec push — no locks, no atomics. Track `shard + 1`
+        // keeps the campaign thread's track 0 distinct in the exported trace.
+        let mut sink = self.span_origin.map(|origin| SpanSink::new(origin, shard as u64 + 1));
+        let shard_span_start = sink.as_ref().map(|s| s.now_ns());
+        let start_offset = range.start;
+        let cases = &plan.cases[range.clone()];
+        let prepared = &plan.prepared[range.clone()];
+        let shapes = &plan.shapes[range];
+        let mut engine = self.template.clone();
+        // The batch plane: per-statement precomputed outcomes, one reusable
+        // column arena for the whole shard, and the window cursor. Windows end
+        // at coverage-snapshot indices (one window per shard when telemetry is
+        // off) so snapshots observe exactly the serial coverage set.
+        let mut arena = BatchArena::new();
+        let mut pre: Vec<Option<(ExecOutcome, Duration)>> = Vec::new();
+        if self.batch {
+            pre.resize_with(cases.len(), || None);
         }
-        let batched = pre.get_mut(i).and_then(Option::take);
-        let from_batch = batched.is_some();
-        let outcome = match batched {
-            Some((outcome, spent)) => {
-                // The execute histogram keeps one sample per statement:
-                // batched statements record their amortized share of the
-                // group's wall-clock.
-                if let Some(obs) = &mut observer {
-                    obs.latency.execute.record(spent);
-                }
-                outcome
-            }
-            None => {
-                // Scalar execution gets its own span; batched statements
-                // are already covered by the window's batch-group spans.
-                let span_start = sink.as_ref().map(|s| s.now_ns());
-                let outcome = match &mut observer {
-                    Some(obs) => obs.execute_timed(&mut engine, &prepared[i]),
-                    None => execute_planned(&mut engine, &prepared[i]),
+        let snapshot_interval = self.telemetry.map(|opts| opts.snapshot_interval.max(1));
+        let mut window_end = 0usize;
+        let mut found: HashSet<String> = HashSet::new();
+        let mut findings: Vec<BugFinding> = Vec::new();
+        let mut observer = self.telemetry.map(|opts| {
+            ShardObserver::new(opts, &plan.seed_functions, &self.fault_index, cases.len())
+        });
+        // The live plane: this worker owns heartbeat slot `shard` exclusively
+        // while the shard runs, so every update below is wait-free.
+        let live = self.live.map(|m| (m, m.beats()));
+        if let Some((m, beats)) = &live {
+            m.shard_started(&beats[shard], shard);
+        }
+        let mut crashes = 0usize;
+        let mut false_positives = 0usize;
+        let mut errors = 0usize;
+        let mut logic_bugs = 0usize;
+        for (i, case) in cases.iter().enumerate() {
+            if self.batch && i >= window_end {
+                // Entering the next window: its end is the next global snapshot
+                // index (or the shard end), and its shape groups batch-execute
+                // now, against exactly the engine state a serial walk has at
+                // this point.
+                window_end = match snapshot_interval {
+                    Some(iv) => {
+                        (((start_offset + i) / iv + 1) * iv - start_offset).min(cases.len())
+                    }
+                    None => cases.len(),
                 };
-                if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
-                    sink.record_since("execute", start, None);
-                }
-                outcome
+                batch_window(
+                    &mut engine,
+                    prepared,
+                    shapes,
+                    i..window_end,
+                    &mut pre,
+                    &mut arena,
+                    &mut sink,
+                );
             }
-        };
-        // The multi-form oracle inspects every statement the crash plane
-        // passed on. It re-executes the statement's forms on private clones
-        // of the *template* (never this shard's engine), so the verdict is
-        // a pure function of (template, statement) — shard state and worker
-        // count cannot change it. A batched outcome *is* the prepared-path
-        // outcome of a state-independent statement, so it doubles as the
-        // oracle's reference form and saves the form-A re-execution.
-        let logic = match (&outcome, oracles) {
-            (ExecOutcome::Crash(_), _) | (_, None) => None,
-            (_, Some(opts)) if !opts.multi_form => None,
-            (_, Some(_)) => prepared[i].as_ref().ok().and_then(|p| {
-                let span_start = sink.as_ref().map(|s| s.now_ns());
-                let bug = if from_batch {
-                    oracle::multi_form_check_with(template, &case.sql, p.statement(), &outcome)
+            let batched = pre.get_mut(i).and_then(Option::take);
+            let from_batch = batched.is_some();
+            let outcome = match batched {
+                Some((outcome, spent)) => {
+                    // The execute histogram keeps one sample per statement:
+                    // batched statements record their amortized share of the
+                    // group's wall-clock.
+                    if let Some(obs) = &mut observer {
+                        obs.latency.execute.record(spent);
+                    }
+                    outcome
+                }
+                None => {
+                    // Scalar execution gets its own span; batched statements
+                    // are already covered by the window's batch-group spans.
+                    let span_start = sink.as_ref().map(|s| s.now_ns());
+                    let outcome = match &mut observer {
+                        Some(obs) => obs.execute_timed(&mut engine, &prepared[i]),
+                        None => execute_planned(&mut engine, &prepared[i]),
+                    };
+                    if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
+                        sink.record_since("execute", start, None);
+                    }
+                    outcome
+                }
+            };
+            // The multi-form oracle inspects every statement the crash plane
+            // passed on. It re-executes the statement's forms on private clones
+            // of the *template* (never this shard's engine), so the verdict is
+            // a pure function of (template, statement) — shard state and worker
+            // count cannot change it. A batched outcome *is* the prepared-path
+            // outcome of a state-independent statement, so it doubles as the
+            // oracle's reference form and saves the form-A re-execution.
+            let logic = match (&outcome, self.oracles) {
+                (ExecOutcome::Crash(_), _) | (_, None) => None,
+                (_, Some(opts)) if !opts.multi_form => None,
+                (_, Some(_)) => prepared[i].as_ref().ok().and_then(|p| {
+                    let span_start = sink.as_ref().map(|s| s.now_ns());
+                    let bug = if from_batch {
+                        oracle::multi_form_check_with(
+                            &self.template,
+                            &case.sql,
+                            p.statement(),
+                            &outcome,
+                        )
+                    } else {
+                        oracle::multi_form_check(&self.template, &case.sql, p.statement())
+                    };
+                    if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
+                        sink.record_since("oracle", start, None);
+                    }
+                    bug.map(|bug| (oracle::multi_form_fault_id(p.statement()), bug))
+                }),
+            };
+            let logic_fault: Option<Arc<str>> =
+                logic.as_ref().map(|((id, _), _)| Arc::from(id.as_str()));
+            if let Some(obs) = &mut observer {
+                obs.observe(
+                    &engine,
+                    case,
+                    shard,
+                    start_offset + i + 1,
+                    &outcome,
+                    logic_fault.as_ref(),
+                );
+            }
+            if let Some((m, beats)) = &live {
+                let class = if logic.is_some() {
+                    OutcomeClass::LogicBug
                 } else {
-                    oracle::multi_form_check(template, &case.sql, p.statement())
+                    OutcomeClass::of(&outcome)
                 };
-                if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
-                    sink.record_since("oracle", start, None);
+                m.record_statement(&beats[shard], start_offset + i + 1, case.pattern, class);
+            }
+            if let Some(((fault_id, function), bug)) = logic {
+                logic_bugs += 1;
+                if found.insert(fault_id.clone()) {
+                    if let Some((m, _)) = &live {
+                        m.record_unique_candidate(&fault_id);
+                    }
+                    let at = plan.found_at(start_offset + i);
+                    findings.push(logic_finding(self.profile, fault_id, bug, function, at));
                 }
-                bug.map(|bug| (oracle::multi_form_fault_id(p.statement()), bug))
-            }),
-        };
-        let logic_fault: Option<Arc<str>> =
-            logic.as_ref().map(|((id, _), _)| Arc::from(id.as_str()));
-        if let Some(obs) = &mut observer {
-            obs.observe(
-                &engine,
-                case,
-                shard,
-                start_offset + i + 1,
-                &outcome,
-                logic_fault.as_ref(),
-            );
+                // The statement is accounted as a wrong result; its surface
+                // outcome class (rows, ok, error) does not also count below.
+                continue;
+            }
+            match outcome {
+                ExecOutcome::Crash(c) => {
+                    crashes += 1;
+                    if found.insert(c.fault_id.clone()) {
+                        if let Some((m, _)) = &live {
+                            m.record_unique_candidate(&c.fault_id);
+                        }
+                        let at = plan.found_at(start_offset + i);
+                        findings.push(crash_finding(self.profile, &self.fault_index, &c, at));
+                    }
+                    // "Restart" the DBMS: snapshot-restore from the prepared
+                    // template — state-identical to reset + preparation replay,
+                    // without re-executing the preparation statements.
+                    engine.restore_database(&self.template);
+                }
+                ExecOutcome::Error(SqlError::ResourceLimit(_)) => false_positives += 1,
+                ExecOutcome::Error(_) => errors += 1,
+                ExecOutcome::Rows(_) | ExecOutcome::Ok(_) => {}
+            }
         }
         if let Some((m, beats)) = &live {
-            let class = if logic.is_some() {
-                OutcomeClass::LogicBug
-            } else {
-                OutcomeClass::of(&outcome)
-            };
-            m.record_statement(&beats[shard], start_offset + i + 1, case.pattern, class);
+            m.shard_finished(&beats[shard], shard, engine.coverage());
         }
-        if let Some(((fault_id, function), bug)) = logic {
-            logic_bugs += 1;
-            if found.insert(fault_id.clone()) {
-                if let Some((m, _)) = &live {
-                    m.record_unique_candidate(&fault_id);
-                }
-                let category = function
-                    .as_deref()
-                    .and_then(|f| profile.registry.resolve(f).map(|d| d.category))
-                    .unwrap_or(soft_types::category::FunctionCategory::System);
-                findings.push(BugFinding {
-                    fault_id,
-                    dialect: profile.id,
-                    kind: FindingKind::Logic(bug),
-                    stage: Stage::Execution,
-                    category,
-                    credited_pattern: case.pattern.unwrap_or(PatternId::P1_2),
-                    found_by_pattern: case.pattern.unwrap_or(PatternId::P1_2),
-                    function,
-                    seed_function: plan.seed_functions.get(case.seed).cloned().flatten(),
-                    poc: case.sql.clone(),
-                    statements_until_found: start_offset + i + 1,
-                    fixed: false,
-                });
-            }
-            // The statement is accounted as a wrong result; its surface
-            // outcome class (rows, ok, error) does not also count below.
-            continue;
+        if let (Some(sink), Some(start)) = (sink.as_mut(), shard_span_start) {
+            sink.record_since("shard", start, Some(format!("{} statements", cases.len())));
         }
-        match outcome {
-            ExecOutcome::Crash(c) => {
-                crashes += 1;
-                if found.insert(c.fault_id.clone()) {
-                    if let Some((m, _)) = &live {
-                        m.record_unique_candidate(&c.fault_id);
-                    }
-                    // Look up the corpus entry for ground-truth metadata.
-                    let spec = fault_index.get(c.fault_id.as_str()).map(|&(_, s)| s);
-                    findings.push(BugFinding {
-                        fault_id: c.fault_id.clone(),
-                        dialect: profile.id,
-                        kind: FindingKind::Crash(c.kind),
-                        stage: c.stage,
-                        category: spec
-                            .map(|s| s.category)
-                            .unwrap_or(soft_types::category::FunctionCategory::System),
-                        credited_pattern: spec.map(|s| s.pattern).unwrap_or(PatternId::P1_2),
-                        found_by_pattern: case.pattern.unwrap_or(PatternId::P1_2),
-                        function: c.function.clone(),
-                        seed_function: plan.seed_functions.get(case.seed).cloned().flatten(),
-                        poc: case.sql.clone(),
-                        statements_until_found: start_offset + i + 1,
-                        fixed: spec.map(|s| s.fixed).unwrap_or(false),
-                    });
-                }
-                // "Restart" the DBMS: snapshot-restore from the prepared
-                // template — state-identical to reset + preparation replay,
-                // without re-executing the preparation statements.
-                engine.restore_database(template);
-            }
-            ExecOutcome::Error(SqlError::ResourceLimit(_)) => false_positives += 1,
-            ExecOutcome::Error(_) => errors += 1,
-            ExecOutcome::Rows(_) | ExecOutcome::Ok(_) => {}
+        ShardOutcome {
+            stats: ShardStats {
+                shard,
+                start_offset,
+                statements: cases.len(),
+                crashes,
+                errors,
+                false_positives,
+                logic_bugs,
+            },
+            findings,
+            telemetry: observer.map(|obs| obs.finish(shard, &engine)),
+            coverage: engine.coverage().clone(),
+            nanos: t0.elapsed().as_nanos(),
+            spans: sink.map(SpanSink::into_spans).unwrap_or_default(),
         }
-    }
-    if let Some((m, beats)) = &live {
-        m.shard_finished(&beats[shard], shard, engine.coverage());
-    }
-    if let (Some(sink), Some(start)) = (sink.as_mut(), shard_span_start) {
-        sink.record_since("shard", start, Some(format!("{} statements", cases.len())));
-    }
-    ShardOutcome {
-        stats: ShardStats {
-            shard,
-            start_offset,
-            statements: cases.len(),
-            crashes,
-            errors,
-            false_positives,
-            logic_bugs,
-        },
-        findings,
-        telemetry: observer.map(|obs| obs.finish(shard, &engine)),
-        coverage: engine.coverage().clone(),
-        nanos: t0.elapsed().as_nanos(),
-        spans: sink.map(SpanSink::into_spans).unwrap_or_default(),
     }
 }
 
@@ -1798,7 +1680,7 @@ pub trait StatementGenerator {
 }
 
 /// Runs any statement generator against a profile under a budget,
-/// measuring the same campaign metrics as [`run_soft`].
+/// measuring the same campaign metrics as [`run_soft_parallel`].
 pub fn run_generator(
     profile: &DialectProfile,
     generator: &mut dyn StatementGenerator,
@@ -1821,24 +1703,13 @@ pub fn run_generator(
         match execute_planned(&mut engine, &prepared) {
             ExecOutcome::Crash(c) => {
                 if found.insert(c.fault_id.clone()) {
-                    let spec = fault_index.get(c.fault_id.as_str()).map(|&(_, s)| s);
-                    findings.push(BugFinding {
-                        fault_id: c.fault_id.clone(),
-                        dialect: profile.id,
-                        kind: FindingKind::Crash(c.kind),
-                        stage: c.stage,
-                        category: spec
-                            .map(|s| s.category)
-                            .unwrap_or(soft_types::category::FunctionCategory::System),
-                        credited_pattern: spec.map(|s| s.pattern).unwrap_or(PatternId::P1_2),
-                        found_by_pattern: spec.map(|s| s.pattern).unwrap_or(PatternId::P1_2),
-                        function: c.function.clone(),
-                        // External generators carry no seed provenance.
-                        seed_function: None,
-                        poc: sql.clone(),
-                        statements_until_found: statements,
-                        fixed: spec.map(|s| s.fixed).unwrap_or(false),
-                    });
+                    // External generators carry no pattern or seed
+                    // provenance: the corpus's own pattern is credited as
+                    // the finder.
+                    let pattern = fault_index.get(c.fault_id.as_str()).map(|&(_, s)| s.pattern);
+                    let at =
+                        Found { poc: sql.clone(), pattern, seed_function: None, index: statements };
+                    findings.push(crash_finding(profile, &fault_index, &c, at));
                 }
                 engine.reset_database();
             }
@@ -1877,8 +1748,8 @@ mod tests {
             per_seed_cap: 8,
             ..CampaignConfig::default()
         };
-        let a = run_soft(&profile, &cfg);
-        let b = run_soft(&profile, &cfg);
+        let a = run_soft_parallel(&profile, &cfg, 1);
+        let b = run_soft_parallel(&profile, &cfg, 1);
         assert_eq!(a.statements_executed, b.statements_executed);
         assert_eq!(
             a.findings.iter().map(|f| &f.fault_id).collect::<Vec<_>>(),
@@ -1894,7 +1765,7 @@ mod tests {
             per_seed_cap: 48,
             ..CampaignConfig::default()
         };
-        let report = run_soft(&profile, &cfg);
+        let report = run_soft_parallel(&profile, &cfg, 1);
         assert!(
             !report.findings.is_empty(),
             "SOFT should find at least one of the 6 ClickHouse bugs"
@@ -1915,7 +1786,7 @@ mod tests {
             per_seed_cap: 4,
             ..CampaignConfig::default()
         };
-        let report = run_soft(&profile, &cfg);
+        let report = run_soft_parallel(&profile, &cfg, 1);
         assert!(report.statements_executed <= 500);
     }
 
@@ -1928,7 +1799,7 @@ mod tests {
             shard_statements: 128,
             ..CampaignConfig::default()
         };
-        let report = run_soft(&profile, &cfg);
+        let report = run_soft_parallel(&profile, &cfg, 1);
         assert!(!report.shards.is_empty());
         // Shards tile the stream: contiguous offsets, summed statements.
         let mut expect_offset = 0usize;
@@ -1960,8 +1831,8 @@ mod tests {
         };
         let tcfg =
             CampaignConfig { telemetry: TelemetryConfig::with_interval(500), ..cfg.clone() };
-        let off = run_soft(&profile, &cfg);
-        let run = run_soft_parallel_timed(&profile, &tcfg, 2);
+        let off = run_soft_parallel(&profile, &cfg, 1);
+        let run = run_soft_parallel_live(&profile, &tcfg, 2, &LivePlane::default());
         let on = run.report;
         let tel = on.telemetry.as_ref().expect("telemetry recorded");
 
@@ -2025,13 +1896,13 @@ mod tests {
             per_seed_cap: 8,
             ..CampaignConfig::default()
         };
-        let report = run_soft(&profile, &cfg);
+        let report = run_soft_parallel(&profile, &cfg, 1);
 
         let collection = collect::collect(&profile);
         let ctx = GenCtx::new(&collection);
         let prep: Vec<String> =
             collection.preparation.iter().map(|s| s.to_string()).collect();
-        let plan = build_plan(&collection, &ctx, &cfg, 1);
+        let plan = plan_static(&collection, &ctx, &cfg, 1, &mut None);
         let mut template = profile.engine();
         for sql in &prep {
             let _ = template.execute(sql);
@@ -2092,8 +1963,8 @@ mod tests {
             per_seed_cap: 8,
             ..CampaignConfig::default()
         };
-        let serial = run_soft(&profile, &cfg);
-        let run = run_soft_parallel_timed(&profile, &cfg, 3);
+        let serial = run_soft_parallel(&profile, &cfg, 1);
+        let run = run_soft_parallel_live(&profile, &cfg, 3, &LivePlane::default());
         assert_eq!(serial, run.report, "worker count leaked into the report");
         assert_eq!(run.workers, 3);
         assert_eq!(run.shard_timings.len(), run.report.shards.len());
@@ -2162,7 +2033,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         assert!(!cfg.oracles.is_on());
-        let report = run_soft(&profile, &cfg);
+        let report = run_soft_parallel(&profile, &cfg, 1);
         assert!(report.findings.iter().all(|f| f.kind.crash().is_some()));
         assert!(report.shards.iter().all(|s| s.logic_bugs == 0));
     }

@@ -181,7 +181,7 @@ pub fn replay_all(root: &Path) -> Result<usize, Vec<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{run_soft, CampaignConfig};
+    use crate::campaign::{run_soft_parallel, CampaignConfig};
 
     fn small_report(profile: &DialectProfile) -> CampaignReport {
         let cfg = CampaignConfig {
@@ -189,7 +189,7 @@ mod tests {
             per_seed_cap: 32,
             ..CampaignConfig::default()
         };
-        run_soft(profile, &cfg)
+        run_soft_parallel(profile, &cfg, 1)
     }
 
     #[test]

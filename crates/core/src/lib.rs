@@ -18,11 +18,11 @@
 //! # Examples
 //!
 //! ```no_run
-//! use soft_core::campaign::{run_soft, CampaignConfig};
+//! use soft_core::campaign::{run_soft_parallel, CampaignConfig};
 //! use soft_dialects::{DialectId, DialectProfile};
 //!
 //! let profile = DialectProfile::build(DialectId::Clickhouse);
-//! let report = run_soft(&profile, &CampaignConfig::default());
+//! let report = run_soft_parallel(&profile, &CampaignConfig::default(), 1);
 //! println!("{} bugs found", report.findings.len());
 //! ```
 
@@ -42,9 +42,8 @@ pub mod report;
 pub mod schedule;
 
 pub use campaign::{
-    default_workers, run_campaign, run_generator, run_soft, run_soft_parallel,
-    run_soft_parallel_live, run_soft_parallel_timed, CampaignConfig, CampaignRun, LivePlane,
-    ShardTiming, StatementGenerator,
+    default_workers, run_generator, run_soft_parallel, run_soft_parallel_live, CampaignConfig,
+    CampaignRun, LivePlane, ShardTiming, StatementGenerator,
 };
 pub use forensics::{bundle_finding, replay_all, replay_bundle, write_campaign_bundles};
 pub use oracle::{LogicBug, OracleConfig, OracleKind, OracleOptions};

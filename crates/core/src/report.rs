@@ -338,7 +338,7 @@ mod tests {
         assert_eq!(forward.table4_rows(), reversed.table4_rows());
         assert_eq!(forward.by_kind(), reversed.by_kind());
         assert_eq!(forward.by_pattern(), reversed.by_pattern());
-        assert_eq!(render_table4(&[forward.clone()]), render_table4(&[reversed]));
+        assert_eq!(render_table4(std::slice::from_ref(&forward)), render_table4(&[reversed]));
 
         // Rows ascend in category order; breakdowns ascend alphabetically.
         let rows = forward.table4_rows();

@@ -172,11 +172,11 @@ impl Bandit {
     pub fn observe(&mut self, rewards: &[ArmReward]) {
         assert_eq!(rewards.len(), self.reward_milli.len(), "arm count mismatch");
         let decay = self.opts.decay_milli as f64 / 1000.0;
-        for a in 0..rewards.len() {
-            self.reward_milli[a] *= decay;
-            self.pulls[a] *= decay;
-            self.reward_milli[a] += rewards[a].value_milli();
-            self.pulls[a] += rewards[a].executed as f64;
+        for ((reward, pulls), r) in self.reward_milli.iter_mut().zip(&mut self.pulls).zip(rewards) {
+            *reward *= decay;
+            *pulls *= decay;
+            *reward += r.value_milli();
+            *pulls += r.executed as f64;
         }
         self.observed_epochs += 1;
     }

@@ -672,12 +672,12 @@ pub fn build_corpus(id: DialectId, registry: &FunctionRegistry) -> Vec<CorpusFau
         let kinds: Vec<CrashKind> = row
             .kinds
             .iter()
-            .flat_map(|(k, n)| std::iter::repeat_n(*k, *n as usize))
+            .flat_map(|(k, n)| std::iter::repeat(*k).take(*n as usize))
             .collect();
         let patterns: Vec<PatternId> = row
             .patterns
             .iter()
-            .flat_map(|(p, n)| std::iter::repeat_n(*p, *n as usize))
+            .flat_map(|(p, n)| std::iter::repeat(*p).take(*n as usize))
             .collect();
         assert_eq!(
             kinds.len(),

@@ -159,11 +159,11 @@ fn batchable_expr(registry: &FunctionRegistry, e: &Expr) -> bool {
                 && batchable_expr(registry, high)
         }
         Expr::Case { operand, branches, else_expr } => {
-            operand.as_deref().is_none_or(|o| batchable_expr(registry, o))
+            operand.as_deref().map_or(true, |o| batchable_expr(registry, o))
                 && branches
                     .iter()
                     .all(|(w, t)| batchable_expr(registry, w) && batchable_expr(registry, t))
-                && else_expr.as_deref().is_none_or(|x| batchable_expr(registry, x))
+                && else_expr.as_deref().map_or(true, |x| batchable_expr(registry, x))
         }
         Expr::Row(items) | Expr::ArrayLiteral(items) => {
             items.iter().all(|a| batchable_expr(registry, a))
@@ -652,8 +652,8 @@ fn run_batch<'p>(
                 prep_children(prev, &pair, kids, srcs, args);
                 let op = *op;
                 let NodeOut::Shared { col, .. } = out else { unreachable!("binary output column") };
-                for r in 0..n {
-                    if status[r].is_some() {
+                for (r, st) in status.iter_mut().enumerate() {
+                    if st.is_some() {
                         col.push(&Value::Null);
                         continue;
                     }
@@ -661,7 +661,7 @@ fn run_batch<'p>(
                     match exec.binary_op_value(op, &args[0].value, &args[1].value) {
                         Ok(v) => col.push_owned(v),
                         Err(e) => {
-                            status[r] = Some(e);
+                            *st = Some(e);
                             col.push(&Value::Null);
                         }
                     }
@@ -671,8 +671,8 @@ fn run_batch<'p>(
                 prep_children(prev, std::slice::from_ref(child), kids, srcs, args);
                 let negated = *negated;
                 let NodeOut::Shared { col, .. } = out else { unreachable!("isnull output column") };
-                for r in 0..n {
-                    if status[r].is_some() {
+                for (r, st) in status.iter().enumerate() {
+                    if st.is_some() {
                         col.push(&Value::Null);
                         continue;
                     }
@@ -685,8 +685,8 @@ fn run_batch<'p>(
                 prep_children(prev, &trio, kids, srcs, args);
                 let negated = *negated;
                 let NodeOut::Shared { col, .. } = out else { unreachable!("between output column") };
-                for r in 0..n {
-                    if status[r].is_some() {
+                for (r, st) in status.iter().enumerate() {
+                    if st.is_some() {
                         col.push(&Value::Null);
                         continue;
                     }
@@ -708,8 +708,8 @@ fn run_batch<'p>(
                 prep_children(prev, children, kids, srcs, args);
                 let k = children.len();
                 let NodeOut::Shared { col, .. } = out else { unreachable!("ctor output column") };
-                for r in 0..n {
-                    if status[r].is_some() {
+                for (r, st) in status.iter().enumerate() {
+                    if st.is_some() {
                         col.push(&Value::Null);
                         continue;
                     }

@@ -76,7 +76,7 @@ impl Provenance {
     pub fn from_function(&self, name: Option<&str>) -> bool {
         match self {
             Provenance::FunctionReturn { name: n } | Provenance::AggregateReturn { name: n } => {
-                name.is_none_or(|want| n.eq_ignore_ascii_case(want))
+                name.map_or(true, |want| n.eq_ignore_ascii_case(want))
             }
             Provenance::Cast { inner, .. } | Provenance::Subquery { inner } => {
                 inner.from_function(name)

@@ -304,7 +304,7 @@ fn f_element_at(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engine
 }
 
 fn f_map(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
-    if !args.len().is_multiple_of(2) {
+    if args.len() % 2 != 0 {
         ctx.branch("odd-arity");
         return runtime_err("MAP(): key/value pairs required");
     }

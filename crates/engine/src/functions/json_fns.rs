@@ -182,7 +182,7 @@ fn f_json_array(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engine
 }
 
 fn f_json_object(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
-    if !args.len().is_multiple_of(2) {
+    if args.len() % 2 != 0 {
         ctx.branch("odd-arity");
         return runtime_err("JSON_OBJECT(): odd number of arguments");
     }
@@ -301,7 +301,7 @@ fn json_modify(
     replace: bool,
 ) -> Result<Value, EngineError> {
     let mut doc = some_or_null!(want_json(ctx, args, 0)?);
-    if !(args.len() - 1).is_multiple_of(2) {
+    if (args.len() - 1) % 2 != 0 {
         ctx.branch("odd-arity");
         return runtime_err("path/value arguments must come in pairs");
     }
@@ -459,7 +459,7 @@ fn search(node: &JsonValue, path: &str, target: &str, out: &mut Vec<String>) {
 const DYNCOL_MAGIC: u8 = 0x04;
 
 fn f_column_create(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
-    if !args.len().is_multiple_of(2) {
+    if args.len() % 2 != 0 {
         ctx.branch("odd-arity");
         return runtime_err("COLUMN_CREATE(): name/value pairs required");
     }

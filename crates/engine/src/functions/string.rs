@@ -580,7 +580,7 @@ fn f_format(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErro
     let mut grouped = String::new();
     let digits: Vec<char> = int_part.chars().collect();
     for (i, c) in digits.iter().enumerate() {
-        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+        if i > 0 && (digits.len() - i) % 3 == 0 {
             grouped.push(',');
         }
         grouped.push(*c);

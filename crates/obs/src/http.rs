@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn serves_all_three_routes_and_404() {
         let metrics = Arc::new(LiveMetrics::new());
-        metrics.begin_campaign("DuckDB", 10, 1, 1);
+        metrics.begin_campaign("DuckDB", 1, 1);
         let beats = metrics.beats();
         metrics.shard_started(&beats[0], 0);
         metrics.record_statement(&beats[0], 1, None, crate::event::OutcomeClass::Ok);
@@ -322,7 +322,8 @@ mod tests {
     #[test]
     fn request_split_across_tcp_segments_is_served() {
         let metrics = Arc::new(LiveMetrics::new());
-        metrics.begin_campaign("DuckDB", 10, 1, 1);
+        metrics.begin_campaign("DuckDB", 1, 1);
+        metrics.plan_shards(10, 1);
         let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&metrics)).expect("bind");
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         // Dribble the request in three writes with pauses in between, so the
@@ -341,7 +342,7 @@ mod tests {
     #[test]
     fn request_without_terminating_blank_line_is_served() {
         let metrics = Arc::new(LiveMetrics::new());
-        metrics.begin_campaign("DuckDB", 10, 1, 1);
+        metrics.begin_campaign("DuckDB", 1, 1);
         let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&metrics)).expect("bind");
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         // Request line only, then half-close: no headers, no blank line.
@@ -393,7 +394,7 @@ mod tests {
     #[test]
     fn every_one_shot_route_sends_content_length_and_connection_close() {
         let metrics = Arc::new(LiveMetrics::new());
-        metrics.begin_campaign("DuckDB", 10, 1, 1);
+        metrics.begin_campaign("DuckDB", 1, 1);
         let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&metrics)).expect("bind");
         let addr = server.local_addr();
         let cases: [(&str, &str); 6] = [
@@ -429,8 +430,7 @@ mod tests {
     fn decode_chunked(body: &str) -> String {
         let mut out = String::new();
         let mut rest = body;
-        loop {
-            let Some((size_line, tail)) = rest.split_once("\r\n") else { break };
+        while let Some((size_line, tail)) = rest.split_once("\r\n") {
             let size = usize::from_str_radix(size_line.trim(), 16).expect("hex chunk size");
             if size == 0 {
                 break;
@@ -444,7 +444,7 @@ mod tests {
     #[test]
     fn events_stream_is_chunked_and_terminates_when_the_campaign_finishes() {
         let metrics = Arc::new(LiveMetrics::new());
-        metrics.begin_campaign("DuckDB", 10, 1, 1);
+        metrics.begin_campaign("DuckDB", 1, 1);
         let server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&metrics)).expect("bind");
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");

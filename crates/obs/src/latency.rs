@@ -192,7 +192,7 @@ mod tests {
         h.record(Duration::from_micros(100));
         let p50 = h.quantile_ns(0.5).expect("non-empty");
         let p99 = h.quantile_ns(0.99).expect("non-empty");
-        assert!(p50 >= 100 && p50 < 256, "p50 = {p50}");
+        assert!((100..256).contains(&p50), "p50 = {p50}");
         assert!(p99 < 100_000 * 2, "p99 = {p99}");
         assert!(h.quantile_ns(1.0).expect("non-empty") >= 100_000);
     }

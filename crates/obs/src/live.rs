@@ -132,8 +132,10 @@ pub struct LiveCoveragePoint {
 ///
 /// Create one per campaign ([`LiveMetrics::new`]), hand an `Arc` of it to
 /// the exposition server / ticker, and pass it to the campaign runner; the
-/// runner calls [`begin_campaign`](LiveMetrics::begin_campaign) once the
-/// statement stream is planned and updates the registry as shards execute.
+/// runner calls [`begin_campaign`](LiveMetrics::begin_campaign) before the
+/// first shard, adds each stretch of the plan through
+/// [`plan_shards`](LiveMetrics::plan_shards) as it cuts it into shards, and
+/// updates the registry as shards execute.
 #[derive(Debug)]
 pub struct LiveMetrics {
     started: Instant,
@@ -219,23 +221,28 @@ impl LiveMetrics {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Publishes the campaign shape: dialect, planned statement count, shard
-    /// count, worker count. Allocates the heartbeat slots. Called once by
-    /// the runner after planning, before any shard executes.
-    pub fn begin_campaign(
-        &self,
-        dialect: &str,
-        planned_statements: usize,
-        shards: usize,
-        workers: usize,
-    ) {
+    /// Publishes the dialect and worker count, allocates `shard_slots`
+    /// heartbeat slots (at least as many as the campaign will run shards)
+    /// and zeroes the plan gauges. Called once by the runner before any
+    /// shard executes; the gauges then grow through
+    /// [`plan_shards`](LiveMetrics::plan_shards).
+    pub fn begin_campaign(&self, dialect: &str, shard_slots: usize, workers: usize) {
         *self.dialect.lock().expect("dialect poisoned") = dialect.to_string();
-        self.planned_statements.store(planned_statements as u64, Ordering::Relaxed);
-        self.shards_total.store(shards as u64, Ordering::Relaxed);
+        self.planned_statements.store(0, Ordering::Relaxed);
+        self.shards_total.store(0, Ordering::Relaxed);
         self.workers.store(workers as u64, Ordering::Relaxed);
-        let mut slots = Vec::with_capacity(shards);
-        slots.resize_with(shards, ShardBeat::default);
+        let mut slots = Vec::with_capacity(shard_slots);
+        slots.resize_with(shard_slots, ShardBeat::default);
         *self.beats.write().expect("beats poisoned") = Arc::new(slots);
+    }
+
+    /// Adds `statements` planned statements, cut into `shards` shards, to
+    /// the plan gauges. The runner calls it as it cuts each stretch of the
+    /// plan into shards, before they execute, so the executed counters
+    /// never pass the gauges and end equal to them.
+    pub fn plan_shards(&self, statements: usize, shards: usize) {
+        self.planned_statements.fetch_add(statements as u64, Ordering::Relaxed);
+        self.shards_total.fetch_add(shards as u64, Ordering::Relaxed);
     }
 
     /// The heartbeat slot table. Workers call this once per shard; the
@@ -490,7 +497,8 @@ pub struct LiveSnapshot {
     pub dialect: String,
     /// Milliseconds since the registry was created.
     pub elapsed_ms: u64,
-    /// Planned statement count (the campaign budget actually scheduled).
+    /// Statements planned so far: grows as the runner cuts the plan into
+    /// shards and ends equal to the statements executed.
     pub planned_statements: u64,
     /// Statements executed so far.
     pub statements: u64,
@@ -500,7 +508,7 @@ pub struct LiveSnapshot {
     pub per_pattern: Vec<PatternSnapshot>,
     /// Unique fault ids seen so far.
     pub unique_faults: u64,
-    /// Total shards planned.
+    /// Shards cut so far (ends equal to the shards executed).
     pub shards_total: u64,
     /// Shards finished.
     pub shards_done: u64,
@@ -573,10 +581,10 @@ impl LiveSnapshot {
         };
         gauge(
             "soft_statements_planned",
-            "Statements the campaign plan schedules.",
+            "Statements planned so far (cut into shards).",
             self.planned_statements as f64,
         );
-        gauge("soft_shards_total", "Shards in the campaign plan.", self.shards_total as f64);
+        gauge("soft_shards_total", "Shards cut so far.", self.shards_total as f64);
         gauge("soft_shards_done", "Shards finished.", self.shards_done as f64);
         gauge("soft_workers", "Worker threads executing the campaign.", self.workers as f64);
         gauge(
@@ -692,7 +700,8 @@ mod tests {
 
     fn registry_with_activity() -> LiveMetrics {
         let m = LiveMetrics::new();
-        m.begin_campaign("MonetDB", 100, 2, 3);
+        m.begin_campaign("MonetDB", 2, 3);
+        m.plan_shards(100, 2);
         let beats = m.beats();
         m.shard_started(&beats[0], 0);
         m.record_statement(&beats[0], 1, None, OutcomeClass::Ok);

@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn detects_a_silent_running_shard() {
         let metrics = Arc::new(LiveMetrics::new());
-        metrics.begin_campaign("DuckDB", 100, 2, 2);
+        metrics.begin_campaign("DuckDB", 2, 2);
         let beats = metrics.beats();
         // Shard 0 starts and heartbeats once, then goes silent; shard 1
         // never starts (pending shards are not stalls).
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn a_live_shard_is_not_a_stall() {
         let metrics = Arc::new(LiveMetrics::new());
-        metrics.begin_campaign("DuckDB", 100, 1, 1);
+        metrics.begin_campaign("DuckDB", 1, 1);
         let stop = Arc::new(AtomicBool::new(false));
         let cfg = WatchdogConfig {
             poll_interval: Duration::from_millis(10),

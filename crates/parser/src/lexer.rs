@@ -381,7 +381,7 @@ fn lex_number(sql: &str, start: usize) -> Result<(Token, usize), LexError> {
 }
 
 fn decode_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    if s.len() % 2 != 0 {
         return None;
     }
     let mut out = Vec::with_capacity(s.len() / 2);

@@ -40,6 +40,9 @@ pub const DEFAULT_SHRINK_STEPS: u32 = 2_000;
 /// Default suite seed (any fixed value works; this one spells "soft").
 pub const DEFAULT_SEED: u64 = 0x50F7_50F7_50F7_50F7;
 
+/// A shrinker: maps a failing value to strictly "smaller" candidates.
+type Shrinker<T> = Box<dyn Fn(&T) -> Vec<T>>;
+
 /// One property check: configuration plus the run entry points.
 pub struct Check<T> {
     name: &'static str,
@@ -47,7 +50,7 @@ pub struct Check<T> {
     seed: u64,
     shrink_steps: u32,
     regressions: Vec<T>,
-    shrink: Option<Box<dyn Fn(&T) -> Vec<T>>>,
+    shrink: Option<Shrinker<T>>,
 }
 
 impl<T: Debug + Clone> Check<T> {

@@ -32,7 +32,7 @@ fn shuffle<T>(items: &mut [T], seed: u64) {
 fn expand<T: Clone>(pairs: &[(T, usize)]) -> Vec<T> {
     pairs
         .iter()
-        .flat_map(|(v, n)| std::iter::repeat_n(v.clone(), *n))
+        .flat_map(|(v, n)| std::iter::repeat(v.clone()).take(*n))
         .collect()
 }
 
@@ -93,7 +93,7 @@ pub fn studied_bugs() -> Vec<StudiedBug> {
     // The 508 function occurrences as category tokens.
     let mut category_tokens: Vec<C> = FIGURE1_TARGETS
         .iter()
-        .flat_map(|(c, occ, _)| std::iter::repeat_n(*c, *occ))
+        .flat_map(|(c, occ, _)| std::iter::repeat(*c).take(*occ))
         .collect();
     debug_assert_eq!(category_tokens.len(), 508);
     shuffle(&mut category_tokens, 0xE5);

@@ -213,8 +213,8 @@ impl Decimal {
         let scale = a.scale.max(b.scale);
         let mut da = a.digits.clone();
         let mut db = b.digits.clone();
-        da.extend(std::iter::repeat_n(0, scale - a.scale));
-        db.extend(std::iter::repeat_n(0, scale - b.scale));
+        da.extend(std::iter::repeat(0).take(scale - a.scale));
+        db.extend(std::iter::repeat(0).take(scale - b.scale));
         (da, db, scale)
     }
 
@@ -344,9 +344,9 @@ impl Decimal {
         // value = A/10^sa / (B/10^sb) = (A * 10^sb) / (B * 10^sa).
         // Multiply numerator by an extra 10^target_scale.
         let mut num = self.digits.clone();
-        num.extend(std::iter::repeat_n(0, other.scale + target_scale));
+        num.extend(std::iter::repeat(0).take(other.scale + target_scale));
         let mut den = other.digits.clone();
-        den.extend(std::iter::repeat_n(0, self.scale));
+        den.extend(std::iter::repeat(0).take(self.scale));
         let q = long_divide(&num, &den);
         Decimal::from_parts(self.negative != other.negative, q, target_scale)
     }
@@ -367,7 +367,7 @@ impl Decimal {
         if new_scale >= self.scale {
             let mut d = self.clone();
             let pad = new_scale - self.scale;
-            d.digits.extend(std::iter::repeat_n(0, pad));
+            d.digits.extend(std::iter::repeat(0).take(pad));
             d.scale = new_scale;
             d.normalize();
             if d.digits.len() > MAX_DIGITS {
@@ -403,7 +403,7 @@ impl Decimal {
     pub fn truncate_to_scale(&self, new_scale: usize) -> Decimal {
         if new_scale >= self.scale {
             let mut d = self.clone();
-            d.digits.extend(std::iter::repeat_n(0, new_scale - self.scale));
+            d.digits.extend(std::iter::repeat(0).take(new_scale - self.scale));
             d.scale = new_scale;
             d.normalize();
             return d;
@@ -574,7 +574,7 @@ impl FromStr for Decimal {
         // Apply the exponent by adjusting the scale (or appending zeros).
         let mut scale_i = scale as i64 - exp;
         if scale_i < 0 {
-            digits.extend(std::iter::repeat_n(0, (-scale_i) as usize));
+            digits.extend(std::iter::repeat(0).take((-scale_i) as usize));
             scale_i = 0;
         }
         Decimal::from_parts(negative, digits, scale_i as usize)

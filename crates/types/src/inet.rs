@@ -108,7 +108,7 @@ fn parse_ipv6(s: &str) -> Result<[u8; 16], InetError> {
                 return Err(err());
             }
             let mut g = head_groups;
-            g.extend(std::iter::repeat_n(0, fill));
+            g.extend(std::iter::repeat(0).take(fill));
             g.extend(tail_groups);
             g
         }

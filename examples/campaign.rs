@@ -8,7 +8,9 @@
 //! ```
 
 use soft_repro::dialects::{DialectId, DialectProfile};
-use soft_repro::soft::campaign::{run_campaign, run_soft_parallel_timed, CampaignConfig};
+use soft_repro::soft::campaign::{
+    default_workers, run_soft_parallel, run_soft_parallel_live, CampaignConfig, LivePlane,
+};
 use soft_repro::soft::report::render_table4;
 use soft_repro::soft::{TelemetryConfig, TelemetryOptions};
 
@@ -24,9 +26,10 @@ fn main() {
     for id in DialectId::ALL {
         let profile = DialectProfile::build(id);
         let t0 = std::time::Instant::now();
-        let report = run_campaign(
+        let report = run_soft_parallel(
             &profile,
             &CampaignConfig { max_statements: budget, per_seed_cap: 64, ..CampaignConfig::default() },
+            default_workers(),
         );
         println!(
             "{:<12} {:>3}/{:<3} bugs  ({} statements, {} fps, {:.1?})",
@@ -60,7 +63,7 @@ fn main() {
         }),
         ..CampaignConfig::default()
     };
-    let run = run_soft_parallel_timed(&profile, &cfg, soft_repro::soft::default_workers());
+    let run = run_soft_parallel_live(&profile, &cfg, default_workers(), &LivePlane::default());
     let telemetry = run.report.telemetry.as_ref().expect("telemetry was on");
     println!("{}", telemetry.yields.render_pattern_table());
     println!("{}", telemetry.curves.render());

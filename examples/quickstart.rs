@@ -6,7 +6,7 @@
 //! ```
 
 use soft_repro::dialects::{DialectId, DialectProfile};
-use soft_repro::soft::campaign::{run_soft, CampaignConfig};
+use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
 
 fn main() {
     // Pick a target. ClickHouse carries six Table 4 bugs.
@@ -21,7 +21,7 @@ fn main() {
     // Run a small, deterministic campaign.
     let config =
         CampaignConfig { max_statements: 40_000, per_seed_cap: 48, ..CampaignConfig::default() };
-    let report = run_soft(&profile, &config);
+    let report = run_soft_parallel(&profile, &config, 1);
 
     println!(
         "\nexecuted {} statements; triggered {} functions; covered {} branches",

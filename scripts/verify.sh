@@ -25,6 +25,11 @@ RUST_TEST_THREADS=1 cargo test -q --offline --workspace
 echo "verify: rustdoc gate (missing/broken docs are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
+echo "verify: clippy gate (every target, warnings are errors)"
+# clippy.toml pins the lint MSRV to the workspace's declared rust-version,
+# so the gate also rejects std APIs newer than the MSRV.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "verify: campaign benchmark package tests (perfbench/)"
 # The benchmark is a package of its own, outside the workspace, so the
 # passes above do not reach it. Its tests check the committed per-campaign
@@ -258,4 +263,4 @@ for dialect in ClickHouse MonetDB; do
     }' || exit 1
 done
 
-echo "verify: OK (offline build + tests at both thread settings + docs + links + benchmark package tests + trace/oracle/forensics/scheduler/repository/flight-recorder/compare smoke + bench gates)"
+echo "verify: OK (offline build + tests at both thread settings + docs + clippy + links + benchmark package tests + trace/oracle/forensics/scheduler/repository/flight-recorder/compare smoke + bench gates)"

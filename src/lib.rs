@@ -23,13 +23,14 @@
 //!
 //! ```
 //! use soft_repro::dialects::{DialectId, DialectProfile};
-//! use soft_repro::soft::campaign::{run_soft, CampaignConfig};
+//! use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
 //!
 //! // Hunt for the six ClickHouse bugs of Table 4 with a small budget.
 //! let profile = DialectProfile::build(DialectId::Clickhouse);
-//! let report = run_soft(
+//! let report = run_soft_parallel(
 //!     &profile,
 //!     &CampaignConfig { max_statements: 20_000, per_seed_cap: 32, ..CampaignConfig::default() },
+//!     1,
 //! );
 //! assert!(!report.findings.is_empty());
 //! ```

@@ -217,7 +217,7 @@ fn mid_batch_crash_is_attributed_to_the_crashing_member() {
 /// indices included, on a corpus guaranteed to crash mid-shard.
 #[test]
 fn batched_crash_recovery_matches_scalar_recovery() {
-    use soft_repro::soft::campaign::{run_soft, CampaignConfig};
+    use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
     let profile = DialectProfile::build(DialectId::Clickhouse);
     let mk = |batch| CampaignConfig {
         max_statements: 20_000,
@@ -225,8 +225,8 @@ fn batched_crash_recovery_matches_scalar_recovery() {
         batch,
         ..CampaignConfig::default()
     };
-    let scalar = run_soft(&profile, &mk(false));
-    let batched = run_soft(&profile, &mk(true));
+    let scalar = run_soft_parallel(&profile, &mk(false), 1);
+    let batched = run_soft_parallel(&profile, &mk(true), 1);
     assert!(!scalar.findings.is_empty(), "corpus must crash for this pin to bite");
     assert_eq!(scalar, batched);
     for (a, b) in scalar.findings.iter().zip(&batched.findings) {

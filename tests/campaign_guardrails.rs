@@ -1,0 +1,93 @@
+//! Guardrails for the campaign spine: one planner, one prepare → cut →
+//! execute step, one constructor per finding kind, and two campaign entry
+//! points. The tests read the source itself, so a removed path cannot
+//! quietly come back.
+
+const CAMPAIGN: &str = include_str!("../crates/core/src/campaign.rs");
+const CORE_LIB: &str = include_str!("../crates/core/src/lib.rs");
+
+/// The non-test part of `campaign.rs`.
+fn campaign_code() -> &'static str {
+    CAMPAIGN.split("#[cfg(test)]").next().unwrap_or(CAMPAIGN)
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+/// Whether `src` mentions `ident` as a whole identifier.
+fn mentions(src: &str, ident: &str) -> bool {
+    src.match_indices(ident).any(|(i, _)| {
+        let before = src[..i].chars().next_back();
+        let after = src[i + ident.len()..].chars().next();
+        !before.is_some_and(is_ident_char) && !after.is_some_and(is_ident_char)
+    })
+}
+
+#[test]
+fn one_planner_with_one_interleave() {
+    let code = campaign_code();
+    assert!(
+        !mentions(code, "build_plan"),
+        "build_plan is back; the static planner is one plan_round_robin call"
+    );
+    assert_eq!(code.matches("fn plan_round_robin(").count(), 1);
+    // The interleave is the only labelled round-robin loop and the only
+    // place that advances a queue cursor.
+    assert_eq!(code.matches("'outer: loop").count(), 1, "a second round-robin loop appeared");
+    let cursor_advances =
+        code.lines().filter(|l| l.contains("cursors[") && l.contains("+= 1")).count();
+    assert_eq!(cursor_advances, 1, "a second round-robin loop appeared");
+}
+
+#[test]
+fn one_prepare_cut_execute_step() {
+    let code = campaign_code();
+    assert_eq!(code.matches("plan.prepare(").count(), 1, "a second prepare pass appeared");
+    assert_eq!(code.matches(".step_by(").count(), 1, "a second shard cut appeared");
+    assert_eq!(code.matches("fn seed_and_generate(").count(), 1);
+    assert_eq!(
+        code.matches("pattern: None, seed: si").count(),
+        1,
+        "a second seed phase appeared"
+    );
+}
+
+#[test]
+fn findings_are_built_only_by_their_constructors() {
+    let code = campaign_code();
+    let mut builders: Vec<&str> = Vec::new();
+    for (i, _) in code.match_indices("BugFinding {") {
+        // `-> BugFinding {` opens a constructor's body; it is no literal.
+        if code[..i].ends_with("-> ") {
+            continue;
+        }
+        let owner = code[..i]
+            .rfind("fn ")
+            .and_then(|f| code[f + 3..].split(['(', '<']).next())
+            .unwrap_or("");
+        builders.push(owner);
+    }
+    assert_eq!(
+        builders,
+        ["crash_finding", "logic_finding"],
+        "a BugFinding literal outside the two constructors"
+    );
+}
+
+#[test]
+fn soft_core_exports_two_campaign_entry_points() {
+    for removed in ["run_soft", "run_campaign", "run_soft_parallel_timed"] {
+        assert!(!mentions(CORE_LIB, removed), "soft_core re-exports {removed}");
+        assert!(
+            !CAMPAIGN.contains(&format!("pub fn {removed}(")),
+            "campaign.rs defines {removed} again"
+        );
+    }
+    // The campaign runners, plus the baseline runner of Tables 5/6.
+    let runners: Vec<&str> = CAMPAIGN
+        .match_indices("pub fn run_")
+        .filter_map(|(i, _)| CAMPAIGN[i + 7..].split('(').next())
+        .collect();
+    assert_eq!(runners, ["run_soft_parallel", "run_soft_parallel_live", "run_generator"]);
+}

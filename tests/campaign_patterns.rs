@@ -7,7 +7,7 @@
 
 use soft_repro::dialects::{DialectId, DialectProfile};
 use soft_repro::engine::fault::PatternId;
-use soft_repro::soft::campaign::{run_soft, run_soft_parallel, CampaignConfig};
+use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
 
 fn config() -> CampaignConfig {
     // Small statement budget: generation (what these tests observe) runs for
@@ -21,7 +21,7 @@ fn config() -> CampaignConfig {
 #[test]
 fn default_campaign_generates_cases_for_all_ten_patterns() {
     let profile = DialectProfile::build(DialectId::Postgres);
-    let report = run_soft(&profile, &config());
+    let report = run_soft_parallel(&profile, &config(), 1);
 
     let reported: Vec<PatternId> =
         report.generated_per_pattern.iter().map(|&(p, _)| p).collect();
@@ -48,7 +48,7 @@ fn restricted_campaign_reports_only_requested_patterns() {
         patterns: Some(vec![PatternId::P1_1, PatternId::P2_2]),
         ..config()
     };
-    let report = run_soft(&profile, &cfg);
+    let report = run_soft_parallel(&profile, &cfg, 1);
     let reported: Vec<PatternId> =
         report.generated_per_pattern.iter().map(|&(p, _)| p).collect();
     assert_eq!(reported, vec![PatternId::P1_1, PatternId::P2_2]);
@@ -62,8 +62,8 @@ fn restricted_campaign_reports_only_requested_patterns() {
 fn same_seed_campaigns_produce_identical_reports() {
     for id in [DialectId::Postgres, DialectId::Monetdb] {
         let profile = DialectProfile::build(id);
-        let a = run_soft(&profile, &config());
-        let b = run_soft(&profile, &config());
+        let a = run_soft_parallel(&profile, &config(), 1);
+        let b = run_soft_parallel(&profile, &config(), 1);
         assert_eq!(a, b, "campaign against {} is not deterministic", id.name());
     }
 }
@@ -71,13 +71,13 @@ fn same_seed_campaigns_produce_identical_reports() {
 /// The sharded runner's core contract: the worker count is invisible in the
 /// report. Every worker count — including a prime one that leaves a ragged
 /// final shard and more workers than shards — produces a report equal to the
-/// serial `run_soft` baseline, for the full `CampaignReport` (findings order,
+/// one-worker baseline, for the full `CampaignReport` (findings order,
 /// per-shard stats, coverage, counters).
 #[test]
 fn worker_count_never_changes_the_report() {
     for id in [DialectId::Postgres, DialectId::Monetdb] {
         let profile = DialectProfile::build(id);
-        let serial = run_soft(&profile, &config());
+        let serial = run_soft_parallel(&profile, &config(), 1);
         assert!(
             serial.shards.len() > 1,
             "budget too small to exercise the shard merge on {}",
@@ -108,9 +108,10 @@ fn batch_execution_never_changes_the_report() {
     for id in [DialectId::Clickhouse, DialectId::Monetdb] {
         let profile = DialectProfile::build(id);
         for oracles in [OracleConfig::Off, OracleConfig::on()] {
-            let scalar = run_soft(
+            let scalar = run_soft_parallel(
                 &profile,
                 &CampaignConfig { batch: false, oracles, ..config() },
+                1,
             );
             let batch_cfg = CampaignConfig { batch: true, oracles, ..config() };
             for workers in [1usize, 2, 4, 7] {
@@ -136,7 +137,7 @@ fn batch_execution_never_changes_the_report() {
 fn batch_edge_shard_sizes_match_the_scalar_path() {
     let profile = DialectProfile::build(DialectId::Clickhouse);
     for shard_statements in [1usize, 3, 97] {
-        let scalar = run_soft(
+        let scalar = run_soft_parallel(
             &profile,
             &CampaignConfig {
                 max_statements: 600,
@@ -145,8 +146,9 @@ fn batch_edge_shard_sizes_match_the_scalar_path() {
                 batch: false,
                 ..CampaignConfig::default()
             },
+            1,
         );
-        let batched = run_soft(
+        let batched = run_soft_parallel(
             &profile,
             &CampaignConfig {
                 max_statements: 600,
@@ -155,6 +157,7 @@ fn batch_edge_shard_sizes_match_the_scalar_path() {
                 batch: true,
                 ..CampaignConfig::default()
             },
+            1,
         );
         assert_eq!(scalar, batched, "shard size {shard_statements} diverged under batching");
     }
@@ -173,7 +176,7 @@ fn reported_pocs_reproduce_their_faults_via_the_string_path() {
         per_seed_cap: 48,
         ..CampaignConfig::default()
     };
-    let report = run_soft(&profile, &cfg);
+    let report = run_soft_parallel(&profile, &cfg, 1);
     assert!(!report.findings.is_empty(), "need findings to replay");
     let collection = soft_repro::soft::collect::collect(&profile);
     for finding in &report.findings {
@@ -198,7 +201,7 @@ fn reported_pocs_reproduce_their_faults_via_the_string_path() {
 #[test]
 fn shard_stats_are_a_partition_of_the_campaign() {
     let profile = DialectProfile::build(DialectId::Monetdb);
-    let report = run_soft(&profile, &config());
+    let report = run_soft_parallel(&profile, &config(), 1);
     let mut next_offset = 0usize;
     let mut statements = 0usize;
     let mut crashes = 0usize;

@@ -2,15 +2,16 @@
 
 use soft_repro::dialects::{DialectId, DialectProfile};
 use soft_repro::engine::ExecOutcome;
-use soft_repro::soft::campaign::{run_soft, CampaignConfig};
+use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
 
 #[test]
 fn soft_finds_real_corpus_bugs_with_valid_pocs() {
     // Moderate budget on a small target so the test stays fast.
     let profile = DialectProfile::build(DialectId::Monetdb);
-    let report = run_soft(
+    let report = run_soft_parallel(
         &profile,
         &CampaignConfig { max_statements: 30_000, per_seed_cap: 48, ..CampaignConfig::default() },
+        1,
     );
     assert!(
         report.findings.len() >= 8,
@@ -36,9 +37,10 @@ fn soft_finds_real_corpus_bugs_with_valid_pocs() {
 #[test]
 fn findings_metadata_is_consistent_with_the_corpus() {
     let profile = DialectProfile::build(DialectId::Clickhouse);
-    let report = run_soft(
+    let report = run_soft_parallel(
         &profile,
         &CampaignConfig { max_statements: 40_000, per_seed_cap: 48, ..CampaignConfig::default() },
+        1,
     );
     for f in &report.findings {
         let spec = profile
@@ -59,9 +61,10 @@ fn fixed_engine_survives_every_found_poc() {
     // The differential check: the same PoCs must not crash the fault-free
     // ("patched") build.
     let profile = DialectProfile::build(DialectId::Duckdb);
-    let report = run_soft(
+    let report = run_soft_parallel(
         &profile,
         &CampaignConfig { max_statements: 25_000, per_seed_cap: 32, ..CampaignConfig::default() },
+        1,
     );
     let mut patched = profile.engine_without_faults();
     for prep in soft_repro::dialects::seeds::SHARED_PREP {
@@ -123,9 +126,10 @@ fn whole_corpus_is_discoverable_by_witnesses() {
 fn campaign_pocs_minimize_and_still_reproduce() {
     use soft_repro::soft::minimize::minimize;
     let profile = DialectProfile::build(DialectId::Clickhouse);
-    let report = run_soft(
+    let report = run_soft_parallel(
         &profile,
         &CampaignConfig { max_statements: 30_000, per_seed_cap: 32, ..CampaignConfig::default() },
+        1,
     );
     assert!(!report.findings.is_empty());
     for f in &report.findings {
@@ -144,6 +148,44 @@ fn campaign_pocs_minimize_and_still_reproduce() {
         match e.execute(&minimized) {
             ExecOutcome::Crash(c) => assert_eq!(c.fault_id, f.fault_id, "{minimized}"),
             other => panic!("{minimized}: {other:?}"),
+        }
+    }
+}
+
+/// Replays a fixed statement list as an external (baseline) generator.
+struct Replay(std::vec::IntoIter<String>);
+
+impl soft_repro::soft::StatementGenerator for Replay {
+    fn name(&self) -> &'static str {
+        "replay"
+    }
+
+    fn next_statement(&mut self) -> Option<String> {
+        self.0.next()
+    }
+}
+
+#[test]
+fn baseline_findings_credit_the_corpus_pattern() {
+    // Tables 5/6 read only finding counts, so this pins the fields of a
+    // baseline finding: an external generator carries no pattern or seed
+    // provenance, so every fault is credited to — and recorded as found
+    // by — its corpus pattern, at the index of the statement that fired it.
+    use soft_repro::soft::run_generator;
+    for id in DialectId::ALL {
+        let profile = DialectProfile::build(id);
+        for fault in &profile.faults {
+            let statements = vec!["SELECT 1".to_string(), fault.witness.clone()];
+            let report = run_generator(&profile, &mut Replay(statements.into_iter()), 10);
+            assert_eq!(report.findings.len(), 1, "{}: witness did not fire", fault.spec.id);
+            let f = &report.findings[0];
+            assert_eq!(f.fault_id, fault.spec.id);
+            assert_eq!(f.credited_pattern, fault.spec.pattern, "{}", fault.spec.id);
+            assert_eq!(f.found_by_pattern, fault.spec.pattern, "{}", fault.spec.id);
+            assert_eq!(f.fixed, fault.spec.fixed, "{}", fault.spec.id);
+            assert_eq!(f.seed_function, None, "{}", fault.spec.id);
+            assert_eq!(f.statements_until_found, 2, "{}", fault.spec.id);
+            assert_eq!(f.poc, fault.witness);
         }
     }
 }

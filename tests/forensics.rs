@@ -4,7 +4,7 @@
 
 use soft_repro::dialects::{DialectId, DialectProfile};
 use soft_repro::obs::Bundle;
-use soft_repro::soft::campaign::{run_soft, CampaignConfig};
+use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
 use soft_repro::soft::forensics::{replay_all, replay_bundle, write_campaign_bundles};
 use std::path::PathBuf;
 
@@ -27,7 +27,7 @@ fn every_campaign_finding_bundles_and_replays() {
         per_seed_cap: 48,
         ..CampaignConfig::default()
     };
-    let report = run_soft(&profile, &cfg);
+    let report = run_soft_parallel(&profile, &cfg, 1);
     assert!(!report.findings.is_empty(), "campaign must find bugs to bundle");
 
     let root = temp_root("roundtrip");
@@ -98,7 +98,7 @@ fn logic_findings_bundle_with_oracle_provenance_and_replay() {
         oracles: OracleConfig::on(),
         ..CampaignConfig::default()
     };
-    let report = run_soft(&profile, &cfg);
+    let report = run_soft_parallel(&profile, &cfg, 1);
     assert!(report.logic_count() > 0, "the shipped ClickHouse quirk must be flagged");
 
     let root = temp_root("logic");
@@ -136,7 +136,7 @@ fn bundles_replay_for_a_second_dialect() {
         per_seed_cap: 48,
         ..CampaignConfig::default()
     };
-    let report = run_soft(&profile, &cfg);
+    let report = run_soft_parallel(&profile, &cfg, 1);
     assert!(!report.findings.is_empty(), "campaign must find bugs to bundle");
     let root = temp_root("monetdb");
     write_campaign_bundles(&profile, &report, &root).expect("bundles written");

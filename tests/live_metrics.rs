@@ -5,6 +5,7 @@
 use soft_repro::dialects::{DialectId, DialectProfile};
 use soft_repro::obs::{LiveMetrics, MetricsServer, WatchdogConfig};
 use soft_repro::soft::campaign::{run_soft_parallel_live, CampaignConfig, LivePlane};
+use soft_repro::soft::CampaignReport;
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -108,36 +109,8 @@ fn metrics_endpoint_serves_a_running_campaign_and_reconciles_at_the_end() {
     // The final scrape agrees with the deterministic report exactly.
     let (status, body) = http_get(&addr, "/metrics");
     assert_eq!(status, "HTTP/1.1 200 OK");
-    let samples = parse_prometheus(&body);
     let report = &run.report;
-    assert_eq!(samples["soft_statements_total"], report.statements_executed as f64);
-    assert_eq!(samples["soft_unique_faults_total"], report.findings.len() as f64);
-    assert_eq!(samples["soft_shards_total"], report.shards.len() as f64);
-    assert_eq!(samples["soft_shards_done"], report.shards.len() as f64);
-    assert_eq!(samples["soft_workers"], 4.0);
-    assert_eq!(samples[r#"soft_outcomes_total{class="error"}"#], report.errors as f64);
-    assert_eq!(
-        samples[r#"soft_outcomes_total{class="resource-limit"}"#],
-        report.false_positives as f64
-    );
-    // The four outcome classes partition the statement stream.
-    let outcome_sum: f64 = samples
-        .iter()
-        .filter(|(k, _)| k.starts_with("soft_outcomes_total{"))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(outcome_sum, report.statements_executed as f64);
-    // Per-pattern executed counters partition it too (slot "seed" included).
-    let pattern_sum: f64 = samples
-        .iter()
-        .filter(|(k, _)| k.starts_with("soft_pattern_statements_total{"))
-        .map(|(_, v)| v)
-        .sum();
-    assert_eq!(pattern_sum, report.statements_executed as f64);
-    // Every shard heartbeat reports done (state gauge = 2).
-    for shard in 0..report.shards.len() {
-        assert_eq!(samples[&format!("soft_shard_state{{shard=\"{shard}\"}}")], 2.0);
-    }
+    assert_final_scrape_reconciles(&parse_prometheus(&body), report, 4);
 
     // The other two endpoints serve the same registry.
     let (status, body) = http_get(&addr, "/status");
@@ -164,17 +137,88 @@ fn metrics_endpoint_serves_a_running_campaign_and_reconciles_at_the_end() {
     server.shutdown();
 }
 
+/// The end-of-run reconciliation: once the campaign is over, the final
+/// scrape agrees with the deterministic report exactly — statements and
+/// shards, planned and done, outcome classes, unique faults.
+fn assert_final_scrape_reconciles(
+    samples: &HashMap<String, f64>,
+    report: &CampaignReport,
+    workers: usize,
+) {
+    assert_eq!(samples["soft_statements_total"], report.statements_executed as f64);
+    assert_eq!(samples["soft_statements_planned"], report.statements_executed as f64);
+    assert_eq!(samples["soft_unique_faults_total"], report.findings.len() as f64);
+    assert_eq!(samples["soft_shards_total"], report.shards.len() as f64);
+    assert_eq!(samples["soft_shards_done"], report.shards.len() as f64);
+    assert_eq!(samples["soft_workers"], workers as f64);
+    assert_eq!(samples[r#"soft_outcomes_total{class="error"}"#], report.errors as f64);
+    assert_eq!(
+        samples[r#"soft_outcomes_total{class="resource-limit"}"#],
+        report.false_positives as f64
+    );
+    // The four outcome classes partition the statement stream.
+    let outcome_sum: f64 = samples
+        .iter()
+        .filter(|(k, _)| k.starts_with("soft_outcomes_total{"))
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(outcome_sum, report.statements_executed as f64);
+    // Per-pattern executed counters partition it too (slot "seed" included).
+    let pattern_sum: f64 = samples
+        .iter()
+        .filter(|(k, _)| k.starts_with("soft_pattern_statements_total{"))
+        .map(|(_, v)| v)
+        .sum();
+    assert_eq!(pattern_sum, report.statements_executed as f64);
+    // Every shard heartbeat reports done (state gauge = 2).
+    for shard in 0..report.shards.len() {
+        assert_eq!(samples[&format!("soft_shard_state{{shard=\"{shard}\"}}")], 2.0);
+    }
+}
+
+/// The plan gauges reconcile whichever driver planned the stream: under
+/// the epoch scheduler, whose heartbeat slots are only an upper bound on
+/// the shards, and for a scheduled plan that runs dry long before its
+/// budget. `/status`, the `--progress` ticker and the dashboard read the
+/// same gauges.
+#[test]
+fn plan_gauges_reconcile_under_the_scheduler_and_short_plans() {
+    use soft_repro::engine::fault::PatternId;
+    use soft_repro::soft::{ScheduleConfig, ScheduleOptions};
+    let profile = DialectProfile::build(DialectId::Clickhouse);
+    let scheduled = CampaignConfig {
+        max_statements: 3_000,
+        per_seed_cap: 8,
+        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4, ..ScheduleOptions::default() }),
+        ..CampaignConfig::default()
+    };
+    let short = CampaignConfig {
+        max_statements: 200_000,
+        patterns: Some(vec![PatternId::P1_3]),
+        ..scheduled.clone()
+    };
+    for cfg in [scheduled, short] {
+        let metrics = Arc::new(LiveMetrics::new());
+        let plane =
+            LivePlane { metrics: Some(Arc::clone(&metrics)), watchdog: None, spans: false };
+        let report = run_soft_parallel_live(&profile, &cfg, 2, &plane).report;
+        let samples = parse_prometheus(&metrics.snapshot().render_prometheus());
+        assert_final_scrape_reconciles(&samples, &report, 2);
+        // The P1.3-only plan really does run dry before its budget.
+        assert!(cfg.patterns.is_none() || report.statements_executed < cfg.max_statements);
+    }
+}
+
 /// Decodes an HTTP/1.1 chunked transfer-encoded body.
 fn decode_chunked(mut body: &str) -> String {
     let mut out = String::new();
-    loop {
-        let Some((size_line, rest)) = body.split_once("\r\n") else { break };
+    while let Some((size_line, rest)) = body.split_once("\r\n") {
         let size = usize::from_str_radix(size_line.trim(), 16).expect("hex chunk size");
         if size == 0 {
             break;
         }
         out.push_str(&rest[..size]);
-        body = &rest[size..].strip_prefix("\r\n").expect("chunk trailer CRLF");
+        body = rest[size..].strip_prefix("\r\n").expect("chunk trailer CRLF");
     }
     out
 }
@@ -261,7 +305,7 @@ fn events_stream_reconciles_against_the_final_report() {
 #[test]
 fn server_shutdown_is_clean_and_scrapes_are_concurrent() {
     let metrics = Arc::new(LiveMetrics::new());
-    metrics.begin_campaign("DuckDB", 100, 2, 2);
+    metrics.begin_campaign("DuckDB", 2, 2);
     let mut server = MetricsServer::bind("127.0.0.1:0", Arc::clone(&metrics)).expect("bind");
     let addr = server.local_addr();
     std::thread::scope(|scope| {

@@ -439,11 +439,11 @@ fn pattern_generated_cases_roundtrip_through_the_parser() {
 #[test]
 fn campaign_is_deterministic_across_runs() {
     use soft_repro::dialects::{DialectId, DialectProfile};
-    use soft_repro::soft::campaign::{run_soft, CampaignConfig};
+    use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
     let profile = DialectProfile::build(DialectId::Postgres);
     let cfg = CampaignConfig { max_statements: 4_000, per_seed_cap: 8, ..CampaignConfig::default() };
-    let a = run_soft(&profile, &cfg);
-    let b = run_soft(&profile, &cfg);
+    let a = run_soft_parallel(&profile, &cfg, 1);
+    let b = run_soft_parallel(&profile, &cfg, 1);
     assert_eq!(a, b);
 }
 

@@ -15,7 +15,7 @@
 use soft_repro::dialects::{DialectId, DialectProfile};
 use soft_repro::obs::{LiveMetrics, TraceFile, WatchdogConfig};
 use soft_repro::soft::campaign::{
-    run_soft_parallel, run_soft_parallel_live, run_soft_parallel_timed, CampaignConfig, LivePlane,
+    run_soft_parallel, run_soft_parallel_live, CampaignConfig, LivePlane,
 };
 use soft_repro::soft::{TelemetryConfig, TelemetryOptions};
 use std::sync::Arc;
@@ -154,7 +154,7 @@ fn stage_latencies_are_disjoint_and_fully_sampled() {
     let profile = DialectProfile::build(DialectId::Monetdb);
     let cfg = telemetry_config(4_000);
     for workers in [1usize, 4] {
-        let run = run_soft_parallel_timed(&profile, &cfg, workers);
+        let run = run_soft_parallel_live(&profile, &cfg, workers, &LivePlane::default());
         let latency = run.stage_latency.as_ref().expect("telemetry was on");
         let report = &run.report;
         assert_eq!(latency.parse.samples() as usize, report.statements_executed);
@@ -196,7 +196,7 @@ fn batch_execution_is_byte_identical_under_telemetry() {
         let batch_cfg = CampaignConfig { batch: true, oracles, ..telemetry_config(3_000) };
         let scalar = run_soft_parallel(&profile, &scalar_cfg, 1);
         for workers in [1usize, 2, 4, 7] {
-            let run = run_soft_parallel_timed(&profile, &batch_cfg, workers);
+            let run = run_soft_parallel_live(&profile, &batch_cfg, workers, &LivePlane::default());
             assert_eq!(
                 scalar, run.report,
                 "batching leaked into the telemetry report at {workers} workers \
