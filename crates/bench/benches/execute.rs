@@ -8,7 +8,7 @@
 //! (`Engine::execute_prepared`), the way the campaign runner did since the
 //! parse-once plan landed. The batch path additionally groups the prepared
 //! corpus by structural shape (`Engine::shape_key`, outside the timed
-//! region — the campaign does this in its plan-prepare pass) and evaluates
+//! region — the campaign does this in each shard's prepare loop) and evaluates
 //! each group as one columnar batch (`Engine::execute_batch_in`), falling
 //! back to `execute_prepared` for unbatchable statements and groups below
 //! `MIN_BATCH_GROUP` (plan compilation doesn't amortize there).
@@ -87,12 +87,12 @@ fn main() {
             .expect("throughput declared");
 
         // Parse once, outside the timed region — the campaign does this in
-        // its plan-prepare pass.
+        // each shard's prepare loop, before the shard executes.
         let prepared: Vec<Result<Prepared, SqlError>> =
             corpus.iter().map(|sql| template.prepare(sql)).collect();
 
         // Shape-group the prepared corpus once, outside the timed region
-        // (the campaign computes shapes in its plan-prepare pass). Groups
+        // (the campaign computes shapes in each shard's prepare loop). Groups
         // below `MIN_BATCH_GROUP` dissolve back into the scalar remainder,
         // which keeps its original corpus order — the order the prepared
         // arm runs in, so the two arms differ only in how the grouped

@@ -12,14 +12,17 @@
 //!
 //! # Prepared execution
 //!
-//! Every planned statement is parsed **exactly once**: after planning, the
-//! campaign compiles the stream against the shard template
-//! (`Plan::prepare` → [`soft_engine::Engine::prepare`]), and the shards
-//! execute the owned ASTs via
-//! [`soft_engine::Engine::execute_prepared`]. The rendered SQL string is
-//! kept only for findings/PoCs and the event journal. Preparation also
-//! resolves every function name to its registry entry, so per-call dispatch
-//! inside the executor does zero heap allocation.
+//! Every planned statement is parsed **exactly once**, by the shard that
+//! executes it: before running its range, a shard compiles each statement
+//! against the shared template ([`soft_engine::Engine::prepare`]) and
+//! then executes the owned ASTs via
+//! [`soft_engine::Engine::execute_prepared`]. Preparation is a pure
+//! function of (template, SQL), so the prepared stream is the same whichever
+//! worker prepares it, and it costs no serial pass before the shards
+//! start. The rendered SQL string is kept only for findings/PoCs and the
+//! event journal. Preparation also resolves every function name to its
+//! registry entry, so per-call dispatch inside the executor does zero heap
+//! allocation.
 //!
 //! # Parallel execution
 //!
@@ -43,13 +46,13 @@
 //!
 //! The static driver and the feedback scheduler
 //! ([`CampaignConfig::schedule`]) share one seed + generation pass, one
-//! round-robin interleave (`plan_round_robin`) and one prepare → cut →
-//! execute step. The static driver plans once: one queue per active
-//! pattern, unbounded quotas, the budget as target. The scheduler plans
-//! per epoch: one queue per (pattern × seed-category) arm, the bandit's
-//! quotas. The drivers stay separate because only the scheduler records
-//! epoch reallocations and needs an internal observer, and only the static
-//! driver knows its exact shard count up front.
+//! round-robin interleave (`plan_round_robin`) and one cut → execute step,
+//! whose shards prepare what they run. The static driver plans once: one
+//! queue per active pattern, unbounded quotas, the budget as target. The
+//! scheduler plans per epoch: one queue per (pattern × seed-category) arm,
+//! the bandit's quotas. The drivers stay separate because only the
+//! scheduler records epoch reallocations and needs an internal observer,
+//! and only the static driver knows its exact shard count up front.
 //!
 //! # The live plane
 //!
@@ -64,9 +67,9 @@
 //!
 //! The flight recorder ([`LivePlane::spans`]) is the third observer on the
 //! same plane: each shard records hierarchical wall-clock spans (shard,
-//! batch-group, execute, oracle) into a buffer it owns exclusively, the
-//! campaign thread records the planning stages (generate, parse, epoch,
-//! minimize, campaign), and the join merges everything into a
+//! parse, batch-group, execute, oracle) into a buffer it owns exclusively,
+//! the campaign thread records the planning stages (generate, epoch,
+//! oracle, minimize, campaign), and the join merges everything into a
 //! [`SpanTrace`] on [`CampaignRun::spans`] — exportable as Chrome
 //! trace-event JSON for Perfetto. Spans are wall-clock and therefore live
 //! outside report equality, like every other surface here.
@@ -202,22 +205,10 @@ struct PlannedCase {
 type Queue = Vec<(GeneratedCase, usize)>;
 
 /// The planned campaign: the exact statement stream plus the provenance
-/// tables telemetry needs. Building it involves no engine; [`Plan::prepare`]
-/// then compiles the stream against the shard template so each statement is
-/// parsed exactly once and the shards execute owned ASTs.
+/// tables telemetry needs. Building it involves no engine; each shard
+/// prepares its own range of the stream against the template when it runs.
 struct Plan {
     cases: Vec<PlannedCase>,
-    /// One prepared statement — or its pre-execution error, replayed as the
-    /// statement's outcome — per planned case, aligned with `cases`. Filled
-    /// by [`Plan::prepare`]; this is the campaign's single parse of each
-    /// statement.
-    prepared: Vec<Result<Prepared, SqlError>>,
-    /// The structural shape of each prepared statement, aligned with
-    /// `cases`: `Some(key)` when the statement is batchable (see
-    /// [`soft_engine::Engine::shape_key`]), `None` when it must take the
-    /// scalar path. Filled by [`Plan::prepare`] so the shards only group,
-    /// never re-analyse.
-    shapes: Vec<Option<ShapeKey>>,
     generated_per_pattern: Vec<(PatternId, usize)>,
     /// Root function of each seed statement (the first collected function
     /// expression), indexed by seed id — the journal's "target function"
@@ -227,9 +218,6 @@ struct Plan {
     seed_functions: Vec<Option<Arc<str>>>,
     /// Wall-clock generation time per active pattern (telemetry only).
     generate_latency: Vec<Duration>,
-    /// Wall-clock prepare time per case (telemetry only, else empty) — the
-    /// parse-stage histogram, now genuinely disjoint from execution.
-    prepare_latency: Vec<Duration>,
     /// The executed frontier: every case before it has been cut into a
     /// shard and run.
     executed: usize,
@@ -246,34 +234,6 @@ impl Plan {
             pattern: case.pattern,
             seed_function: self.seed_functions.get(case.seed).cloned().flatten(),
             index: i + 1,
-        }
-    }
-
-    /// Parses every not-yet-prepared planned statement once against the
-    /// template engine — incremental, so the scheduler's epoch loop can
-    /// extend the plan and prepare only the new tail. Serial by design: the
-    /// prepared stream (like the plan itself) must be independent of the
-    /// worker count, and recording per-case wall-clock here keeps the parse
-    /// histogram deterministic in sample count.
-    fn prepare(&mut self, template: &Engine, timed: bool) {
-        let start = self.prepared.len();
-        self.prepared.reserve_exact(self.cases.len() - start);
-        self.shapes.reserve_exact(self.cases.len() - start);
-        if timed {
-            self.prepare_latency.reserve_exact(self.cases.len() - start);
-        }
-        for case in &self.cases[start..] {
-            let t = timed.then(Instant::now);
-            let prepared = template.prepare(&case.sql);
-            if let Some(t) = t {
-                self.prepare_latency.push(t.elapsed());
-            }
-            // Shape analysis is part of planning, not execution: it is a
-            // pure function of (registry, AST), so computing it against the
-            // template here keeps the shards' grouping deterministic and
-            // out of the hot loop.
-            self.shapes.push(prepared.as_ref().ok().and_then(|p| template.shape_key(p)));
-            self.prepared.push(prepared);
         }
     }
 }
@@ -547,7 +507,7 @@ pub fn run_soft_parallel_live(
     let mut campaign_sink: Option<SpanSink> =
         live.spans.then(|| SpanSink::new(t0, CAMPAIGN_TRACK));
 
-    // One scope hosts the watchdog and (via `execute_shards`) the shard
+    // One scope hosts the watchdog and (via `execute_tail`) the shard
     // workers. The shard work finishes first; only then is the stop flag
     // raised and the watchdog joined — so the watchdog observes the whole
     // campaign and the scope cannot deadlock on it.
@@ -559,8 +519,8 @@ pub fn run_soft_parallel_live(
             scope.spawn(move || soft_obs::watchdog::run(&registry, stop_ref, cfg))
         });
         let (plan, outcomes, epochs) = match schedule {
-            // The static driver: one plan, one prepare pass, one shard
-            // decomposition — the reference semantics.
+            // The static driver: one plan, one shard decomposition — the
+            // reference semantics.
             None => {
                 let mut plan =
                     plan_static(&collection, &ctx, config, campaign.workers, &mut campaign_sink);
@@ -568,7 +528,7 @@ pub fn run_soft_parallel_live(
                     let shards = plan.cases.len().div_ceil(campaign.shard_size);
                     m.begin_campaign(profile.id.name(), shards, campaign.workers);
                 }
-                let outcomes = campaign.execute_tail(&mut plan, &mut campaign_sink);
+                let outcomes = campaign.execute_tail(&mut plan);
                 (plan, outcomes, Vec::new())
             }
             // The feedback scheduler: plan-then-execute per epoch, budget
@@ -701,11 +661,6 @@ pub fn run_soft_parallel_live(
             for d in &plan.generate_latency {
                 latency.generate.record(*d);
             }
-            // The parse stage is the campaign's central prepare pass: one
-            // sample per planned statement, disjoint from execution.
-            for d in &plan.prepare_latency {
-                latency.parse.record(*d);
-            }
             // Time the minimize stage over the unique findings (the PoCs the
             // paper's harness would report). The reducer only reads cloned
             // engines, so the report is untouched. Crash PoCs reduce under
@@ -784,7 +739,7 @@ pub fn run_soft_parallel_live(
 }
 
 /// The arguments that stay the same for a whole campaign, shared by both
-/// drivers, the prepare → cut → execute step and every shard.
+/// drivers, the cut → execute step and every shard.
 struct Campaign<'a> {
     profile: &'a DialectProfile,
     fault_index: FaultIndex<'a>,
@@ -805,16 +760,11 @@ struct Campaign<'a> {
 }
 
 impl Campaign<'_> {
-    /// The one prepare → cut → execute step. Parses the plan's unexecuted
-    /// tail against the template (the parse-once discipline is
-    /// incremental), cuts it into shards numbered on from the shards
-    /// already cut, adds them to the live plan gauges, and executes them.
-    fn execute_tail(&self, plan: &mut Plan, sink: &mut Option<SpanSink>) -> Vec<ShardOutcome> {
-        let parse_start = sink.as_ref().map(|s| s.now_ns());
-        plan.prepare(&self.template, self.telemetry.is_some());
-        if let (Some(sink), Some(start)) = (sink.as_mut(), parse_start) {
-            sink.record_since("parse", start, None);
-        }
+    /// The one cut → execute step. Cuts the plan's unexecuted tail into
+    /// shards numbered on from the shards already cut, adds them to the
+    /// live plan gauges, and executes them; each shard prepares its own
+    /// range (see [`Campaign::run_shard`]).
+    fn execute_tail(&self, plan: &mut Plan) -> Vec<ShardOutcome> {
         let len = plan.cases.len();
         let shards: Vec<(usize, usize, usize)> = (plan.executed..len)
             .step_by(self.shard_size)
@@ -826,40 +776,12 @@ impl Campaign<'_> {
         }
         plan.executed = len;
         plan.shards += shards.len();
-        self.execute_shards(plan, &shards)
-    }
-
-    /// Executes a set of planned shards — `(shard index, start, len)`
-    /// triples — with up to `workers` threads, returning the outcomes
-    /// sorted by shard index. Work-stealing completion order never leaks:
-    /// outcomes are sorted before returning.
-    fn execute_shards(&self, plan: &Plan, shards: &[(usize, usize, usize)]) -> Vec<ShardOutcome> {
-        let run = |&(index, start, len): &(usize, usize, usize)| {
+        // Work-stealing completion order never leaks: `par_map` returns the
+        // outcomes in shard order.
+        par_map(shards.len(), self.workers, |i| {
+            let (index, start, len) = shards[i];
             self.run_shard(plan, start..start + len, index)
-        };
-        if self.workers == 1 || shards.len() <= 1 {
-            return shards.iter().map(run).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let done: Mutex<Vec<ShardOutcome>> = Mutex::new(Vec::with_capacity(shards.len()));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers.min(shards.len()))
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(shard) = shards.get(i) else { break };
-                        let outcome = run(shard);
-                        done.lock().expect("shard results poisoned").push(outcome);
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("shard worker panicked");
-            }
-        });
-        let mut outcomes = done.into_inner().expect("shard results poisoned");
-        outcomes.sort_by_key(|o| o.stats.shard);
-        outcomes
+        })
     }
 
     /// The feedback scheduler (plan-then-execute). The statement budget is
@@ -986,7 +908,7 @@ impl Campaign<'_> {
 
             // Execute everything planned but not yet run — the epoch's
             // quota, plus the seed corpus in epoch 0.
-            let epoch_outcomes = self.execute_tail(&mut plan, sink);
+            let epoch_outcomes = self.execute_tail(&mut plan);
 
             // Score the epoch from its merged events and let the bandit
             // observe before the next epoch is planned.
@@ -1039,7 +961,7 @@ impl Campaign<'_> {
         // budget is smaller than the seed corpus or every queue went dry
         // before an epoch got to run.
         if plan.executed < plan.cases.len() {
-            outcomes.extend(self.execute_tail(&mut plan, sink));
+            outcomes.extend(self.execute_tail(&mut plan));
         }
         (plan, outcomes, epochs_out)
     }
@@ -1071,8 +993,6 @@ fn seed_and_generate(
     }
     let mut plan = Plan {
         cases: Vec::new(),
-        prepared: Vec::new(),
-        shapes: Vec::new(),
         generated_per_pattern,
         seed_functions: collection
             .seeds
@@ -1083,7 +1003,6 @@ fn seed_and_generate(
             })
             .collect(),
         generate_latency,
-        prepare_latency: Vec::new(),
         executed: 0,
         shards: 0,
     };
@@ -1232,11 +1151,17 @@ fn execute_planned(engine: &mut Engine, prepared: &Result<Prepared, SqlError>) -
     }
 }
 
+/// Seeds per generation work item. Items are (pattern, seed chunk) pairs,
+/// so a pattern that dominates generation (P3.3 holds most of the cases)
+/// spreads over every worker instead of running alone on one.
+const GENERATE_CHUNK: usize = 16;
+
 /// Generates every pattern's case vector, each case tagged with the seed it
-/// derives from. Each pattern is independent, so the vectors can be produced
-/// on worker threads; the output is positionally identical to the serial
-/// loop for any worker count. The per-pattern wall-clock durations feed the
-/// telemetry generate-stage histogram and never influence the plan.
+/// derives from. The work is cut into (pattern, seed chunk) items that run
+/// on worker threads and are concatenated in (pattern, seed) order, so each
+/// queue is positionally identical to the serial loop's at any worker count.
+/// The per-pattern wall-clock durations (summed over the pattern's chunks)
+/// feed the telemetry generate-stage histogram and never influence the plan.
 fn generate_cases(
     collection: &Collection,
     ctx: &GenCtx,
@@ -1244,8 +1169,12 @@ fn generate_cases(
     active: &[PatternId],
     workers: usize,
 ) -> (Vec<Queue>, Vec<Duration>) {
-    let generate_one = |pattern: PatternId| -> (Queue, Duration) {
+    let seeds = &collection.seeds;
+    let chunks = seeds.len().div_ceil(GENERATE_CHUNK);
+    // Item `i` is pattern `active[i / chunks]` over seed chunk `i % chunks`.
+    let parts = par_map(active.len() * chunks, workers, |item| {
         let t0 = Instant::now();
+        let pattern = active[item / chunks];
         // The cross-function patterns need wider per-seed budgets: their
         // search space is (seed × donor), not (seed × pool).
         let cap = match pattern {
@@ -1253,52 +1182,61 @@ fn generate_cases(
             PatternId::P2_3 => config.per_seed_cap.max(128),
             _ => config.per_seed_cap,
         };
+        let first = (item % chunks) * GENERATE_CHUNK;
         let mut tagged: Queue = Vec::new();
         let mut buf: Vec<GeneratedCase> = Vec::new();
-        for (si, seed) in collection.seeds.iter().enumerate() {
+        for (si, seed) in seeds.iter().enumerate().skip(first).take(GENERATE_CHUNK) {
             patterns::apply_salted(pattern, seed, ctx, cap, si, &mut buf);
             tagged.extend(buf.drain(..).map(|case| (case, si)));
         }
         (tagged, t0.elapsed())
-    };
-    if workers <= 1 || active.len() <= 1 {
-        let mut cases = Vec::with_capacity(active.len());
-        let mut durations = Vec::with_capacity(active.len());
-        for &p in active {
-            let (c, d) = generate_one(p);
-            cases.push(c);
-            durations.push(d);
-        }
-        return (cases, durations);
+    });
+    let mut parts = parts.into_iter();
+    active
+        .iter()
+        .map(|_| {
+            let mut queue: Queue = Vec::new();
+            let mut spent = Duration::ZERO;
+            for (part, d) in parts.by_ref().take(chunks) {
+                queue.extend(part);
+                spent += d;
+            }
+            (queue, spent)
+        })
+        .unzip()
+}
+
+/// Maps `f` over `0..n` on up to `workers` threads, which take indices from
+/// a shared cursor as they free up, and returns the results in index order
+/// — so the output never depends on the worker count or completion order.
+/// One worker (or one item) runs inline.
+fn par_map<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if workers <= 1 || n <= 1 {
+        return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    type Generated = (usize, Queue, Duration);
-    let done: Mutex<Vec<Generated>> = Mutex::new(Vec::with_capacity(active.len()));
+    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
-        for _ in 0..workers.min(active.len()) {
+        for _ in 0..workers.min(n) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&pattern) = active.get(i) else { break };
-                let (cases, duration) = generate_one(pattern);
-                done.lock().expect("generation results poisoned").push((i, cases, duration));
+                if i >= n {
+                    break;
+                }
+                let out = f(i);
+                done.lock().expect("a worker panicked holding the results").push((i, out));
             });
         }
     });
-    let mut v = done.into_inner().expect("generation results poisoned");
-    v.sort_by_key(|&(i, _, _)| i);
-    let mut cases = Vec::with_capacity(v.len());
-    let mut durations = Vec::with_capacity(v.len());
-    for (_, c, d) in v {
-        cases.push(c);
-        durations.push(d);
-    }
-    (cases, durations)
+    let mut done = done.into_inner().expect("a worker panicked holding the results");
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// The per-shard telemetry recorder: event buffer, coverage snapshots, and
-/// the execute latency histogram (the parse histogram is recorded centrally
-/// by the plan's prepare pass). Only allocated when telemetry is on; the
-/// `Off` path pays a single `Option` check per statement.
+/// the shard's parse and execute latency histograms. Only allocated when
+/// telemetry is on; the `Off` path pays a single `Option` check per
+/// statement.
 struct ShardObserver<'a> {
     opts: &'a TelemetryOptions,
     seed_functions: &'a [Option<Arc<str>>],
@@ -1327,8 +1265,8 @@ impl<'a> ShardObserver<'a> {
 
     /// Times the execution of one prepared statement. With the split entry
     /// points the stage histograms are genuinely disjoint: parse time is
-    /// recorded once per statement by [`Plan::prepare`], and this measures
-    /// only [`Engine::execute_prepared`] (or, for statements whose
+    /// recorded once per statement by the shard's prepare loop, and this
+    /// measures only [`Engine::execute_prepared`] (or, for statements whose
     /// preparation failed, the replay of that error).
     fn execute_timed(
         &mut self,
@@ -1468,9 +1406,15 @@ fn batch_window(
 }
 
 impl Campaign<'_> {
-    /// Executes one shard of the planned (and prepared) stream on a private
+    /// Prepares and executes one shard of the planned stream on a private
     /// engine cloned from the template. Pure function of (profile, template,
     /// shard range): no state is shared with other shards.
+    ///
+    /// Each statement is prepared once, up front, against the shared
+    /// template — the campaign's one parse of it. Preparation reads only
+    /// the template's immutable backend (limits and function registry), so
+    /// it equals what a serial pass would produce, whichever worker runs
+    /// the shard.
     ///
     /// With `batch` on, the shard executes window by window: each window's
     /// same-shape groups are evaluated as columnar batches up front
@@ -1486,9 +1430,36 @@ impl Campaign<'_> {
         let mut sink = self.span_origin.map(|origin| SpanSink::new(origin, shard as u64 + 1));
         let shard_span_start = sink.as_ref().map(|s| s.now_ns());
         let start_offset = range.start;
-        let cases = &plan.cases[range.clone()];
-        let prepared = &plan.prepared[range.clone()];
-        let shapes = &plan.shapes[range];
+        let cases = &plan.cases[range];
+        // The live plane: this worker owns heartbeat slot `shard` exclusively
+        // while the shard runs, so every update below is wait-free.
+        let live = self.live.map(|m| (m, m.beats()));
+        if let Some((m, beats)) = &live {
+            m.shard_started(&beats[shard], shard);
+        }
+        let mut observer = self.telemetry.map(|opts| {
+            ShardObserver::new(opts, &plan.seed_functions, &self.fault_index, cases.len())
+        });
+        // The prepare loop: one parse-histogram sample per statement and one
+        // `parse` span per shard. Shape analysis (which statements may
+        // batch) is a pure function of (registry, AST) and rides along.
+        let parse_start = sink.as_ref().map(|s| s.now_ns());
+        let mut prepared: Vec<Result<Prepared, SqlError>> = Vec::with_capacity(cases.len());
+        let mut shapes: Vec<Option<ShapeKey>> = Vec::new();
+        for case in cases {
+            let t = observer.is_some().then(Instant::now);
+            let p = self.template.prepare(&case.sql);
+            if let (Some(obs), Some(t)) = (observer.as_mut(), t) {
+                obs.latency.parse.record(t.elapsed());
+            }
+            if self.batch {
+                shapes.push(p.as_ref().ok().and_then(|p| self.template.shape_key(p)));
+            }
+            prepared.push(p);
+        }
+        if let (Some(sink), Some(start)) = (sink.as_mut(), parse_start) {
+            sink.record_since("parse", start, None);
+        }
         let mut engine = self.template.clone();
         // The batch plane: per-statement precomputed outcomes, one reusable
         // column arena for the whole shard, and the window cursor. Windows end
@@ -1503,15 +1474,6 @@ impl Campaign<'_> {
         let mut window_end = 0usize;
         let mut found: HashSet<String> = HashSet::new();
         let mut findings: Vec<BugFinding> = Vec::new();
-        let mut observer = self.telemetry.map(|opts| {
-            ShardObserver::new(opts, &plan.seed_functions, &self.fault_index, cases.len())
-        });
-        // The live plane: this worker owns heartbeat slot `shard` exclusively
-        // while the shard runs, so every update below is wait-free.
-        let live = self.live.map(|m| (m, m.beats()));
-        if let Some((m, beats)) = &live {
-            m.shard_started(&beats[shard], shard);
-        }
         let mut crashes = 0usize;
         let mut false_positives = 0usize;
         let mut errors = 0usize;
@@ -1530,8 +1492,8 @@ impl Campaign<'_> {
                 };
                 batch_window(
                     &mut engine,
-                    prepared,
-                    shapes,
+                    &prepared,
+                    &shapes,
                     i..window_end,
                     &mut pre,
                     &mut arena,
@@ -1739,6 +1701,78 @@ pub fn run_generator(
 mod tests {
     use super::*;
     use soft_dialects::DialectId;
+
+    /// FNV-1a over a queue's SQL stream, each statement newline-terminated.
+    fn sql_stream_hash(queue: &Queue) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for (case, _) in queue {
+            for b in case.sql.bytes().chain(std::iter::once(b'\n')) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Generation is pinned byte for byte: every pattern's queue matches the
+    /// case count and SQL-stream hash recorded from the serial
+    /// one-pattern-per-worker generator this one replaced, and the
+    /// (pattern, seed chunk) split yields the same queues at any worker
+    /// count — for a single-pattern config too.
+    #[test]
+    fn generation_is_pinned_and_worker_invariant() {
+        const PINNED: [(DialectId, [(usize, u64); 10]); 2] = [
+            (
+                DialectId::Clickhouse,
+                [
+                    (12_019, 0x06ca_e48e_af6f_1301),
+                    (16_694, 0xceb7_b04d_3d04_e596),
+                    (1_776, 0xcf3c_471f_ad93_1789),
+                    (1_212, 0x6d26_2bac_1dc8_0bde),
+                    (6_264, 0xe46b_3d4c_44a0_be96),
+                    (2_088, 0x1819_6fb1_252c_58e4),
+                    (40_736, 0xcf6f_3e19_d5bf_563b),
+                    (6_075, 0xab13_23b9_d5e6_45f7),
+                    (10_496, 0x6742_76f4_a407_f965),
+                    (195_466, 0xa8ea_1040_c9fb_fa63),
+                ],
+            ),
+            (
+                DialectId::Mariadb,
+                [
+                    (7_744, 0x55e1_a036_6752_c111),
+                    (10_846, 0xe3d7_6de6_e292_096a),
+                    (1_179, 0x066d_27c7_f491_15b3),
+                    (741, 0x3bcf_6a97_64ea_7fa6),
+                    (4_149, 0xdb64_2558_cedb_7ac9),
+                    (1_383, 0x79b0_7be0_6f3f_fd0f),
+                    (26_151, 0xb2c2_0ab6_def6_b6a6),
+                    (3_969, 0x47ea_6cd0_a252_ca0b),
+                    (6_784, 0xd1b8_03a7_e920_b129),
+                    (107_692, 0x0105_5185_b619_757f),
+                ],
+            ),
+        ];
+        let cfg = CampaignConfig::default();
+        let single = CampaignConfig { patterns: Some(vec![PatternId::P3_3]), ..cfg.clone() };
+        for (id, pinned) in PINNED {
+            let profile = DialectProfile::build(id);
+            let collection = collect::collect(&profile);
+            let ctx = GenCtx::new(&collection);
+            let (serial, _) = generate_cases(&collection, &ctx, &cfg, &PATTERN_ORDER, 1);
+            let expected = PATTERN_ORDER.iter().zip(&serial).zip(pinned);
+            for ((pattern, queue), (cases, hash)) in expected {
+                assert_eq!(queue.len(), cases, "{id:?} {pattern}: case count moved");
+                assert_eq!(sql_stream_hash(queue), hash, "{id:?} {pattern}: SQL stream moved");
+            }
+            let (parallel, _) = generate_cases(&collection, &ctx, &cfg, &PATTERN_ORDER, 3);
+            assert!(serial == parallel, "{id:?}: worker count changed the queues");
+            let (_, _, one) = seed_and_generate(&collection, &ctx, &single, 1, &mut None);
+            let (_, _, three) = seed_and_generate(&collection, &ctx, &single, 3, &mut None);
+            assert!(one == three, "{id:?}: worker count changed the P3.3-only queue");
+            assert!(one[..] == serial[9..], "{id:?}: the P3.3-only queue differs from P3.3's");
+        }
+    }
 
     #[test]
     fn small_budget_campaign_is_deterministic() {

@@ -109,47 +109,52 @@ fn interest(e: &Expr) -> u32 {
     }
 }
 
-/// Replaces argument `arg_idx` of the `fn_idx`-th function expression.
+/// Applies `edit` in place to the `fn_idx`-th function expression of a
+/// clone of `stmt`. `None` when the call does not exist, `edit` declines
+/// (returns false), or the result would nest more than two function
+/// expressions (Finding 3).
+fn mutate_call(
+    stmt: &Statement,
+    fn_idx: usize,
+    edit: impl FnOnce(&mut FunctionExpr) -> bool,
+) -> Option<Statement> {
+    let mut s = stmt.clone();
+    let applied = visit::edit_function_expr(&mut s, fn_idx, |e| match e {
+        Expr::Function(f) => edit(f),
+        _ => false,
+    });
+    (applied == Some(true) && visit::max_function_nesting(&s) <= 2).then_some(s)
+}
+
+/// Replaces argument `arg_idx` of the `fn_idx`-th function expression with
+/// `build(original argument)`, moving the original instead of copying it.
 fn mutate_arg(
     stmt: &Statement,
     fn_idx: usize,
     arg_idx: usize,
-    build: impl FnOnce(&Expr) -> Expr,
+    build: impl FnOnce(Expr) -> Expr,
 ) -> Option<Statement> {
-    let mut s = stmt.clone();
-    let mut applied = false;
-    let replaced = visit::replace_function_expr(&mut s, fn_idx, |orig| {
-        let mut f = orig.clone();
-        if arg_idx < f.args.len() {
-            let new_arg = build(&f.args[arg_idx]);
-            f.args[arg_idx] = new_arg;
-            applied = true;
+    mutate_call(stmt, fn_idx, |f| match f.args.get_mut(arg_idx) {
+        Some(arg) => {
+            *arg = build(std::mem::replace(arg, Expr::Star));
+            true
         }
-        Expr::Function(f)
-    });
-    if !replaced || !applied {
-        return None;
-    }
-    // Finding 3: at most two nested function expressions.
-    if visit::max_function_nesting(&s) > 2 {
-        return None;
-    }
-    Some(s)
+        None => false,
+    })
 }
 
 /// Enumerates (function index, argument index) pairs of a statement.
+/// Zero-argument calls contribute none: the engine rejects arity
+/// mismatches before the function sees an added argument.
 fn call_sites(stmt: &Statement) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
-    for (fi, fx) in visit::collect_function_exprs(stmt).iter().enumerate() {
-        for ai in 0..fx.args.len() {
-            out.push((fi, ai));
+    let mut fi = 0;
+    visit::visit_exprs(stmt, &mut |e| {
+        if let Expr::Function(fx) = e {
+            out.extend((0..fx.args.len()).map(|ai| (fi, ai)));
+            fi += 1;
         }
-        if fx.args.is_empty() {
-            // Zero-argument calls still get boundary arguments *added* by
-            // P1.2 (e.g. `PI(*)` probes arity handling) — skip: the engine
-            // rejects arity mismatches before the function sees them.
-        }
-    }
+    });
     out
 }
 
@@ -157,7 +162,7 @@ fn call_sites(stmt: &Statement) -> Vec<(usize, usize)> {
 ///
 /// `salt` rotates the starting position inside the donor/wrapper pools so
 /// that, across many seeds, the whole pool is exercised even under tight
-/// per-seed caps.
+/// per-seed caps. A pattern whose pool is empty generates nothing.
 pub fn apply_salted(
     pattern: PatternId,
     seed: &Statement,
@@ -167,8 +172,23 @@ pub fn apply_salted(
     out: &mut Vec<GeneratedCase>,
 ) {
     let start = out.len();
-    let push = |out: &mut Vec<GeneratedCase>, stmt: Statement| {
-        out.push(GeneratedCase { sql: stmt.to_string(), pattern });
+    // Each candidate is rendered once, and that one string serves both as
+    // the case and, for the patterns whose edit can leave the statement as
+    // it was, for the comparison with the seed (rendered once per call).
+    let seed_sql = matches!(
+        pattern,
+        PatternId::P1_1 | PatternId::P1_3 | PatternId::P1_4 | PatternId::P2_3 | PatternId::P3_3
+    )
+    .then(|| seed.to_string());
+    // Appends the candidate unless it renders as the seed; true once the
+    // cap is reached.
+    let mut push = |stmt: Statement| {
+        let sql = stmt.to_string();
+        if seed_sql.as_ref() == Some(&sql) {
+            return false;
+        }
+        out.push(GeneratedCase { sql, pattern });
+        out.len() - start >= cap
     };
     match pattern {
         PatternId::P1_1 => {
@@ -177,29 +197,13 @@ pub fn apply_salted(
             // same boundary literal at once — the paper's "simple boundary
             // argument" in its purest form, distinct from P1.2's one-
             // argument-at-a-time substitution.
-            let nfuncs = visit::collect_function_exprs(seed).len();
-            'outer: for fi in 0..nfuncs {
+            'outer: for fi in 0..visit::count_function_exprs(seed) {
                 for b in &ctx.pool {
-                    let mut s = seed.clone();
-                    let mut applied = false;
-                    let replaced = visit::replace_function_expr(&mut s, fi, |orig| {
-                        let mut f = orig.clone();
-                        if !f.args.is_empty() {
-                            for a in f.args.iter_mut() {
-                                *a = b.clone();
-                            }
-                            applied = true;
-                        }
-                        Expr::Function(f)
+                    let mutated = mutate_call(seed, fi, |f| {
+                        f.args.fill(b.clone());
+                        !f.args.is_empty()
                     });
-                    if !replaced || !applied || visit::max_function_nesting(&s) > 2 {
-                        continue;
-                    }
-                    if s.to_string() == seed.to_string() {
-                        continue;
-                    }
-                    push(out, s);
-                    if out.len() - start >= cap {
+                    if mutated.is_some_and(&mut push) {
                         break 'outer;
                     }
                 }
@@ -208,11 +212,8 @@ pub fn apply_salted(
         PatternId::P1_2 => {
             'outer: for (fi, ai) in call_sites(seed) {
                 for b in &ctx.pool {
-                    if let Some(s) = mutate_arg(seed, fi, ai, |_| b.clone()) {
-                        push(out, s);
-                        if out.len() - start >= cap {
-                            break 'outer;
-                        }
+                    if mutate_arg(seed, fi, ai, |_| b.clone()).is_some_and(&mut push) {
+                        break 'outer;
                     }
                 }
             }
@@ -224,11 +225,9 @@ pub fn apply_salted(
                 for run in [5usize, 25, 64] {
                     let digits = "9".repeat(run);
                     let mutated = mutate_arg(seed, fi, ai, |orig| match orig {
-                        Expr::Literal(Literal::String(s)) => {
-                            let mid = s.len() / 2;
-                            let mut t = s.clone();
-                            t.insert_str(mid, &digits);
-                            Expr::string(&t)
+                        Expr::Literal(Literal::String(mut s)) => {
+                            s.insert_str(s.len() / 2, &digits);
+                            Expr::Literal(Literal::String(s))
                         }
                         Expr::Literal(Literal::Number(n)) => {
                             if n.contains('.') {
@@ -237,16 +236,10 @@ pub fn apply_salted(
                                 Expr::number(&format!("{n}.{digits}"))
                             }
                         }
-                        other => other.clone(),
+                        other => other,
                     });
-                    match mutated {
-                        Some(s) if s.to_string() != seed.to_string() => {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
-                        }
-                        _ => {}
+                    if mutated.is_some_and(&mut push) {
+                        break 'outer;
                     }
                 }
             }
@@ -262,29 +255,23 @@ pub fn apply_salted(
                             for _ in 0..times {
                                 t.push(first);
                             }
-                            t.push_str(s);
-                            Expr::string(&t)
+                            t.push_str(&s);
+                            Expr::Literal(Literal::String(t))
                         }
                         // The container analogue: duplicate the leading
                         // element in place.
                         Expr::ArrayLiteral(items) if !items.is_empty() => {
-                            let mut out = Vec::with_capacity(items.len() + times);
+                            let mut grown = Vec::with_capacity(items.len() + times);
                             for _ in 0..times {
-                                out.push(items[0].clone());
+                                grown.push(items[0].clone());
                             }
-                            out.extend(items.iter().cloned());
-                            Expr::ArrayLiteral(out)
+                            grown.extend(items);
+                            Expr::ArrayLiteral(grown)
                         }
-                        other => other.clone(),
+                        other => other,
                     });
-                    match mutated {
-                        Some(s) if s.to_string() != seed.to_string() => {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
-                        }
-                        _ => {}
+                    if mutated.is_some_and(&mut push) {
+                        break 'outer;
                     }
                 }
             }
@@ -293,15 +280,12 @@ pub fn apply_salted(
             'outer: for (fi, ai) in call_sites(seed) {
                 for ty in &ctx.cast_types {
                     let mutated = mutate_arg(seed, fi, ai, |orig| Expr::Cast {
-                        expr: Box::new(orig.clone()),
+                        expr: Box::new(orig),
                         type_name: ty.clone(),
                         postgres_style: false,
                     });
-                    if let Some(s) = mutated {
-                        push(out, s);
-                        if out.len() - start >= cap {
-                            break 'outer;
-                        }
+                    if mutated.is_some_and(&mut push) {
+                        break 'outer;
                     }
                 }
             }
@@ -313,35 +297,23 @@ pub fn apply_salted(
                 [Expr::string("zz"), Expr::number("1e200"), Expr::ArrayLiteral(vec![])];
             'outer: for (fi, ai) in call_sites(seed) {
                 for v in &partners {
-                    let mutated = mutate_arg(seed, fi, ai, |orig| {
-                        union_subquery(orig.clone(), v.clone())
-                    });
-                    if let Some(s) = mutated {
-                        push(out, s);
-                        if out.len() - start >= cap {
-                            break 'outer;
-                        }
+                    let mutated = mutate_arg(seed, fi, ai, |orig| union_subquery(orig, v.clone()));
+                    if mutated.is_some_and(&mut push) {
+                        break 'outer;
                     }
                 }
             }
         }
         PatternId::P2_3 => {
-            let n = ctx.donor_args.len().max(1);
+            let n = ctx.donor_args.len();
             // Always try the high-interest head (structured text, blobs,
             // intervals come first), then a salt-rotated sample of the rest.
             'outer: for (fi, ai) in call_sites(seed) {
                 for k in 0..n.min(64) {
                     let idx = if k < 24 { k } else { (salt + k) % n };
                     let donor = &ctx.donor_args[idx];
-                    let mutated = mutate_arg(seed, fi, ai, |_| donor.clone());
-                    match mutated {
-                        Some(s) if s.to_string() != seed.to_string() => {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
-                        }
-                        _ => {}
+                    if mutate_arg(seed, fi, ai, |_| donor.clone()).is_some_and(&mut push) {
+                        break 'outer;
                     }
                 }
             }
@@ -362,47 +334,33 @@ pub fn apply_salted(
                                 vec![Expr::string(&prefix), Expr::number(&count.to_string())],
                             )
                         });
-                        if let Some(s) = mutated {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        PatternId::P3_2 => {
-            let n = ctx.wrappers.len().max(1);
-            'outer: for (fi, ai) in call_sites(seed) {
-                for k in 0..n.min(16) {
-                    let wrapper = &ctx.wrappers[(salt + k) % n];
-                    let mutated = mutate_arg(seed, fi, ai, |orig| {
-                        Expr::func(wrapper, vec![orig.clone()])
-                    });
-                    if let Some(s) = mutated {
-                        push(out, s);
-                        if out.len() - start >= cap {
+                        if mutated.is_some_and(&mut push) {
                             break 'outer;
                         }
                     }
                 }
             }
         }
+        PatternId::P3_2 => {
+            let n = ctx.wrappers.len();
+            'outer: for (fi, ai) in call_sites(seed) {
+                for k in 0..n.min(16) {
+                    let wrapper = &ctx.wrappers[(salt + k) % n];
+                    let mutated = mutate_arg(seed, fi, ai, |orig| Expr::func(wrapper, vec![orig]));
+                    if mutated.is_some_and(&mut push) {
+                        break 'outer;
+                    }
+                }
+            }
+        }
         PatternId::P3_3 => {
-            let n = ctx.donor_exprs.len().max(1);
+            let n = ctx.donor_exprs.len();
             'outer: for (fi, ai) in call_sites(seed) {
                 for k in 0..n.min(320) {
                     let donor = &ctx.donor_exprs[(salt + k) % n];
                     let mutated = mutate_arg(seed, fi, ai, |_| Expr::Function(donor.clone()));
-                    match mutated {
-                        Some(s) if s.to_string() != seed.to_string() => {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
-                        }
-                        _ => {}
+                    if mutated.is_some_and(&mut push) {
+                        break 'outer;
                     }
                 }
             }
@@ -547,6 +505,22 @@ mod tests {
         for c in &cases {
             let stmt = parse_statement(c).unwrap();
             assert!(soft_parser::visit::max_function_nesting(&stmt) <= 2, "{c}");
+        }
+    }
+
+    #[test]
+    fn empty_pools_generate_nothing() {
+        // The pools are public fields, so a caller can empty them; the
+        // patterns that draw from them must then generate nothing rather
+        // than index an empty pool.
+        let mut empty = ctx();
+        empty.donor_args.clear();
+        empty.wrappers.clear();
+        empty.donor_exprs.clear();
+        for pattern in [PatternId::P2_3, PatternId::P3_2, PatternId::P3_3] {
+            let mut out = Vec::new();
+            apply_salted(pattern, &seed("SELECT f('abc', 1)"), &empty, 1000, 7, &mut out);
+            assert!(out.is_empty(), "{pattern}: {out:?}");
         }
     }
 

@@ -96,14 +96,15 @@ impl LatencyHistogram {
 
 /// Per-stage latency histograms for the campaign pipeline.
 ///
-/// The stages are genuinely disjoint: `parse` times the campaign's central
-/// prepare pass (`Engine::prepare`, one parse per planned statement) and
-/// `execute` times only `Engine::execute_prepared` on the already-parsed
-/// AST — no statement is parsed twice, and no parse time is double-counted
-/// inside `execute`.
+/// The stages are genuinely disjoint: `parse` times each shard's prepare
+/// loop (`Engine::prepare`, one parse per planned statement, by the shard
+/// that runs it) and `execute` times only `Engine::execute_prepared` on the
+/// already-parsed AST — no statement is parsed twice, and no parse time is
+/// double-counted inside `execute`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageLatency {
-    /// Pattern-based case generation, one sample per (pattern) batch.
+    /// Pattern-based case generation, one sample per active pattern (its
+    /// seed chunks' times summed).
     pub generate: LatencyHistogram,
     /// Statement preparation (`Engine::prepare`: the parse + function
     /// resolution done once per planned statement).

@@ -306,6 +306,30 @@ pub fn max_function_nesting(stmt: &Statement) -> usize {
     best
 }
 
+/// Edits the `index`-th function expression (pre-order) in place: calls
+/// `f` on the `Expr::Function` node itself, so it can rewrite arguments
+/// without copying the call, or replace the node wholesale. Returns `f`'s
+/// result, or `None` (leaving the statement untouched) when the statement
+/// has no such function expression.
+pub fn edit_function_expr<R>(
+    stmt: &mut Statement,
+    index: usize,
+    f: impl FnOnce(&mut Expr) -> R,
+) -> Option<R> {
+    let mut seen = 0usize;
+    let mut f = Some(f);
+    let mut result = None;
+    visit_exprs_mut(stmt, &mut |e| {
+        if matches!(e, Expr::Function(_)) {
+            if seen == index {
+                result = f.take().map(|f| f(e));
+            }
+            seen += 1;
+        }
+    });
+    result
+}
+
 /// Replaces the `index`-th function expression (pre-order) with the result
 /// of `f(original)`. Returns true if the index existed.
 pub fn replace_function_expr(
@@ -313,24 +337,12 @@ pub fn replace_function_expr(
     index: usize,
     f: impl FnOnce(&FunctionExpr) -> Expr,
 ) -> bool {
-    let mut seen = 0usize;
-    let mut f = Some(f);
-    let mut done = false;
-    visit_exprs_mut(stmt, &mut |e| {
-        if done {
-            return;
-        }
+    edit_function_expr(stmt, index, |e| {
         if let Expr::Function(fx) = e {
-            if seen == index {
-                if let Some(f) = f.take() {
-                    *e = f(fx);
-                    done = true;
-                }
-            }
-            seen += 1;
+            *e = f(fx);
         }
-    });
-    done
+    })
+    .is_some()
 }
 
 #[cfg(test)]
@@ -384,6 +396,23 @@ mod tests {
         let before = stmt.to_string();
         assert!(!replace_function_expr(&mut stmt, 9, |o| Expr::Function(o.clone())));
         assert_eq!(stmt.to_string(), before);
+    }
+
+    #[test]
+    fn edit_in_place_by_index() {
+        let mut stmt = parse_statement("SELECT f(1, 2), g(h(3))").unwrap();
+        let arity = edit_function_expr(&mut stmt, 2, |e| match e {
+            Expr::Function(fx) => {
+                fx.args[0] = Expr::string("x");
+                fx.args.len()
+            }
+            _ => unreachable!("the editor only visits function expressions"),
+        });
+        assert_eq!(arity, Some(1));
+        assert_eq!(stmt.to_string(), "SELECT f(1, 2), g(h('x'))");
+        // Out-of-range index: no call, statement untouched.
+        assert_eq!(edit_function_expr(&mut stmt, 3, |_| ()), None);
+        assert_eq!(stmt.to_string(), "SELECT f(1, 2), g(h('x'))");
     }
 
     #[test]

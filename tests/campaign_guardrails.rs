@@ -1,7 +1,7 @@
-//! Guardrails for the campaign spine: one planner, one prepare → cut →
-//! execute step, one constructor per finding kind, and two campaign entry
-//! points. The tests read the source itself, so a removed path cannot
-//! quietly come back.
+//! Guardrails for the campaign spine: one planner, one cut → execute step
+//! whose shards prepare what they run, one constructor per finding kind,
+//! and two campaign entry points. The tests read the source itself, so a
+//! removed path cannot quietly come back.
 
 const CAMPAIGN: &str = include_str!("../crates/core/src/campaign.rs");
 const CORE_LIB: &str = include_str!("../crates/core/src/lib.rs");
@@ -43,7 +43,14 @@ fn one_planner_with_one_interleave() {
 #[test]
 fn one_prepare_cut_execute_step() {
     let code = campaign_code();
-    assert_eq!(code.matches("plan.prepare(").count(), 1, "a second prepare pass appeared");
+    // One prepare site, inside `run_shard`: each shard prepares its own
+    // range against the shared template, and the plan has no prepare pass.
+    assert_eq!(code.matches("template.prepare(").count(), 1, "a second prepare site appeared");
+    let run_shard = code.find("fn run_shard(").expect("run_shard exists");
+    let body_end = code[run_shard..].find("\n    }\n").map_or(code.len(), |e| run_shard + e);
+    let site = code.find("template.prepare(").expect("one prepare site");
+    assert!((run_shard..body_end).contains(&site), "the prepare site moved out of run_shard");
+    assert!(!code.contains("fn prepare("), "the plan has a prepare pass again");
     assert_eq!(code.matches(".step_by(").count(), 1, "a second shard cut appeared");
     assert_eq!(code.matches("fn seed_and_generate(").count(), 1);
     assert_eq!(

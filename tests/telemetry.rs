@@ -145,10 +145,11 @@ fn flight_recorder_preserves_byte_identical_reports() {
 }
 
 /// The stage latency histograms are genuinely disjoint under prepared
-/// execution: the parse histogram is the central prepare pass (one sample
-/// per planned statement), execute times only `execute_prepared`, and the
-/// sample counts reconcile exactly with the report — at every worker count,
-/// since preparation happens once, before sharding.
+/// execution: the parse histogram is the shards' prepare loops (one sample
+/// per planned statement, recorded by the shard that runs it), execute
+/// times only `execute_prepared`, and the sample counts reconcile exactly
+/// with the report — at every worker count, since every statement is
+/// prepared exactly once, whichever worker runs its shard.
 #[test]
 fn stage_latencies_are_disjoint_and_fully_sampled() {
     let profile = DialectProfile::build(DialectId::Monetdb);
