@@ -5,17 +5,17 @@
 //! The string path is the pre-split discipline — every statement re-lexed
 //! and re-parsed by `Engine::execute`. The prepared path parses the corpus
 //! once (`Engine::prepare`) and then executes the owned ASTs
-//! (`Engine::execute_prepared`), the way the campaign runner did since the
-//! parse-once plan landed. The batch path additionally groups the prepared
-//! corpus by structural shape (`Engine::shape_key`, outside the timed
-//! region — the campaign does this in each shard's prepare loop) and evaluates
-//! each group as one columnar batch (`Engine::execute_batch_in`), falling
-//! back to `execute_prepared` for unbatchable statements and groups below
-//! `MIN_BATCH_GROUP` (plan compilation doesn't amortize there).
+//! (`Engine::execute_prepared`), the way every campaign shard executes its
+//! statements. The batch path additionally groups the prepared corpus by
+//! structural shape (`Engine::shape_key`, outside the timed region) and
+//! evaluates each group as one columnar batch (`Engine::execute_batch_in`),
+//! falling back to `execute_prepared` for unbatchable statements and groups
+//! below `MIN_BATCH_GROUP` (plan compilation doesn't amortize there).
 //! All arms run on a fresh clone of the same prepared template per
 //! iteration. `BENCH_execute.json` records the three rates; the `speedup`
 //! lines print the ratios, and `scripts/verify.sh` gates on
-//! batch ≥ prepared.
+//! batch ≥ prepared. The campaign does not batch: the batch arms measure
+//! the engine backend alone, which the campaign benchmark's replay calls.
 
 use soft_bench::Bench;
 use soft_core::collect;
@@ -91,11 +91,10 @@ fn main() {
         let prepared: Vec<Result<Prepared, SqlError>> =
             corpus.iter().map(|sql| template.prepare(sql)).collect();
 
-        // Shape-group the prepared corpus once, outside the timed region
-        // (the campaign computes shapes in each shard's prepare loop). Groups
-        // below `MIN_BATCH_GROUP` dissolve back into the scalar remainder,
-        // which keeps its original corpus order — the order the prepared
-        // arm runs in, so the two arms differ only in how the grouped
+        // Shape-group the prepared corpus once, outside the timed region.
+        // Groups below `MIN_BATCH_GROUP` dissolve back into the scalar
+        // remainder, which keeps its original corpus order — the order the
+        // prepared arm runs in, so the two arms differ only in how the grouped
         // statements execute.
         let mut shape_order: Vec<ShapeKey> = Vec::new();
         let mut shape_groups: Vec<Vec<usize>> = Vec::new();

@@ -6,16 +6,14 @@
 //!
 //! * `repro campaign <dialect> [--budget N] [--workers N] [--journal PATH]
 //!   [--metrics-addr ADDR] [--progress] [--findings DIR] [--oracles]
-//!   [--no-batch] [--spans DIR] [--stall-ms N]` runs one telemetry-on
-//!   campaign, optionally exposing live Prometheus metrics plus the
-//!   operator dashboard and `/events` stream over HTTP, ticking a TTY
-//!   progress line, writing the JSONL event journal, emitting
-//!   crash-forensics bundles, (with `--oracles`) arming the wrong-result
-//!   oracles — multi-form, pivot, differential — (with `--no-batch`)
-//!   falling back from columnar batch execution to the scalar prepared
-//!   path, (with `--spans`) arming the flight recorder and exporting its
-//!   Chrome trace-event JSON, and (with `--stall-ms`) tuning the shard
-//!   watchdog's stall threshold;
+//!   [--spans DIR] [--stall-ms N]` runs one telemetry-on campaign,
+//!   optionally exposing live Prometheus metrics plus the operator
+//!   dashboard and `/events` stream over HTTP, ticking a TTY progress line,
+//!   writing the JSONL event journal, emitting crash-forensics bundles,
+//!   (with `--oracles`) arming the wrong-result oracles — multi-form,
+//!   pivot, differential — (with `--spans`) arming the flight recorder and
+//!   exporting its Chrome trace-event JSON, and (with `--stall-ms`) tuning
+//!   the shard watchdog's stall threshold;
 //! * `repro trace <journal.jsonl> [--csv DIR] [--chrome OUT.json]`
 //!   analyzes a journal offline: outcome classes, top-yield
 //!   pattern/category tables, the §7.5-style growth curves — with `--csv`,
@@ -45,11 +43,12 @@
 //! byte-identical at any worker count.
 //!
 //! Exit codes (the campaign contract, see EXPERIMENTS.md): `0` success /
-//! no findings, `2` usage error, `3` the campaign confirmed at least one
-//! crash finding, `4` it confirmed wrong-result (logic) findings only —
-//! crashes take precedence; `repro replay` exits `1` when a bundle fails
-//! to replay, and `repro compare` exits `5` when campaign B lost unique
-//! bugs campaign A found.
+//! no findings, `2` usage error (a malformed numeric flag value included),
+//! `3` the campaign confirmed at least one crash finding, `4` it confirmed
+//! wrong-result (logic) findings only — crashes take precedence;
+//! `repro replay` exits `1` when a bundle fails to replay, and
+//! `repro compare` exits `5` when campaign B lost unique bugs campaign A
+//! found.
 
 use soft_bench::compare::{compare_traces, render_compare, write_compare_csv};
 use soft_bench::comparison::{render_metric, run_comparison, Tool, COMPARED_DIALECTS};
@@ -71,11 +70,7 @@ use std::sync::Arc;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let artifact = args.first().map(String::as_str).unwrap_or("all");
-    let budget = args
-        .iter()
-        .position(|a| a == "--budget")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
+    let budget = numeric_flag(&args, "--budget", "usage: repro <artifact> [--budget N]")
         .unwrap_or(60_000);
     match artifact {
         "table1" => table1(),
@@ -129,6 +124,22 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
 }
 
+/// Parses a numeric `--flag N` ([`soft_bench::cli::parse_flag`]); a missing
+/// or malformed value prints `usage` and exits `2`.
+fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str, usage: &str) -> Option<T> {
+    soft_bench::cli::parse_flag(args, flag).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!("{usage}");
+        eprintln!("see `repro help` for the full reference");
+        std::process::exit(2)
+    })
+}
+
+/// The `repro campaign` usage line.
+const CAMPAIGN_USAGE: &str = "usage: repro campaign <dialect> [--budget N] [--workers N] \
+    [--journal PATH] [--metrics-addr ADDR] [--progress] [--findings DIR] [--oracles] \
+    [--schedule] [--epochs N] [--repo DIR] [--spans DIR] [--stall-ms N]";
+
 /// `repro campaign <dialect>` — one telemetry-on campaign with the journal
 /// and yield surfaces printed, optionally persisted as JSONL, optionally
 /// observed live over HTTP (`--metrics-addr`) and on the TTY
@@ -141,27 +152,20 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
 /// tell the two planes apart.
 fn campaign(args: &[String], budget: usize) {
     let Some(id) = args.get(1).and_then(|n| dialect_by_name(n)) else {
-        eprintln!(
-            "usage: repro campaign <dialect> [--budget N] [--workers N] [--journal PATH] \
-             [--metrics-addr ADDR] [--progress] [--findings DIR] [--oracles] [--no-batch] \
-             [--schedule] [--epochs N] [--repo DIR] [--spans DIR] [--stall-ms N]"
-        );
+        eprintln!("{CAMPAIGN_USAGE}");
         eprintln!(
             "dialects: {}",
             DialectId::ALL.map(|d| d.name()).join(" ")
         );
         std::process::exit(2);
     };
-    let workers = flag_value(args, "--workers")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(default_workers);
+    let workers = numeric_flag(args, "--workers", CAMPAIGN_USAGE).unwrap_or_else(default_workers);
     let journal_path = flag_value(args, "--journal").map(std::path::PathBuf::from);
     let metrics_addr = flag_value(args, "--metrics-addr").cloned();
     let progress = args.iter().any(|a| a == "--progress");
     let findings_dir = flag_value(args, "--findings").map(std::path::PathBuf::from);
     let oracles = args.iter().any(|a| a == "--oracles");
-    let no_batch = args.iter().any(|a| a == "--no-batch");
-    let epochs = flag_value(args, "--epochs").and_then(|v| v.parse::<usize>().ok());
+    let epochs: Option<usize> = numeric_flag(args, "--epochs", CAMPAIGN_USAGE);
     let schedule = if args.iter().any(|a| a == "--schedule") || epochs.is_some() {
         let mut opts = ScheduleOptions::default();
         if let Some(n) = epochs {
@@ -173,7 +177,7 @@ fn campaign(args: &[String], budget: usize) {
     };
     let repository = flag_value(args, "--repo").map(std::path::PathBuf::from);
     let spans_dir = flag_value(args, "--spans").map(std::path::PathBuf::from);
-    let stall_ms = flag_value(args, "--stall-ms").and_then(|v| v.parse::<u64>().ok());
+    let stall_ms: Option<u64> = numeric_flag(args, "--stall-ms", CAMPAIGN_USAGE);
     hr(&format!("Telemetry campaign — {}", id.name()));
     let snapshot_interval = (budget / 20).clamp(100, 10_000);
     let cfg = CampaignConfig {
@@ -184,7 +188,6 @@ fn campaign(args: &[String], budget: usize) {
             journal_path: journal_path.clone(),
         }),
         oracles: if oracles { OracleConfig::on() } else { OracleConfig::Off },
-        batch: !no_batch,
         schedule,
         repository,
         ..CampaignConfig::default()

@@ -88,11 +88,6 @@ pub const COMMANDS: &[CommandSpec] = &[
                 summary: "arm the wrong-result oracles (multi-form, pivot, differential)",
             },
             FlagSpec {
-                flag: "--no-batch",
-                value: None,
-                summary: "disable columnar batch execution (identical report, slower)",
-            },
-            FlagSpec {
                 flag: "--schedule",
                 value: None,
                 summary: "enable the epoch-based feedback scheduler (identical at any worker count)",
@@ -215,6 +210,16 @@ pub const EXIT_CODES: &[ExitSpec] = &[
     },
 ];
 
+/// Reads the value of `--flag VALUE` from `args`: `Ok(None)` when the flag
+/// is absent, `Err` when it is present but its value is missing or does not
+/// parse as a `T`. `repro` answers an `Err` with the usage and exit code 2,
+/// the contract's "malformed input".
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
+    let value = args.get(i + 1).ok_or_else(|| format!("{flag} needs a value"))?;
+    value.parse().map(Some).map_err(|_| format!("{flag}: malformed value {value:?}"))
+}
+
 /// Renders the `repro help` reference from the command table.
 pub fn render_help() -> String {
     use std::fmt::Write as _;
@@ -254,6 +259,18 @@ mod tests {
         }
         for e in EXIT_CODES {
             assert!(help.contains(e.meaning), "exit code {} missing", e.code);
+        }
+    }
+
+    #[test]
+    fn parse_flag_rejects_malformed_and_missing_values() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let budget = |s: &str| parse_flag::<usize>(&args(s), "--budget");
+        assert_eq!(budget("campaign clickhouse --budget 3000"), Ok(Some(3000)));
+        assert_eq!(budget("campaign clickhouse --workers 2"), Ok(None));
+        let malformed = ["--budget 300x", "--budget -1", "--budget abc", "campaign x --budget"];
+        for bad in malformed {
+            assert!(budget(bad).is_err(), "{bad:?} must be rejected");
         }
     }
 

@@ -24,6 +24,14 @@
 //! registry entry, so per-call dispatch inside the executor does zero heap
 //! allocation.
 //!
+//! Execution has one path: the shard executes each prepared statement once,
+//! in plan order, with [`soft_engine::Engine::execute_prepared`], and
+//! classifies the outcome before it runs the next one. With the oracles
+//! armed, the outcome of a shape-keyed statement
+//! ([`soft_engine::Engine::shape_key`]: no rows read, no volatile calls)
+//! doubles as the multi-form oracle's reference form, because such a
+//! statement reads neither tables nor session state.
+//!
 //! # Parallel execution
 //!
 //! The paper drives seven DBMSs concurrently on a 128-core testbed (§7.1);
@@ -67,22 +75,21 @@
 //!
 //! The flight recorder ([`LivePlane::spans`]) is the third observer on the
 //! same plane: each shard records hierarchical wall-clock spans (shard,
-//! parse, batch-group, execute, oracle) into a buffer it owns exclusively,
-//! the campaign thread records the planning stages (generate, epoch,
-//! oracle, minimize, campaign), and the join merges everything into a
-//! [`SpanTrace`] on [`CampaignRun::spans`] — exportable as Chrome
-//! trace-event JSON for Perfetto. Spans are wall-clock and therefore live
-//! outside report equality, like every other surface here.
+//! parse, and an execute and oracle span per statement) into a buffer it
+//! owns exclusively, the campaign thread records the planning stages
+//! (generate, epoch, oracle, minimize, campaign), and the join merges
+//! everything into a [`SpanTrace`] on [`CampaignRun::spans`] — exportable
+//! as Chrome trace-event JSON for Perfetto. Spans are wall-clock and
+//! therefore live outside report equality, like every other surface here.
 
 use crate::collect::{self, Collection};
-use crate::oracle::{self, LogicBug, OracleConfig, OracleKind, OracleOptions};
+use crate::oracle::{self, LogicBug, OracleConfig, OracleKind};
 use crate::patterns::{self, GenCtx, GeneratedCase};
 use crate::report::{BugFinding, CampaignReport, FindingKind, ShardStats};
 use crate::schedule::{ArmId, ArmReward, Bandit, ScheduleConfig, ScheduleOptions};
 use soft_dialects::DialectProfile;
 use soft_engine::{
-    BatchArena, Coverage, CrashReport, Engine, ExecOutcome, FaultSpec, PatternId, Prepared,
-    ShapeKey, SqlError, Stage, MIN_BATCH_GROUP,
+    Coverage, CrashReport, Engine, ExecOutcome, FaultSpec, PatternId, Prepared, SqlError, Stage,
 };
 use soft_obs::span::CAMPAIGN_TRACK;
 use soft_obs::{
@@ -128,13 +135,11 @@ pub struct CampaignConfig {
     /// are pure functions of the prepared template and the statement, so the
     /// worker-count-invariance guarantee holds with oracles on.
     pub oracles: OracleConfig,
-    /// Columnar batch execution (default on). When on, each shard groups
-    /// same-shape prepared statements and evaluates every group as one
-    /// columnar batch ([`soft_engine::Engine::execute_batch_in`]), then
-    /// demultiplexes the per-row outcomes through the exact serial
-    /// classification loop. Batching is a pure execution strategy: the
-    /// report is byte-identical with it on or off, at any worker count —
-    /// only statements/sec changes.
+    /// Has no effect: every shard executes its statements one by one with
+    /// [`soft_engine::Engine::execute_prepared`], and the campaign never
+    /// reads this field. It stays (default `true`) only because the
+    /// campaign benchmark's workload configuration (`perfbench/`) still
+    /// sets it.
     pub batch: bool,
     /// Budget scheduling knob (default [`ScheduleConfig::Off`], the static
     /// round-robin planner). When on, the statement budget is split into
@@ -493,9 +498,8 @@ pub fn run_soft_parallel_live(
         fault_index: build_fault_index(profile),
         template,
         telemetry: telemetry_opts.or(schedule.map(|_| &internal)),
-        oracles: config.oracles.options(),
+        oracles: config.oracles.is_on(),
         live: metrics.as_deref(),
-        batch: config.batch,
         shard_size: config.shard_statements.max(1),
         span_origin: live.spans.then_some(t0),
         workers: n_workers.max(1),
@@ -597,15 +601,10 @@ pub fn run_soft_parallel_live(
     // events land in the synthetic trailing shard so the journal stays
     // globally ordered. Everything here is a pure function of (profile,
     // template), so the report stays byte-identical across worker counts.
-    if let Some(opts) = campaign.oracles {
+    if campaign.oracles {
         let oracle_start = campaign_sink.as_ref().map(|s| s.now_ns());
-        let mut hits: Vec<(String, oracle::LogicBug, String)> = Vec::new();
-        if opts.pivot {
-            hits.extend(oracle::pivot_check(template));
-        }
-        if opts.differential {
-            hits.extend(oracle::differential_check(profile));
-        }
+        let mut hits = oracle::pivot_check(template);
+        hits.extend(oracle::differential_check(profile));
         if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), oracle_start) {
             sink.record_since("oracle", start, Some("pivot + differential".into()));
         }
@@ -748,9 +747,9 @@ struct Campaign<'a> {
     /// What each shard records: the caller's telemetry, or the scheduler's
     /// internal observer when the caller's is off.
     telemetry: Option<&'a TelemetryOptions>,
-    oracles: Option<&'a OracleOptions>,
+    /// Whether the wrong-result oracles are armed.
+    oracles: bool,
     live: Option<&'a LiveMetrics>,
-    batch: bool,
     /// Statements per shard ([`CampaignConfig::shard_statements`], at
     /// least 1).
     shard_size: usize,
@@ -793,11 +792,10 @@ impl Campaign<'_> {
     ///
     /// Every scheduling input is event-derived and therefore a pure
     /// function of (profile, config, repository): identical at any worker
-    /// count, with batch execution on or off, and whether or not user
-    /// telemetry is enabled (when it is not, an internal observer records
-    /// events for scoring and the merge discards them). The adaptive
-    /// stream — and with it the report — stays byte-identical however the
-    /// campaign is parallelised.
+    /// count, and whether or not user telemetry is enabled (when it is not,
+    /// an internal observer records events for scoring and the merge
+    /// discards them). The adaptive stream — and with it the report — stays
+    /// byte-identical however the campaign is parallelised.
     fn run_scheduled(
         &self,
         collection: &Collection,
@@ -852,7 +850,7 @@ impl Campaign<'_> {
             m.begin_campaign(self.profile.id.name(), slots, self.workers);
         }
 
-        let mut bandit = Bandit::new(arms.len(), sched.clone());
+        let mut bandit = Bandit::new(arms.len());
         let mut cursors = vec![0usize; queues.len()];
         let mut outcomes: Vec<ShardOutcome> = Vec::new();
         let mut epochs_out: Vec<EpochRealloc> = Vec::new();
@@ -1263,22 +1261,6 @@ impl<'a> ShardObserver<'a> {
         }
     }
 
-    /// Times the execution of one prepared statement. With the split entry
-    /// points the stage histograms are genuinely disjoint: parse time is
-    /// recorded once per statement by the shard's prepare loop, and this
-    /// measures only [`Engine::execute_prepared`] (or, for statements whose
-    /// preparation failed, the replay of that error).
-    fn execute_timed(
-        &mut self,
-        engine: &mut Engine,
-        prepared: &Result<Prepared, SqlError>,
-    ) -> ExecOutcome {
-        let t = Instant::now();
-        let outcome = execute_planned(engine, prepared);
-        self.latency.execute.record(t.elapsed());
-        outcome
-    }
-
     /// Records the event for one executed statement, plus the coverage
     /// snapshot when the global index crosses the sampling interval.
     /// `logic` carries the multi-form oracle's fault id when the oracle
@@ -1337,74 +1319,6 @@ impl<'a> ShardObserver<'a> {
     }
 }
 
-/// Batch-executes the shape groups of one window of a shard, storing each
-/// statement's precomputed `(outcome, amortized duration)` into `pre`.
-///
-/// Grouping is deterministic: shapes are visited in first-appearance order
-/// and members stay in statement order, so the demux below replays the
-/// exact serial classification. Groups smaller than
-/// [`soft_engine::MIN_BATCH_GROUP`] are left to the scalar path — plan
-/// compilation is a fixed cost that a couple of rows cannot amortize.
-/// Statements the kernel
-/// declines (`execute_batch_in` returning `None`) also fall back to the
-/// scalar path, with no side effects to undo.
-///
-/// Correctness of executing a whole window up front: batchable statements
-/// (no FROM, no subqueries, no volatile functions) read neither the catalog
-/// nor mutable session state, so a mid-window crash-restore cannot change
-/// any other member's outcome, and coverage — a monotone set union — is
-/// identical at the window boundary whatever the intra-window execution
-/// order. Windows end exactly at telemetry snapshot indices, so every
-/// coverage snapshot observes the same set a serial walk would.
-fn batch_window(
-    engine: &mut Engine,
-    prepared: &[Result<Prepared, SqlError>],
-    shapes: &[Option<ShapeKey>],
-    window: std::ops::Range<usize>,
-    pre: &mut [Option<(ExecOutcome, Duration)>],
-    arena: &mut BatchArena,
-    sink: &mut Option<SpanSink>,
-) {
-    let mut order: Vec<ShapeKey> = Vec::new();
-    let mut groups: HashMap<ShapeKey, Vec<usize>> = HashMap::new();
-    for i in window {
-        let Some(key) = shapes[i] else { continue };
-        if prepared[i].is_err() {
-            continue;
-        }
-        let members = groups.entry(key).or_default();
-        if members.is_empty() {
-            order.push(key);
-        }
-        members.push(i);
-    }
-    let mut members: Vec<&Prepared> = Vec::new();
-    for key in order {
-        let idxs = &groups[&key];
-        if idxs.len() < MIN_BATCH_GROUP {
-            continue;
-        }
-        members.clear();
-        members.extend(
-            idxs.iter().map(|&i| prepared[i].as_ref().expect("grouped statements prepared")),
-        );
-        let t = Instant::now();
-        let span_start = sink.as_ref().map(|s| s.now_ns());
-        let Some(outcomes) = engine.execute_batch_in(&members, arena) else { continue };
-        if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
-            sink.record_since(
-                "batch-group",
-                start,
-                Some(format!("{} statements", idxs.len())),
-            );
-        }
-        let per_statement = t.elapsed() / idxs.len() as u32;
-        for (&i, outcome) in idxs.iter().zip(outcomes) {
-            pre[i] = Some((outcome, per_statement));
-        }
-    }
-}
-
 impl Campaign<'_> {
     /// Prepares and executes one shard of the planned stream on a private
     /// engine cloned from the template. Pure function of (profile, template,
@@ -1416,12 +1330,10 @@ impl Campaign<'_> {
     /// it equals what a serial pass would produce, whichever worker runs
     /// the shard.
     ///
-    /// With `batch` on, the shard executes window by window: each window's
-    /// same-shape groups are evaluated as columnar batches up front
-    /// ([`batch_window`]), and the serial loop below then *demultiplexes* the
-    /// precomputed outcomes — every per-statement observation (telemetry event,
-    /// live counter, oracle check, finding, crash restore) happens at exactly
-    /// the point, in exactly the order, the scalar path performs it.
+    /// Every statement is then executed once, in plan order, by
+    /// [`Engine::execute_prepared`] on the shard's engine — with its own
+    /// execute sample and span — and classified in that same step: oracle
+    /// check, telemetry event, live counter, finding, crash restore.
     fn run_shard(&self, plan: &Plan, range: std::ops::Range<usize>, shard: usize) -> ShardOutcome {
         let t0 = Instant::now();
         // The flight recorder: this worker owns the sink exclusively, so every
@@ -1441,19 +1353,14 @@ impl Campaign<'_> {
             ShardObserver::new(opts, &plan.seed_functions, &self.fault_index, cases.len())
         });
         // The prepare loop: one parse-histogram sample per statement and one
-        // `parse` span per shard. Shape analysis (which statements may
-        // batch) is a pure function of (registry, AST) and rides along.
+        // `parse` span per shard.
         let parse_start = sink.as_ref().map(|s| s.now_ns());
         let mut prepared: Vec<Result<Prepared, SqlError>> = Vec::with_capacity(cases.len());
-        let mut shapes: Vec<Option<ShapeKey>> = Vec::new();
         for case in cases {
             let t = observer.is_some().then(Instant::now);
             let p = self.template.prepare(&case.sql);
             if let (Some(obs), Some(t)) = (observer.as_mut(), t) {
                 obs.latency.parse.record(t.elapsed());
-            }
-            if self.batch {
-                shapes.push(p.as_ref().ok().and_then(|p| self.template.shape_key(p)));
             }
             prepared.push(p);
         }
@@ -1461,84 +1368,35 @@ impl Campaign<'_> {
             sink.record_since("parse", start, None);
         }
         let mut engine = self.template.clone();
-        // The batch plane: per-statement precomputed outcomes, one reusable
-        // column arena for the whole shard, and the window cursor. Windows end
-        // at coverage-snapshot indices (one window per shard when telemetry is
-        // off) so snapshots observe exactly the serial coverage set.
-        let mut arena = BatchArena::new();
-        let mut pre: Vec<Option<(ExecOutcome, Duration)>> = Vec::new();
-        if self.batch {
-            pre.resize_with(cases.len(), || None);
-        }
-        let snapshot_interval = self.telemetry.map(|opts| opts.snapshot_interval.max(1));
-        let mut window_end = 0usize;
         let mut found: HashSet<String> = HashSet::new();
         let mut findings: Vec<BugFinding> = Vec::new();
         let mut crashes = 0usize;
         let mut false_positives = 0usize;
         let mut errors = 0usize;
         let mut logic_bugs = 0usize;
-        for (i, case) in cases.iter().enumerate() {
-            if self.batch && i >= window_end {
-                // Entering the next window: its end is the next global snapshot
-                // index (or the shard end), and its shape groups batch-execute
-                // now, against exactly the engine state a serial walk has at
-                // this point.
-                window_end = match snapshot_interval {
-                    Some(iv) => {
-                        (((start_offset + i) / iv + 1) * iv - start_offset).min(cases.len())
-                    }
-                    None => cases.len(),
-                };
-                batch_window(
-                    &mut engine,
-                    &prepared,
-                    &shapes,
-                    i..window_end,
-                    &mut pre,
-                    &mut arena,
-                    &mut sink,
-                );
+        for (i, (case, prepared)) in cases.iter().zip(&prepared).enumerate() {
+            let t = observer.is_some().then(Instant::now);
+            let span_start = sink.as_ref().map(|s| s.now_ns());
+            let outcome = execute_planned(&mut engine, prepared);
+            if let (Some(obs), Some(t)) = (observer.as_mut(), t) {
+                obs.latency.execute.record(t.elapsed());
             }
-            let batched = pre.get_mut(i).and_then(Option::take);
-            let from_batch = batched.is_some();
-            let outcome = match batched {
-                Some((outcome, spent)) => {
-                    // The execute histogram keeps one sample per statement:
-                    // batched statements record their amortized share of the
-                    // group's wall-clock.
-                    if let Some(obs) = &mut observer {
-                        obs.latency.execute.record(spent);
-                    }
-                    outcome
-                }
-                None => {
-                    // Scalar execution gets its own span; batched statements
-                    // are already covered by the window's batch-group spans.
-                    let span_start = sink.as_ref().map(|s| s.now_ns());
-                    let outcome = match &mut observer {
-                        Some(obs) => obs.execute_timed(&mut engine, &prepared[i]),
-                        None => execute_planned(&mut engine, &prepared[i]),
-                    };
-                    if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
-                        sink.record_since("execute", start, None);
-                    }
-                    outcome
-                }
-            };
+            if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
+                sink.record_since("execute", start, None);
+            }
             // The multi-form oracle inspects every statement the crash plane
             // passed on. It re-executes the statement's forms on private clones
             // of the *template* (never this shard's engine), so the verdict is
             // a pure function of (template, statement) — shard state and worker
-            // count cannot change it. A batched outcome *is* the prepared-path
-            // outcome of a state-independent statement, so it doubles as the
-            // oracle's reference form and saves the form-A re-execution.
+            // count cannot change it. A shape-keyed statement reads neither
+            // tables nor session state, so its outcome here *is* what a
+            // template clone produces, and it stands in for the oracle's
+            // reference form instead of executing that form again.
             let logic = match (&outcome, self.oracles) {
-                (ExecOutcome::Crash(_), _) | (_, None) => None,
-                (_, Some(opts)) if !opts.multi_form => None,
-                (_, Some(_)) => prepared[i].as_ref().ok().and_then(|p| {
+                (ExecOutcome::Crash(_), _) | (_, false) => None,
+                (_, true) => prepared.as_ref().ok().and_then(|p| {
                     let span_start = sink.as_ref().map(|s| s.now_ns());
-                    let bug = if from_batch {
+                    let bug = if self.template.shape_key(p).is_some() {
                         oracle::multi_form_check_with(
                             &self.template,
                             &case.sql,
@@ -1987,6 +1845,55 @@ mod tests {
             assert_eq!(id, &f.fault_id);
             assert_eq!(*at, f.statements_until_found);
         }
+    }
+
+    /// The multi-form oracle's outcome reuse gives the fresh-clone verdict:
+    /// walking each dialect's static plan shard by shard as `run_shard`
+    /// does (restoring after crashes), every non-crashing shape-keyed
+    /// statement's shard outcome, used as form A, yields exactly the verdict
+    /// of form A re-executed on a template clone.
+    #[test]
+    fn oracle_outcome_reuse_matches_the_fresh_clone_reference() {
+        let cfg = CampaignConfig {
+            max_statements: 1_000,
+            per_seed_cap: 8,
+            ..CampaignConfig::default()
+        };
+        let mut flagged: Vec<(DialectId, String)> = Vec::new();
+        for id in DialectId::ALL {
+            let profile = DialectProfile::build(id);
+            let collection = collect::collect(&profile);
+            let plan = plan_static(&collection, &GenCtx::new(&collection), &cfg, 1, &mut None);
+            let mut template = profile.engine();
+            for stmt in &collection.preparation {
+                let _ = template.execute(&stmt.to_string());
+            }
+            let mut reused = 0usize;
+            for shard in plan.cases.chunks(cfg.shard_statements) {
+                let mut engine = template.clone();
+                for case in shard {
+                    let Ok(p) = template.prepare(&case.sql) else { continue };
+                    let outcome = engine.execute_prepared(&p);
+                    if let ExecOutcome::Crash(_) = outcome {
+                        engine.restore_database(&template);
+                    } else if template.shape_key(&p).is_some() {
+                        reused += 1;
+                        let (sql, stmt) = (case.sql.as_str(), p.statement());
+                        let verdict = oracle::multi_form_check_with(&template, sql, stmt, &outcome);
+                        let fresh = oracle::multi_form_check(&template, sql, stmt);
+                        assert_eq!(verdict, fresh, "{id:?}: outcome reuse diverged on {sql}");
+                        if verdict.is_some() {
+                            flagged.push((id, case.sql.clone()));
+                        }
+                    }
+                }
+            }
+            assert!(reused > 0, "{id:?}: the plan has no shape-keyed statement");
+        }
+        assert!(
+            flagged.contains(&(DialectId::Clickhouse, "SELECT toString(42)".to_string())),
+            "the toString(42) quirk must be flagged through the reused outcome: {flagged:?}"
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use campaign::{
     CampaignRun, LivePlane, ShardTiming, StatementGenerator,
 };
 pub use forensics::{bundle_finding, replay_all, replay_bundle, write_campaign_bundles};
-pub use oracle::{LogicBug, OracleConfig, OracleKind, OracleOptions};
+pub use oracle::{LogicBug, OracleConfig, OracleKind};
 pub use patterns::{GenCtx, GeneratedCase};
 pub use repo::{IngestStats, RepoEntry, RepoStats, SeedRepository};
 pub use report::{render_table4, BugFinding, CampaignReport, FindingKind, ShardStats};

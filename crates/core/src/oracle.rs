@@ -78,50 +78,27 @@ pub struct LogicBug {
     pub actual: String,
 }
 
-/// Which oracle families an armed campaign runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OracleOptions {
-    /// Run the multi-form execution oracle on every planned statement.
-    pub multi_form: bool,
-    /// Run the pivot containment probes once per campaign.
-    pub pivot: bool,
-    /// Run the cross-dialect differential suite once per campaign.
-    pub differential: bool,
-}
-
-impl Default for OracleOptions {
-    fn default() -> OracleOptions {
-        OracleOptions { multi_form: true, pivot: true, differential: true }
-    }
-}
-
-/// Campaign-level oracle switch, mirroring `TelemetryConfig`'s shape.
+/// Campaign-level oracle switch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OracleConfig {
     /// No wrong-result detection (the crash plane still runs).
     #[default]
     Off,
-    /// Wrong-result detection with the given families enabled.
-    On(OracleOptions),
+    /// Wrong-result detection: the multi-form oracle on every planned
+    /// statement, the pivot probes and the differential suite once per
+    /// campaign.
+    On,
 }
 
 impl OracleConfig {
-    /// All families enabled.
+    /// All three families armed.
     pub fn on() -> OracleConfig {
-        OracleConfig::On(OracleOptions::default())
+        OracleConfig::On
     }
 
-    /// The options, when enabled.
-    pub fn options(&self) -> Option<&OracleOptions> {
-        match self {
-            OracleConfig::Off => None,
-            OracleConfig::On(o) => Some(o),
-        }
-    }
-
-    /// Whether any oracle runs.
+    /// Whether the oracles run.
     pub fn is_on(&self) -> bool {
-        matches!(self, OracleConfig::On(_))
+        matches!(self, OracleConfig::On)
     }
 }
 
@@ -173,11 +150,12 @@ pub fn multi_form_check(template: &Engine, sql: &str, stmt: &Statement) -> Optio
 /// [`multi_form_check`] with form A's outcome supplied by the caller, so
 /// form A is not executed a second time. (Skipping form A's clone saves
 /// little: a clone copies only session state and shares the template's
-/// backend.) The campaign's batch demux uses this: a batched statement's
-/// outcome *is* the prepared-path outcome, and batchable statements read
-/// neither tables nor mutable session state, so the outcome the shard
-/// engine produced is exactly what a private template clone would produce —
-/// the purity contract [`multi_form_check`] establishes by cloning.
+/// backend.) The campaign shard passes its own outcome for every
+/// statement with a shape key ([`soft_engine::Engine::shape_key`]):
+/// shape-keyed statements read neither tables nor mutable session state,
+/// so the outcome the shard engine produced is exactly what a private
+/// template clone would produce — the purity contract [`multi_form_check`]
+/// establishes by cloning.
 pub fn multi_form_check_with(
     template: &Engine,
     sql: &str,

@@ -22,10 +22,10 @@
 //! scheduler armed.
 //!
 //! Rewards are intentionally *event-derived* rather than coverage-derived:
-//! per-statement engine coverage deltas are unobservable under batch
-//! execution (a batch evaluates a whole shape group at once), so scoring on
-//! them would make scheduling depend on the batch knob. Events are identical
-//! under batch, scalar, and any telemetry configuration.
+//! the merged statement events are identical under any telemetry
+//! configuration (the campaign records them with an internal observer when
+//! the user's telemetry is off), while per-statement coverage deltas are
+//! not part of that deterministic record.
 
 use soft_engine::PatternId;
 use soft_types::category::FunctionCategory;
@@ -51,7 +51,7 @@ impl ScheduleConfig {
 
     /// Adaptive scheduling with a specific epoch count.
     pub fn with_epochs(epochs: usize) -> ScheduleConfig {
-        ScheduleConfig::On(ScheduleOptions { epochs, ..ScheduleOptions::default() })
+        ScheduleConfig::On(ScheduleOptions { epochs })
     }
 
     /// The options, when scheduling is on.
@@ -69,38 +69,31 @@ impl ScheduleConfig {
 }
 
 /// Options for an adaptively scheduled campaign.
-///
-/// All tuning knobs are scaled integers (thousandths) so configurations are
-/// `Eq`-comparable and journal-stable; the bandit converts them to floats
-/// internally.
 #[derive(Debug, Clone)]
 pub struct ScheduleOptions {
     /// Number of epochs the statement budget is split into. Epoch 0 is
     /// always uniform (there is no telemetry to learn from yet).
     pub epochs: usize,
-    /// UCB exploration constant `c`, in thousandths (500 ⇒ c = 0.5).
-    pub exploration_milli: u64,
-    /// Budget fraction distributed uniformly across live arms before
-    /// score-proportional allocation, in thousandths (250 ⇒ every live arm
-    /// is guaranteed at least 25% of its equal share — the no-starvation
-    /// floor).
-    pub floor_milli: u64,
-    /// Per-epoch decay applied to accumulated rewards and pull counts, in
-    /// thousandths (500 ⇒ an epoch-old observation weighs half). Biases
-    /// scores toward *recent* yield.
-    pub decay_milli: u64,
 }
 
 impl Default for ScheduleOptions {
     fn default() -> Self {
-        ScheduleOptions {
-            epochs: 8,
-            exploration_milli: 500,
-            floor_milli: 250,
-            decay_milli: 500,
-        }
+        ScheduleOptions { epochs: 8 }
     }
 }
+
+/// UCB exploration constant `c`, in thousandths (500 ⇒ c = 0.5).
+const EXPLORATION_MILLI: u64 = 500;
+
+/// Budget fraction distributed uniformly across live arms before
+/// score-proportional allocation, in thousandths (250 ⇒ every live arm is
+/// guaranteed at least 25% of its equal share — the no-starvation floor).
+const FLOOR_MILLI: u64 = 250;
+
+/// Per-epoch decay applied to accumulated rewards and pull counts, in
+/// thousandths (500 ⇒ an epoch-old observation weighs half). Biases scores
+/// toward *recent* yield.
+const DECAY_MILLI: u64 = 500;
 
 /// A scheduling arm: one generation pattern crossed with the function
 /// category of the seed the generated statement mutates.
@@ -127,7 +120,7 @@ pub struct ArmReward {
     /// First-ever-seen fault ids (the quantity campaigns maximise).
     pub unique_bugs: usize,
     /// First-ever-seen target functions — an event-derived stand-in for
-    /// coverage growth that stays observable under batch execution.
+    /// coverage growth.
     pub new_functions: usize,
 }
 
@@ -146,7 +139,6 @@ impl ArmReward {
 /// The UCB bandit state across epochs.
 #[derive(Debug, Clone)]
 pub struct Bandit {
-    opts: ScheduleOptions,
     /// Decayed accumulated reward per arm, in thousandths.
     reward_milli: Vec<f64>,
     /// Decayed accumulated statement count per arm.
@@ -157,9 +149,8 @@ pub struct Bandit {
 
 impl Bandit {
     /// A fresh bandit over `arms` arms.
-    pub fn new(arms: usize, opts: ScheduleOptions) -> Bandit {
+    pub fn new(arms: usize) -> Bandit {
         Bandit {
-            opts,
             reward_milli: vec![0.0; arms],
             pulls: vec![0.0; arms],
             observed_epochs: 0,
@@ -171,7 +162,7 @@ impl Bandit {
     /// [`Bandit::new`].
     pub fn observe(&mut self, rewards: &[ArmReward]) {
         assert_eq!(rewards.len(), self.reward_milli.len(), "arm count mismatch");
-        let decay = self.opts.decay_milli as f64 / 1000.0;
+        let decay = DECAY_MILLI as f64 / 1000.0;
         for ((reward, pulls), r) in self.reward_milli.iter_mut().zip(&mut self.pulls).zip(rewards) {
             *reward *= decay;
             *pulls *= decay;
@@ -189,7 +180,7 @@ impl Bandit {
             return vec![0.0; self.pulls.len()];
         }
         let total: f64 = self.pulls.iter().sum::<f64>().max(1.0);
-        let c = self.opts.exploration_milli as f64 / 1000.0;
+        let c = EXPLORATION_MILLI as f64 / 1000.0;
         self.pulls
             .iter()
             .zip(&self.reward_milli)
@@ -216,7 +207,7 @@ impl Bandit {
         if live == 0 || budget == 0 {
             return alloc;
         }
-        let floor = budget * self.opts.floor_milli as usize / 1000 / live;
+        let floor = budget * FLOOR_MILLI as usize / 1000 / live;
         let mut spent = 0;
         for (a, &avail) in available.iter().enumerate() {
             if avail > 0 {
@@ -308,7 +299,7 @@ mod tests {
 
     #[test]
     fn epoch_zero_is_uniform() {
-        let b = Bandit::new(4, ScheduleOptions::default());
+        let b = Bandit::new(4);
         let alloc = b.allocate(100, &[100, 100, 100, 100]);
         assert_eq!(alloc, vec![25, 25, 25, 25]);
         assert!(b.scores_milli().iter().all(|&s| s == 0));
@@ -316,19 +307,19 @@ mod tests {
 
     #[test]
     fn productive_arms_attract_budget_but_no_live_arm_starves() {
-        let mut b = Bandit::new(3, ScheduleOptions::default());
+        let mut b = Bandit::new(3);
         b.observe(&[reward(100, 8), reward(100, 0), reward(100, 0)]);
         let alloc = b.allocate(1000, &[1000, 1000, 1000]);
         assert_eq!(alloc.iter().sum::<usize>(), 1000);
         assert!(alloc[0] > alloc[1], "winner did not attract budget: {alloc:?}");
-        // floor_milli = 250 over 3 live arms ⇒ every arm gets ≥ 83.
+        // FLOOR_MILLI = 250 over 3 live arms ⇒ every arm gets ≥ 83.
         let floor = 1000 * 250 / 1000 / 3;
         assert!(alloc.iter().all(|&a| a >= floor), "an arm starved: {alloc:?}");
     }
 
     #[test]
     fn allocation_respects_availability_and_spills() {
-        let mut b = Bandit::new(3, ScheduleOptions::default());
+        let mut b = Bandit::new(3);
         b.observe(&[reward(100, 8), reward(100, 0), reward(100, 0)]);
         let alloc = b.allocate(1000, &[50, 1000, 0]);
         assert_eq!(alloc[0], 50, "cap exceeded: {alloc:?}");
@@ -338,7 +329,7 @@ mod tests {
 
     #[test]
     fn allocation_is_deterministic() {
-        let mut b = Bandit::new(5, ScheduleOptions::default());
+        let mut b = Bandit::new(5);
         b.observe(&[reward(50, 1), reward(50, 1), reward(50, 0), reward(50, 2), reward(50, 0)]);
         let avail = [40, 500, 500, 500, 3];
         assert_eq!(b.allocate(777, &avail), b.allocate(777, &avail));
@@ -347,7 +338,7 @@ mod tests {
 
     #[test]
     fn decay_prefers_recent_yield() {
-        let mut recent = Bandit::new(2, ScheduleOptions::default());
+        let mut recent = Bandit::new(2);
         // Arm 0 was productive long ago; arm 1 is productive now.
         recent.observe(&[reward(100, 5), reward(100, 0)]);
         recent.observe(&[reward(100, 0), reward(100, 0)]);

@@ -38,7 +38,7 @@
 //! * [`forensics`] — per-unique-fault triage [`Bundle`]s
 //!   (`findings/<fault-id>/` with PoC, provenance, and replay command);
 //! * [`span`] — the flight recorder: hierarchical wall-clock spans
-//!   (campaign → epoch → shard → batch-group → statement stage) recorded
+//!   (campaign → epoch → shard → statement stage) recorded
 //!   into per-worker buffers, merged into a [`SpanTrace`] on `CampaignRun`,
 //!   and exported as Chrome trace-event JSON for Perfetto.
 //!

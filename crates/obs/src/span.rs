@@ -5,7 +5,7 @@
 //! "what was each worker doing *when*". A span is one named interval on one
 //! track: track 0 is the campaign itself (planning, epochs, campaign-level
 //! oracles, minimisation), track `s + 1` is shard `s` (the whole shard,
-//! its batch groups, and the per-statement execute/oracle stages).
+//! the parse of its range, and the per-statement execute/oracle stages).
 //!
 //! # Recording discipline
 //!
@@ -45,8 +45,8 @@ pub const CAMPAIGN_TRACK: u64 = 0;
 /// window in nanoseconds since the campaign clock origin.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Stage name (`campaign`, `epoch`, `shard`, `batch-group`, `generate`,
-    /// `parse`, `execute`, `oracle`, `minimize`, …). Static so the hot path
+    /// Stage name (`campaign`, `epoch`, `shard`, `generate`, `parse`,
+    /// `execute`, `oracle`, `minimize`, …). Static so the hot path
     /// never allocates for the common case.
     pub name: &'static str,
     /// Track the span renders on: [`CAMPAIGN_TRACK`] or `shard + 1`.
@@ -56,7 +56,7 @@ pub struct SpanRecord {
     /// Span duration in nanoseconds.
     pub dur_ns: u64,
     /// Optional free-form annotation (exported as `args.detail`). `None` on
-    /// the per-statement hot path; populated for rare spans (batch groups,
+    /// the per-statement hot path; populated for rare spans (shards,
     /// epochs, findings) where one allocation is noise.
     pub detail: Option<String>,
 }

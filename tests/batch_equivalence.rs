@@ -211,30 +211,6 @@ fn mid_batch_crash_is_attributed_to_the_crashing_member() {
     }
 }
 
-/// Campaign-level recovery pin: after a batched crash the shard restores
-/// the template snapshot without re-executing the batch prefix — observable
-/// as the batch-on campaign reproducing the scalar campaign's findings,
-/// indices included, on a corpus guaranteed to crash mid-shard.
-#[test]
-fn batched_crash_recovery_matches_scalar_recovery() {
-    use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
-    let profile = DialectProfile::build(DialectId::Clickhouse);
-    let mk = |batch| CampaignConfig {
-        max_statements: 20_000,
-        per_seed_cap: 16,
-        batch,
-        ..CampaignConfig::default()
-    };
-    let scalar = run_soft_parallel(&profile, &mk(false), 1);
-    let batched = run_soft_parallel(&profile, &mk(true), 1);
-    assert!(!scalar.findings.is_empty(), "corpus must crash for this pin to bite");
-    assert_eq!(scalar, batched);
-    for (a, b) in scalar.findings.iter().zip(&batched.findings) {
-        assert_eq!(a.fault_id, b.fault_id);
-        assert_eq!(a.statements_until_found, b.statements_until_found);
-    }
-}
-
 /// Shape keys fold spelling but split structure — pinned here at the
 /// public-API level (the engine unit tests pin the kernel-internal view).
 #[test]

@@ -1,7 +1,7 @@
 //! Guardrails for the campaign spine: one planner, one cut → execute step
-//! whose shards prepare what they run, one constructor per finding kind,
-//! and two campaign entry points. The tests read the source itself, so a
-//! removed path cannot quietly come back.
+//! whose shards prepare what they run, one execution path per shard, one
+//! constructor per finding kind, and two campaign entry points. The tests
+//! read the source itself, so a removed path cannot quietly come back.
 
 const CAMPAIGN: &str = include_str!("../crates/core/src/campaign.rs");
 const CORE_LIB: &str = include_str!("../crates/core/src/lib.rs");
@@ -58,6 +58,31 @@ fn one_prepare_cut_execute_step() {
         1,
         "a second seed phase appeared"
     );
+}
+
+#[test]
+fn one_execution_path_per_shard() {
+    let code = campaign_code();
+    for removed in ["BatchArena", "MIN_BATCH_GROUP", "execute_batch_in", "batch_window"] {
+        assert!(!mentions(code, removed), "campaign.rs names {removed} again");
+    }
+    assert!(!code.contains(".batch"), "the campaign reads CampaignConfig::batch again");
+    let run_shard = &code[code.find("fn run_shard(").expect("run_shard exists")..];
+    let body = &run_shard[..run_shard.find("\n    }\n").unwrap_or(run_shard.len())];
+    let executes = body.matches("execute_planned(").count()
+        + body.matches("execute_prepared(").count()
+        + body.matches("execute_batch").count();
+    assert_eq!(executes, 1, "run_shard has a second execute call site");
+    // The shard's outcome stands in for the oracle's reference form only
+    // for shape-keyed statements, which read no table or session state.
+    assert!(body.contains(".shape_key(p).is_some()"), "outcome reuse lost its shape-key gate");
+    for cmd in soft_bench::COMMANDS {
+        assert!(
+            cmd.flags.iter().all(|f| f.flag != "--no-batch"),
+            "`repro {}` accepts --no-batch again",
+            cmd.name
+        );
+    }
 }
 
 #[test]

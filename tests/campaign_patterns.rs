@@ -96,73 +96,6 @@ fn worker_count_never_changes_the_report() {
     }
 }
 
-/// Columnar batch execution is a pure execution strategy: at every worker
-/// count — including the ragged-shard prime — the batch-on report (the
-/// default) equals the batch-off report byte for byte, findings order and
-/// per-shard counters included. Checked with the wrong-result oracles off
-/// and armed, since the batch demux feeds the multi-form oracle its
-/// reference outcome.
-#[test]
-fn batch_execution_never_changes_the_report() {
-    use soft_repro::soft::OracleConfig;
-    for id in [DialectId::Clickhouse, DialectId::Monetdb] {
-        let profile = DialectProfile::build(id);
-        for oracles in [OracleConfig::Off, OracleConfig::on()] {
-            let scalar = run_soft_parallel(
-                &profile,
-                &CampaignConfig { batch: false, oracles, ..config() },
-                1,
-            );
-            let batch_cfg = CampaignConfig { batch: true, oracles, ..config() };
-            for workers in [1usize, 2, 4, 7] {
-                let batched = run_soft_parallel(&profile, &batch_cfg, workers);
-                assert_eq!(
-                    scalar,
-                    batched,
-                    "batch execution leaked into the report on {} ({workers} workers, \
-                     oracles {})",
-                    id.name(),
-                    oracles.is_on(),
-                );
-            }
-        }
-    }
-}
-
-/// Batch-boundary edge shapes behave exactly like the scalar path: a shard
-/// smaller than one batch window, shards of one statement (every group has
-/// size 1), and a shard size that slices groups mid-window all produce the
-/// scalar report.
-#[test]
-fn batch_edge_shard_sizes_match_the_scalar_path() {
-    let profile = DialectProfile::build(DialectId::Clickhouse);
-    for shard_statements in [1usize, 3, 97] {
-        let scalar = run_soft_parallel(
-            &profile,
-            &CampaignConfig {
-                max_statements: 600,
-                per_seed_cap: 4,
-                shard_statements,
-                batch: false,
-                ..CampaignConfig::default()
-            },
-            1,
-        );
-        let batched = run_soft_parallel(
-            &profile,
-            &CampaignConfig {
-                max_statements: 600,
-                per_seed_cap: 4,
-                shard_statements,
-                batch: true,
-                ..CampaignConfig::default()
-            },
-            1,
-        );
-        assert_eq!(scalar, batched, "shard size {shard_statements} diverged under batching");
-    }
-}
-
 /// The campaign executes prepared ASTs, but its findings report rendered
 /// SQL strings — replaying each reported PoC through the plain string path
 /// on a fresh engine must reproduce exactly the reported fault, so the

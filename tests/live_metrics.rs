@@ -189,7 +189,7 @@ fn plan_gauges_reconcile_under_the_scheduler_and_short_plans() {
     let scheduled = CampaignConfig {
         max_statements: 3_000,
         per_seed_cap: 8,
-        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4, ..ScheduleOptions::default() }),
+        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4 }),
         ..CampaignConfig::default()
     };
     let short = CampaignConfig {
@@ -247,7 +247,7 @@ fn events_stream_reconciles_against_the_final_report() {
             journal_path: None,
         }),
         oracles: OracleConfig::on(),
-        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4, ..ScheduleOptions::default() }),
+        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4 }),
         ..CampaignConfig::default()
     };
     let plane = LivePlane {

@@ -8,8 +8,8 @@
 //!
 //! 1. a scheduled campaign — telemetry and oracles armed — produces a
 //!    byte-identical [`CampaignReport`] at 1, 2, 4, and 7 workers;
-//! 2. scheduling decisions are invariant to the batch knob and to whether
-//!    user telemetry is on (the internal observer never leaks);
+//! 2. scheduling decisions are invariant to whether user telemetry is on
+//!    (the internal observer never leaks);
 //! 3. the journaled epoch records are well-formed and round-trip through
 //!    the JSONL trace format.
 
@@ -29,7 +29,7 @@ fn scheduled_config(budget: usize) -> CampaignConfig {
             journal_path: None,
         }),
         oracles: OracleConfig::on(),
-        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4, ..ScheduleOptions::default() }),
+        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4 }),
         ..CampaignConfig::default()
     }
 }
@@ -57,19 +57,14 @@ fn scheduled_report_is_byte_identical_across_worker_counts() {
     }
 }
 
-/// Scheduling inputs are event-derived, so neither the batch execution
-/// strategy nor the user's telemetry setting can change what gets planned:
-/// batch on/off produce equal reports, and a telemetry-off scheduled run
-/// equals the telemetry-on run with its telemetry stripped.
+/// Scheduling inputs are event-derived, so the user's telemetry setting
+/// cannot change what gets planned: a telemetry-off scheduled run equals
+/// the telemetry-on run with its telemetry stripped.
 #[test]
 fn scheduling_is_invariant_to_batch_and_telemetry() {
     let profile = DialectProfile::build(DialectId::Monetdb);
     let cfg = scheduled_config(2_000);
     let reference = run_soft_parallel(&profile, &cfg, 2);
-
-    let scalar = run_soft_parallel(&profile, &CampaignConfig { batch: false, ..cfg.clone() }, 2);
-    assert_eq!(scalar, reference, "the batch knob leaked into scheduling");
-
     let dark = run_soft_parallel(
         &profile,
         &CampaignConfig { telemetry: TelemetryConfig::Off, ..cfg.clone() },

@@ -103,8 +103,8 @@ fn live_plane_and_watchdog_preserve_byte_identical_reports() {
 }
 
 /// The flight recorder is a pure observer even with everything else
-/// armed: oracles, telemetry, the epoch scheduler, batching, live
-/// metrics, the watchdog, and spans all on, the report is byte-identical
+/// armed: oracles, telemetry, the epoch scheduler, live metrics, the
+/// watchdog, and spans all on, the report is byte-identical
 /// to the bare serial run at 1, 2, 4, and 7 workers — and every armed run
 /// yields a non-empty span trace whose Chrome export is valid
 /// trace-event JSON.
@@ -114,8 +114,7 @@ fn flight_recorder_preserves_byte_identical_reports() {
     let profile = DialectProfile::build(DialectId::Monetdb);
     let cfg = CampaignConfig {
         oracles: OracleConfig::on(),
-        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4, ..ScheduleOptions::default() }),
-        batch: true,
+        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4 }),
         ..telemetry_config(4_000)
     };
     let reference = run_soft_parallel(&profile, &cfg, 1);
@@ -179,39 +178,6 @@ fn telemetry_does_not_perturb_the_campaign() {
     let mut on = run_soft_parallel(&profile, &telemetry_config(4_000), 4);
     on.telemetry = None;
     assert_eq!(off, on);
-}
-
-/// Columnar batching is invisible to the telemetry ledger: with the journal
-/// and coverage snapshots on, the batch-on report (default) equals the
-/// batch-off report byte for byte — events, snapshot curves, yields — at
-/// 1, 2, 4 and 7 workers, with the oracles off and armed. The execute
-/// histogram still carries one sample per statement (batched statements
-/// record their amortized share of the group's wall-clock).
-#[test]
-fn batch_execution_is_byte_identical_under_telemetry() {
-    use soft_repro::soft::OracleConfig;
-    let profile = DialectProfile::build(DialectId::Clickhouse);
-    for oracles in [OracleConfig::Off, OracleConfig::on()] {
-        let scalar_cfg =
-            CampaignConfig { batch: false, oracles, ..telemetry_config(3_000) };
-        let batch_cfg = CampaignConfig { batch: true, oracles, ..telemetry_config(3_000) };
-        let scalar = run_soft_parallel(&profile, &scalar_cfg, 1);
-        for workers in [1usize, 2, 4, 7] {
-            let run = run_soft_parallel_live(&profile, &batch_cfg, workers, &LivePlane::default());
-            assert_eq!(
-                scalar, run.report,
-                "batching leaked into the telemetry report at {workers} workers \
-                 (oracles {})",
-                oracles.is_on()
-            );
-            let latency = run.stage_latency.as_ref().expect("telemetry was on");
-            assert_eq!(
-                latency.execute.samples() as usize,
-                run.report.statements_executed,
-                "batching must record one execute sample per statement"
-            );
-        }
-    }
 }
 
 /// Golden `repro trace` output over a small fixed campaign: the JSONL
