@@ -53,14 +53,33 @@
 //! # One planner, two drivers
 //!
 //! The static driver and the feedback scheduler
-//! ([`CampaignConfig::schedule`]) share one seed + generation pass, one
-//! round-robin interleave (`plan_round_robin`) and one cut → execute step,
-//! whose shards prepare what they run. The static driver plans once: one
-//! queue per active pattern, unbounded quotas, the budget as target. The
-//! scheduler plans per epoch: one queue per (pattern × seed-category) arm,
-//! the bandit's quotas. The drivers stay separate because only the
+//! ([`CampaignConfig::schedule`]) share one seed phase, one case generator,
+//! one round-robin interleave (`plan_round_robin`) and one cut → execute
+//! step, whose shards prepare what they run. The static driver plans once:
+//! one queue per active pattern, unbounded quotas, the budget as target.
+//! The scheduler plans per epoch: one queue per (pattern × seed-category)
+//! arm, the bandit's quotas. The drivers stay separate because only the
 //! scheduler records epoch reallocations and needs an internal observer,
 //! and only the static driver knows its exact shard count up front.
+//!
+//! # Generation on demand
+//!
+//! SOFT applies its patterns to the collected seeds (§7.1 step 2), but a
+//! budgeted campaign runs only a prefix of what the patterns can produce.
+//! The generator therefore works in (pattern, 16-seed chunk) items and
+//! generates a pattern's next chunks only when the interleave reads past
+//! the cases that exist: the first read generates chunk 0 of every active
+//! pattern in one wave, and a pattern that runs dry gets its next
+//! `workers` chunks in one wave. A queue is its chunks concatenated in
+//! seed order, so every prefix the interleave reads equals the prefix of
+//! the fully generated queue, and the planned stream is the same at any
+//! worker count. The scheduler's bandit caps each quota by an arm's
+//! remaining cases, so it generates every chunk in one wave before its
+//! first epoch. Either way the report's per-pattern count
+//! ([`CampaignReport::generated_per_pattern`]) is what the planner drew
+//! from each pattern's queues, planned or skipped as a duplicate — never
+//! what was generated ahead of it, which follows the wave size and with
+//! it the worker count.
 //!
 //! # The live plane
 //!
@@ -97,6 +116,7 @@ use soft_obs::{
     SpanTrace, StageLatency, StatementEvent, TelemetryConfig, TelemetryOptions, WatchdogConfig,
     WatchdogReport,
 };
+use soft_parser::ast::Statement;
 use soft_types::category::FunctionCategory;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
@@ -214,6 +234,8 @@ type Queue = Vec<(GeneratedCase, usize)>;
 /// prepares its own range of the stream against the template when it runs.
 struct Plan {
     cases: Vec<PlannedCase>,
+    /// Cases the planner drew from each active pattern's queues, planned
+    /// or skipped as duplicates; set when planning is over.
     generated_per_pattern: Vec<(PatternId, usize)>,
     /// Root function of each seed statement (the first collected function
     /// expression), indexed by seed id — the journal's "target function"
@@ -513,8 +535,9 @@ pub fn run_soft_parallel_live(
 
     // One scope hosts the watchdog and (via `execute_tail`) the shard
     // workers. The shard work finishes first; only then is the stop flag
-    // raised and the watchdog joined — so the watchdog observes the whole
-    // campaign and the scope cannot deadlock on it.
+    // raised and the watchdog unparked and joined — so the watchdog
+    // observes the whole campaign, the scope cannot deadlock on it, and the
+    // join does not wait out the watchdog's poll interval.
     let stop = AtomicBool::new(false);
     let stop_ref = &stop;
     let (plan, mut outcomes, epochs, watchdog_report) = std::thread::scope(|scope| {
@@ -542,7 +565,11 @@ pub fn run_soft_parallel_live(
             }
         };
         stop.store(true, Ordering::Release);
-        let wd = watchdog_handle.map(|h| h.join().expect("watchdog thread panicked"));
+        let wd = watchdog_handle.map(|h| {
+            // The watchdog parks between polls: wake it to see the flag.
+            h.thread().unpark();
+            h.join().expect("watchdog thread panicked")
+        });
         (plan, outcomes, epochs, wd)
     });
     // Completion order is scheduler-dependent; merge order is not.
@@ -804,8 +831,9 @@ impl Campaign<'_> {
         sched: &ScheduleOptions,
         sink: &mut Option<SpanSink>,
     ) -> (Plan, Vec<ShardOutcome>, Vec<EpochRealloc>) {
-        let (mut plan, mut seen, per_pattern) =
-            seed_and_generate(collection, ctx, config, self.workers, sink);
+        let gen_start = sink.as_ref().map(|s| s.now_ns());
+        let (mut plan, mut seen, mut generator) =
+            Generator::seed_and_generate(collection, ctx, config, self.workers);
         // Arm attribution: the category of each seed's root function (the
         // registry's view), `System` when the seed has no resolvable function.
         let seed_categories: Vec<FunctionCategory> = plan
@@ -817,23 +845,12 @@ impl Campaign<'_> {
                     .unwrap_or(FunctionCategory::System)
             })
             .collect();
-
-        // Partition the generated cases into arm queues, keyed (pattern
-        // position, category) so the arm order refines the static planner's
-        // pattern order. Within a queue, cases keep their generation order.
-        let mut by_arm: BTreeMap<(usize, FunctionCategory), Queue> = BTreeMap::new();
-        for (pi, cases) in per_pattern.into_iter().enumerate() {
-            for (case, seed) in cases {
-                let category =
-                    seed_categories.get(seed).copied().unwrap_or(FunctionCategory::System);
-                by_arm.entry((pi, category)).or_default().push((case, seed));
-            }
+        // The bandit caps each quota by the arm's remaining cases, so the
+        // scheduler generates everything up front, in one wave.
+        let arms = generator.regroup(&seed_categories);
+        if let (Some(sink), Some(start)) = (sink.as_mut(), gen_start) {
+            sink.record_since("generate", start, Some(format!("{} cases", generator.generated())));
         }
-        let arms: Vec<ArmId> = by_arm
-            .keys()
-            .map(|&(pi, category)| ArmId { pattern: plan.generated_per_pattern[pi].0, category })
-            .collect();
-        let queues: Vec<Queue> = by_arm.into_values().collect();
         let arm_of: HashMap<(PatternId, FunctionCategory), usize> = arms
             .iter()
             .enumerate()
@@ -851,7 +868,7 @@ impl Campaign<'_> {
         }
 
         let mut bandit = Bandit::new(arms.len());
-        let mut cursors = vec![0usize; queues.len()];
+        let mut cursors = vec![0usize; arms.len()];
         let mut outcomes: Vec<ShardOutcome> = Vec::new();
         let mut epochs_out: Vec<EpochRealloc> = Vec::new();
         let mut seen_faults: HashSet<Arc<str>> = HashSet::new();
@@ -866,7 +883,7 @@ impl Campaign<'_> {
             let epoch_start = plan.cases.len();
             let epoch_budget = target.saturating_sub(epoch_start);
             let available: Vec<usize> =
-                cursors.iter().zip(&queues).map(|(&c, q)| q.len() - c).collect();
+                cursors.iter().zip(&generator.queues).map(|(&c, q)| q.len() - c).collect();
             if available.iter().all(|&n| n == 0) {
                 break;
             }
@@ -885,7 +902,7 @@ impl Campaign<'_> {
             plan_round_robin(
                 &mut plan.cases,
                 &mut seen,
-                &queues,
+                &mut generator,
                 &mut cursors,
                 &mut planned,
                 &quotas,
@@ -896,7 +913,7 @@ impl Campaign<'_> {
                 plan_round_robin(
                     &mut plan.cases,
                     &mut seen,
-                    &queues,
+                    &mut generator,
                     &mut cursors,
                     &mut planned,
                     &spill,
@@ -961,66 +978,18 @@ impl Campaign<'_> {
         if plan.executed < plan.cases.len() {
             outcomes.extend(self.execute_tail(&mut plan));
         }
+        generator.close(&cursors, &mut plan);
         (plan, outcomes, epochs_out)
     }
 }
 
-/// The seed phase and generation pass both drivers open with. Returns a
-/// plan holding the phase-1 seed statements (deduplicated and truncated at
-/// the budget; they prime coverage and take no arm quota), the set of
-/// statements planned so far, and one queue of generated cases per active
-/// pattern, in [`PATTERN_ORDER`].
-fn seed_and_generate(
-    collection: &Collection,
-    ctx: &GenCtx,
-    config: &CampaignConfig,
-    workers: usize,
-    sink: &mut Option<SpanSink>,
-) -> (Plan, HashSet<String>, Vec<Queue>) {
-    let gen_start = sink.as_ref().map(|s| s.now_ns());
-    let active: Vec<PatternId> = match &config.patterns {
-        None => PATTERN_ORDER.to_vec(),
-        Some(ps) => PATTERN_ORDER.iter().copied().filter(|p| ps.contains(p)).collect(),
-    };
-    let (queues, generate_latency) = generate_cases(collection, ctx, config, &active, workers);
-    let generated_per_pattern: Vec<(PatternId, usize)> =
-        active.iter().zip(&queues).map(|(&p, cases)| (p, cases.len())).collect();
-    if let (Some(sink), Some(start)) = (sink.as_mut(), gen_start) {
-        let total: usize = queues.iter().map(Vec::len).sum();
-        sink.record_since("generate", start, Some(format!("{total} cases")));
-    }
-    let mut plan = Plan {
-        cases: Vec::new(),
-        generated_per_pattern,
-        seed_functions: collection
-            .seeds
-            .iter()
-            .map(|s| {
-                let roots = soft_parser::visit::collect_function_exprs(s);
-                roots.first().map(|f| Arc::from(f.name.as_str()))
-            })
-            .collect(),
-        generate_latency,
-        executed: 0,
-        shards: 0,
-    };
-    let mut seen: HashSet<String> = HashSet::new();
-    for (si, stmt) in collection.seeds.iter().enumerate() {
-        if plan.cases.len() >= config.max_statements {
-            break;
-        }
-        let sql = stmt.to_string();
-        if seen.insert(sql.clone()) {
-            plan.cases.push(PlannedCase { sql, pattern: None, seed: si });
-        }
-    }
-    (plan, seen, queues)
-}
-
 /// The static planner: the seed phase, then one round-robin pass over one
 /// queue per active pattern, with unbounded quotas and the budget as the
-/// target — the exact statement stream a serial run executes. Pure: no
-/// engine involved, so the stream is identical however it is sharded.
+/// target — the exact statement stream a serial run executes. The pass
+/// pulls cases from the generator as it reaches them, so generation stops
+/// at the planner's frontier. Pure: no engine involved, and every queue
+/// prefix the pass reads is the same at any worker count, so the stream is
+/// identical however it is generated or sharded.
 fn plan_static(
     collection: &Collection,
     ctx: &GenCtx,
@@ -1028,17 +997,24 @@ fn plan_static(
     workers: usize,
     sink: &mut Option<SpanSink>,
 ) -> Plan {
-    let (mut plan, mut seen, queues) = seed_and_generate(collection, ctx, config, workers, sink);
-    let n = queues.len();
+    let gen_start = sink.as_ref().map(|s| s.now_ns());
+    let (mut plan, mut seen, mut generator) =
+        Generator::seed_and_generate(collection, ctx, config, workers);
+    let n = generator.queues.len();
+    let mut cursors = vec![0; n];
     plan_round_robin(
         &mut plan.cases,
         &mut seen,
-        &queues,
-        &mut vec![0; n],
+        &mut generator,
+        &mut cursors,
         &mut vec![0; n],
         &vec![usize::MAX; n],
         config.max_statements,
     );
+    if let (Some(sink), Some(start)) = (sink.as_mut(), gen_start) {
+        sink.record_since("generate", start, Some(format!("{} cases", generator.generated())));
+    }
+    generator.close(&cursors, &mut plan);
     plan
 }
 
@@ -1047,11 +1023,12 @@ fn plan_static(
 /// every queue is dry, or the plan reaches `target`. Duplicates advance the
 /// cursor without consuming quota, so a quota buys `quota` *distinct*
 /// statements when the queue has them. Pure: no engine, no clock, no
-/// worker count.
+/// worker count — the generator hands out the same case at a given queue
+/// position whenever and however it generates it.
 fn plan_round_robin(
     cases: &mut Vec<PlannedCase>,
     seen: &mut HashSet<String>,
-    queues: &[Queue],
+    generator: &mut Generator<'_>,
     cursors: &mut [usize],
     planned: &mut [usize],
     quotas: &[usize],
@@ -1059,15 +1036,14 @@ fn plan_round_robin(
 ) {
     'outer: loop {
         let mut progressed = false;
-        for a in 0..queues.len() {
+        for a in 0..cursors.len() {
             if cases.len() >= target {
                 break 'outer;
             }
             if planned[a] >= quotas[a] {
                 continue;
             }
-            while cursors[a] < queues[a].len() {
-                let (case, seed) = &queues[a][cursors[a]];
+            while let Some((case, seed)) = generator.case(a, cursors[a]) {
                 cursors[a] += 1;
                 if seen.insert(case.sql.clone()) {
                     cases.push(PlannedCase {
@@ -1151,57 +1127,197 @@ fn execute_planned(engine: &mut Engine, prepared: &Result<Prepared, SqlError>) -
 
 /// Seeds per generation work item. Items are (pattern, seed chunk) pairs,
 /// so a pattern that dominates generation (P3.3 holds most of the cases)
-/// spreads over every worker instead of running alone on one.
+/// spreads over every worker instead of running alone on one, and the
+/// planner can stop generating a pattern at any chunk boundary.
 const GENERATE_CHUNK: usize = 16;
 
-/// Generates every pattern's case vector, each case tagged with the seed it
-/// derives from. The work is cut into (pattern, seed chunk) items that run
-/// on worker threads and are concatenated in (pattern, seed) order, so each
-/// queue is positionally identical to the serial loop's at any worker count.
-/// The per-pattern wall-clock durations (summed over the pattern's chunks)
-/// feed the telemetry generate-stage histogram and never influence the plan.
-fn generate_cases(
-    collection: &Collection,
-    ctx: &GenCtx,
-    config: &CampaignConfig,
-    active: &[PatternId],
+/// The campaign's one case generator: one queue per active pattern, each
+/// case tagged with the index of the seed it derives from, generated on
+/// demand. A queue is the concatenation of its pattern's seed chunks in
+/// seed order, and a chunk's cases are a pure function of (pattern, seeds,
+/// pool, cap), so the case at a queue position is the same whenever it is
+/// generated, in whatever wave, at any worker count. What it generates
+/// ahead of the planner's demand is never reported.
+struct Generator<'a> {
+    seeds: &'a [Statement],
+    ctx: &'a GenCtx,
+    per_seed_cap: usize,
     workers: usize,
-) -> (Vec<Queue>, Vec<Duration>) {
-    let seeds = &collection.seeds;
-    let chunks = seeds.len().div_ceil(GENERATE_CHUNK);
-    // Item `i` is pattern `active[i / chunks]` over seed chunk `i % chunks`.
-    let parts = par_map(active.len() * chunks, workers, |item| {
-        let t0 = Instant::now();
-        let pattern = active[item / chunks];
-        // The cross-function patterns need wider per-seed budgets: their
-        // search space is (seed × donor), not (seed × pool).
-        let cap = match pattern {
-            PatternId::P3_3 => config.per_seed_cap.max(640),
-            PatternId::P2_3 => config.per_seed_cap.max(128),
-            _ => config.per_seed_cap,
+    /// The active patterns, in [`PATTERN_ORDER`].
+    active: Vec<PatternId>,
+    /// The queues the planner reads: one per active pattern, or one per
+    /// scheduler arm after [`Generator::regroup`].
+    queues: Vec<Queue>,
+    /// Each queue's pattern, as its position in `active`.
+    pattern_of: Vec<usize>,
+    /// Each queue's next unopened seed chunk.
+    next_chunk: Vec<usize>,
+    /// Wall-clock generation time per active pattern, summed over its work
+    /// items (telemetry only).
+    latency: Vec<Duration>,
+}
+
+impl<'a> Generator<'a> {
+    /// The seed phase both drivers open with. Returns a plan holding the
+    /// phase-1 seed statements (deduplicated and truncated at the budget;
+    /// they prime coverage and take no arm quota), the set of statements
+    /// planned so far, and the generator of everything after them: one
+    /// queue per active pattern in [`PATTERN_ORDER`], nothing generated yet.
+    fn seed_and_generate(
+        collection: &'a Collection,
+        ctx: &'a GenCtx,
+        config: &CampaignConfig,
+        workers: usize,
+    ) -> (Plan, HashSet<String>, Self) {
+        let active: Vec<PatternId> = match &config.patterns {
+            None => PATTERN_ORDER.to_vec(),
+            Some(ps) => PATTERN_ORDER.iter().copied().filter(|p| ps.contains(p)).collect(),
         };
-        let first = (item % chunks) * GENERATE_CHUNK;
-        let mut tagged: Queue = Vec::new();
-        let mut buf: Vec<GeneratedCase> = Vec::new();
-        for (si, seed) in seeds.iter().enumerate().skip(first).take(GENERATE_CHUNK) {
-            patterns::apply_salted(pattern, seed, ctx, cap, si, &mut buf);
-            tagged.extend(buf.drain(..).map(|case| (case, si)));
-        }
-        (tagged, t0.elapsed())
-    });
-    let mut parts = parts.into_iter();
-    active
-        .iter()
-        .map(|_| {
-            let mut queue: Queue = Vec::new();
-            let mut spent = Duration::ZERO;
-            for (part, d) in parts.by_ref().take(chunks) {
-                queue.extend(part);
-                spent += d;
+        let n = active.len();
+        let generator = Generator {
+            seeds: &collection.seeds,
+            ctx,
+            per_seed_cap: config.per_seed_cap,
+            workers: workers.max(1),
+            active,
+            queues: vec![Vec::new(); n],
+            pattern_of: (0..n).collect(),
+            next_chunk: vec![0; n],
+            latency: vec![Duration::ZERO; n],
+        };
+        let mut plan = Plan {
+            cases: Vec::new(),
+            generated_per_pattern: Vec::new(),
+            seed_functions: collection
+                .seeds
+                .iter()
+                .map(|s| {
+                    let roots = soft_parser::visit::collect_function_exprs(s);
+                    roots.first().map(|f| Arc::from(f.name.as_str()))
+                })
+                .collect(),
+            generate_latency: Vec::new(),
+            executed: 0,
+            shards: 0,
+        };
+        let mut seen: HashSet<String> = HashSet::new();
+        for (si, stmt) in collection.seeds.iter().enumerate() {
+            if plan.cases.len() >= config.max_statements {
+                break;
             }
-            (queue, spent)
-        })
-        .unzip()
+            let sql = stmt.to_string();
+            if seen.insert(sql.clone()) {
+                plan.cases.push(PlannedCase { sql, pattern: None, seed: si });
+            }
+        }
+        (plan, seen, generator)
+    }
+
+    fn chunks(&self) -> usize {
+        self.seeds.len().div_ceil(GENERATE_CHUNK)
+    }
+
+    /// Case `i` of queue `a`, `None` once the queue is exhausted. When `i`
+    /// runs past the cases that exist, generates more in one wave: the
+    /// first request opens chunk 0 of every queue, a later one the next
+    /// `workers` chunks of queue `a`, until case `i` exists or the queue's
+    /// seeds run out.
+    fn case(&mut self, a: usize, i: usize) -> Option<&(GeneratedCase, usize)> {
+        while i >= self.queues[a].len() && self.next_chunk[a] < self.chunks() {
+            let items: Vec<(usize, usize)> = if self.next_chunk.iter().all(|&c| c == 0) {
+                (0..self.queues.len()).map(|q| (q, 0)).collect()
+            } else {
+                let first = self.next_chunk[a];
+                (first..self.chunks()).take(self.workers).map(|c| (a, c)).collect()
+            };
+            self.open(&items);
+        }
+        self.queues[a].get(i)
+    }
+
+    /// Generates every unopened chunk of every queue in one wave.
+    fn drain(&mut self) {
+        let items: Vec<(usize, usize)> = (0..self.queues.len())
+            .flat_map(|q| (self.next_chunk[q]..self.chunks()).map(move |c| (q, c)))
+            .collect();
+        self.open(&items);
+    }
+
+    /// Generates the (queue, seed chunk) `items` on worker threads and
+    /// appends each chunk to its queue. The items of one queue must be its
+    /// next chunks in order; `par_map` returns them in that order.
+    fn open(&mut self, items: &[(usize, usize)]) {
+        let parts = par_map(items.len(), self.workers, |k| {
+            let (q, chunk) = items[k];
+            let t0 = Instant::now();
+            let pattern = self.active[self.pattern_of[q]];
+            // The cross-function patterns need wider per-seed budgets: their
+            // search space is (seed × donor), not (seed × pool).
+            let cap = match pattern {
+                PatternId::P3_3 => self.per_seed_cap.max(640),
+                PatternId::P2_3 => self.per_seed_cap.max(128),
+                _ => self.per_seed_cap,
+            };
+            let first = chunk * GENERATE_CHUNK;
+            let mut tagged: Queue = Vec::new();
+            let mut buf: Vec<GeneratedCase> = Vec::new();
+            for (si, seed) in self.seeds.iter().enumerate().skip(first).take(GENERATE_CHUNK) {
+                patterns::apply_salted(pattern, seed, self.ctx, cap, si, &mut buf);
+                tagged.extend(buf.drain(..).map(|case| (case, si)));
+            }
+            (tagged, t0.elapsed())
+        });
+        for (&(q, chunk), (part, spent)) in items.iter().zip(parts) {
+            self.queues[q].extend(part);
+            self.latency[self.pattern_of[q]] += spent;
+            self.next_chunk[q] = chunk + 1;
+        }
+    }
+
+    /// Cases generated so far, over every queue.
+    fn generated(&self) -> usize {
+        self.queues.iter().map(Vec::len).sum()
+    }
+
+    /// The scheduler's arm partition: drains every pattern's queue, then
+    /// regroups the cases into one queue per (pattern, category of the
+    /// seed's root function) arm. Arms are ordered by (pattern position,
+    /// category), which refines the static planner's pattern order, and
+    /// each arm's queue keeps generation order. Returns the arms in queue
+    /// order.
+    fn regroup(&mut self, seed_categories: &[FunctionCategory]) -> Vec<ArmId> {
+        self.drain();
+        let mut by_arm: BTreeMap<(usize, FunctionCategory), Queue> = BTreeMap::new();
+        for (q, cases) in std::mem::take(&mut self.queues).into_iter().enumerate() {
+            let pi = self.pattern_of[q];
+            for (case, seed) in cases {
+                let category =
+                    seed_categories.get(seed).copied().unwrap_or(FunctionCategory::System);
+                by_arm.entry((pi, category)).or_default().push((case, seed));
+            }
+        }
+        let arms = by_arm
+            .keys()
+            .map(|&(pi, category)| ArmId { pattern: self.active[pi], category })
+            .collect();
+        self.pattern_of = by_arm.keys().map(|&(pi, _)| pi).collect();
+        self.next_chunk = vec![self.chunks(); by_arm.len()];
+        self.queues = by_arm.into_values().collect();
+        arms
+    }
+
+    /// Closes generation into the plan once planning is over: the cases
+    /// the planner drew from each active pattern's queues (`cursors`, the
+    /// queues' cursors: planned plus skipped duplicates, never what was
+    /// generated ahead of them), and each pattern's generation time.
+    fn close(self, cursors: &[usize], plan: &mut Plan) {
+        let mut drawn = vec![0usize; self.active.len()];
+        for (&pi, &cursor) in self.pattern_of.iter().zip(cursors) {
+            drawn[pi] += cursor;
+        }
+        plan.generated_per_pattern = self.active.into_iter().zip(drawn).collect();
+        plan.generate_latency = self.latency;
+    }
 }
 
 /// Maps `f` over `0..n` on up to `workers` threads, which take indices from
@@ -1560,16 +1676,28 @@ mod tests {
     use super::*;
     use soft_dialects::DialectId;
 
-    /// FNV-1a over a queue's SQL stream, each statement newline-terminated.
-    fn sql_stream_hash(queue: &Queue) -> u64 {
+    /// FNV-1a over a SQL stream, each statement newline-terminated.
+    fn sql_stream_hash<'a>(stream: impl IntoIterator<Item = &'a String>) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (case, _) in queue {
-            for b in case.sql.bytes().chain(std::iter::once(b'\n')) {
+        for sql in stream {
+            for b in sql.bytes().chain(std::iter::once(b'\n')) {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
         h
+    }
+
+    /// Every queue of a drained generator, at `workers` workers.
+    fn drained(
+        collection: &Collection,
+        ctx: &GenCtx,
+        config: &CampaignConfig,
+        workers: usize,
+    ) -> Vec<Queue> {
+        let (_, _, mut generator) = Generator::seed_and_generate(collection, ctx, config, workers);
+        generator.drain();
+        generator.queues
     }
 
     /// Generation is pinned byte for byte: every pattern's queue matches the
@@ -1617,18 +1745,63 @@ mod tests {
             let profile = DialectProfile::build(id);
             let collection = collect::collect(&profile);
             let ctx = GenCtx::new(&collection);
-            let (serial, _) = generate_cases(&collection, &ctx, &cfg, &PATTERN_ORDER, 1);
+            let serial = drained(&collection, &ctx, &cfg, 1);
             let expected = PATTERN_ORDER.iter().zip(&serial).zip(pinned);
             for ((pattern, queue), (cases, hash)) in expected {
                 assert_eq!(queue.len(), cases, "{id:?} {pattern}: case count moved");
-                assert_eq!(sql_stream_hash(queue), hash, "{id:?} {pattern}: SQL stream moved");
+                let stream = queue.iter().map(|(case, _)| &case.sql);
+                assert_eq!(sql_stream_hash(stream), hash, "{id:?} {pattern}: SQL stream moved");
             }
-            let (parallel, _) = generate_cases(&collection, &ctx, &cfg, &PATTERN_ORDER, 3);
+            let parallel = drained(&collection, &ctx, &cfg, 3);
             assert!(serial == parallel, "{id:?}: worker count changed the queues");
-            let (_, _, one) = seed_and_generate(&collection, &ctx, &single, 1, &mut None);
-            let (_, _, three) = seed_and_generate(&collection, &ctx, &single, 3, &mut None);
+            let one = drained(&collection, &ctx, &single, 1);
+            let three = drained(&collection, &ctx, &single, 3);
             assert!(one == three, "{id:?}: worker count changed the P3.3-only queue");
             assert!(one[..] == serial[9..], "{id:?}: the P3.3-only queue differs from P3.3's");
+        }
+    }
+
+    /// On-demand generation leaves the static plan byte-identical: at
+    /// default caps, `plan_static`'s SQL stream matches the length and
+    /// FNV-1a hash recorded from the eager generator it replaced, at 1 and
+    /// 3 workers, and so do the reported per-pattern counts. A smaller
+    /// budget plans a prefix of a larger one's stream, which the compare
+    /// smoke in `scripts/verify.sh` relies on, and a budget the seed phase
+    /// fills generates nothing.
+    #[test]
+    fn on_demand_plans_are_pinned_and_worker_invariant() {
+        const PINNED: [(DialectId, usize, u64); 4] = [
+            (DialectId::Clickhouse, 3_000, 0x6743_0b4d_6157_cbd6),
+            (DialectId::Clickhouse, 60_000, 0x3e67_edba_ec34_a344),
+            (DialectId::Mariadb, 3_000, 0xd8de_b532_bf53_ec14),
+            (DialectId::Mariadb, 60_000, 0x0c03_303d_cc5d_2547),
+        ];
+        for (id, budget, hash) in PINNED {
+            let profile = DialectProfile::build(id);
+            let collection = collect::collect(&profile);
+            let ctx = GenCtx::new(&collection);
+            let cfg = CampaignConfig { max_statements: budget, ..CampaignConfig::default() };
+            let one = plan_static(&collection, &ctx, &cfg, 1, &mut None);
+            let three = plan_static(&collection, &ctx, &cfg, 3, &mut None);
+            for plan in [&one, &three] {
+                let stream = plan.cases.iter().map(|case| &case.sql);
+                assert_eq!(plan.cases.len(), budget, "{id:?} at {budget}: plan length moved");
+                assert_eq!(sql_stream_hash(stream), hash, "{id:?} at {budget}: stream moved");
+            }
+            assert_eq!(
+                one.generated_per_pattern, three.generated_per_pattern,
+                "{id:?} at {budget}: worker count changed the drawn counts"
+            );
+            if budget == 3_000 {
+                let half = CampaignConfig { max_statements: budget / 2, ..cfg.clone() };
+                let prefix = plan_static(&collection, &ctx, &half, 3, &mut None);
+                let head = one.cases[..budget / 2].iter().map(|c| &c.sql);
+                assert!(prefix.cases.iter().map(|c| &c.sql).eq(head), "{id:?}: not a prefix");
+                let seeds_only = CampaignConfig { max_statements: 10, ..cfg };
+                let plan = plan_static(&collection, &ctx, &seeds_only, 3, &mut None);
+                assert!(plan.cases.iter().all(|c| c.pattern.is_none()));
+                assert!(plan.generate_latency.iter().all(Duration::is_zero), "{id:?}: generated");
+            }
         }
     }
 

@@ -120,9 +120,12 @@ pub struct CampaignReport {
     pub functions_triggered: usize,
     /// Branches covered in the function component (Table 6 metric).
     pub branches_covered: usize,
-    /// Cases generated per pattern before dedup/budgeting, in application
-    /// order — empty for non-pattern generators ([`run_generator`] runs).
-    /// Guards against a pattern silently dropping out of the campaign.
+    /// Cases the planner drew from each pattern's queues, in application
+    /// order: the cases it planned plus those it skipped as duplicates of
+    /// statements already planned. Cases generated ahead of the planner are
+    /// not counted, so the count is the same at any worker count. Empty for
+    /// non-pattern generators ([`run_generator`] runs). Guards against a
+    /// pattern silently dropping out of the campaign.
     ///
     /// [`run_generator`]: crate::campaign::run_generator
     pub generated_per_pattern: Vec<(PatternId, usize)>,

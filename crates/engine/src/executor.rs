@@ -1240,6 +1240,10 @@ pub(crate) fn between_result(v: &Value, lo: &Value, hi: &Value, negated: bool) -
 
 /// Parses a numeric literal, preferring exact representations:
 /// integer → decimal → float (for digit counts beyond the decimal cap).
+///
+/// The cap counts stored digits, scale included, so an exponent form such
+/// as `1e-400000000` (one digit, scale 400,000,000) is a double too — the
+/// limit the cast path enforces, applied where the literal becomes a value.
 pub fn number_literal_value(raw: &str) -> Value {
     let plain_int = !raw.contains('.') && !raw.contains('e') && !raw.contains('E');
     if plain_int {
@@ -1248,17 +1252,9 @@ pub fn number_literal_value(raw: &str) -> Value {
         }
     }
     match raw.parse::<Decimal>() {
-        Ok(d) => {
-            if plain_int && d.total_digits() <= 18 {
-                // Small ints always parse above; this keeps scale-0 parses
-                // consistent if i64 parsing failed for format reasons.
-                Value::Decimal(d)
-            } else {
-                Value::Decimal(d)
-            }
-        }
+        Ok(d) if d.total_digits() <= soft_types::decimal::MAX_DIGITS => Value::Decimal(d),
         // Beyond MAX_DIGITS the studied DBMSs fall back to doubles.
-        Err(_) => Value::Float(soft_types::value::parse_numeric_prefix(raw)),
+        _ => Value::Float(soft_types::value::parse_numeric_prefix(raw)),
     }
 }
 

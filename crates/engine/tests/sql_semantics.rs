@@ -218,3 +218,29 @@ fn select_star_expansion() {
         ExecOutcome::Error(SqlError::Semantic(_))
     ));
 }
+
+/// A numeric literal stays an exact decimal only within the decimal digit
+/// cap, its scale counted: `1e-40` is the 40-digit decimal, while an
+/// exponent form past the cap is a double, as a digit string past it
+/// already was. An uncapped scale renders one digit per unit of exponent,
+/// so a large enough exponent exhausts memory and aborts the process.
+#[test]
+fn exponent_literals_past_the_digit_cap_are_doubles() {
+    let mut e = engine();
+    let tiny = format!("0.{}1", "0".repeat(39));
+    assert_eq!(rows(&mut e, "SELECT 1e-40"), vec![vec![tiny]]);
+    assert!(matches!(
+        e.execute("SELECT 1e-40"),
+        ExecOutcome::Rows(rs) if matches!(rs.rows[0][0], Value::Decimal(_))
+    ));
+    for sql in ["SELECT 1e-100000", "SELECT 771e-100000"] {
+        match e.execute(sql) {
+            ExecOutcome::Rows(rs) => {
+                assert!(matches!(rs.rows[0][0], Value::Float(_)), "{sql}: {:?}", rs.rows[0][0])
+            }
+            other => panic!("{sql}: {other:?}"),
+        }
+    }
+    let len = rows(&mut e, "SELECT LENGTH(CAST(1e-100000 AS CHAR))");
+    assert_eq!(len, vec![vec!["1".to_string()]]);
+}

@@ -11,6 +11,10 @@
 //! {"type": "stmt", "index": 1, "shard": 0, "seed": 0, ...}
 //! {"type": "coverage", "statements": 500, "functions": 120, "branches": 900}
 //! ```
+//!
+//! A `generated` record's `cases` counts what the planner drew from that
+//! pattern's queues: the cases it planned plus those it skipped as
+//! duplicates. Cases generated ahead of the planner are not counted.
 
 use crate::curve::CoveragePoint;
 use crate::event::{OutcomeClass, StatementEvent};
@@ -99,7 +103,8 @@ pub struct TraceFile {
     pub statements: Option<usize>,
     /// Coverage snapshot interval, from the header.
     pub snapshot_interval: Option<usize>,
-    /// Pre-dedup per-pattern generation counts.
+    /// Per-pattern counts of the cases the planner drew, planned or
+    /// skipped as duplicates (`generated` records).
     pub generated: Vec<(PatternId, usize)>,
     /// The event journal, in global statement order.
     pub journal: Journal,

@@ -15,7 +15,9 @@ use std::fmt::Write as _;
 /// Yield counters for one generation pattern.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatternYield {
-    /// Cases the pattern generated before global dedup and budgeting.
+    /// Cases the planner drew from the pattern's queues: the ones it
+    /// planned plus the ones it skipped as duplicates. Cases generated
+    /// ahead of the planner are not counted.
     pub generated: usize,
     /// Statements of this pattern the campaign actually executed.
     pub executed: usize,
@@ -60,7 +62,8 @@ pub struct YieldMetrics {
 impl YieldMetrics {
     /// Folds a globally ordered event stream into yield counters.
     ///
-    /// `generated` is the campaign's pre-dedup per-pattern generation count
+    /// `generated` is the campaign's per-pattern count of cases the planner
+    /// drew, planned or skipped as duplicates
     /// (`CampaignReport::generated_per_pattern`); `resolve` maps a function
     /// name to its category (usually `FunctionRegistry::resolve` composed
     /// with `|d| d.category`) and may return `None` for unknown names.

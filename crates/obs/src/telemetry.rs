@@ -104,8 +104,9 @@ pub struct CampaignTelemetry {
     pub yields: YieldMetrics,
     /// Coverage-growth and unique-bug-growth series.
     pub curves: GrowthCurves,
-    /// Pre-dedup per-pattern generation counts (duplicated from the report
-    /// so a journal file is self-contained).
+    /// Per-pattern counts of the cases the planner drew, planned or
+    /// skipped as duplicates (duplicated from the report's
+    /// `generated_per_pattern` so a journal file is self-contained).
     pub generated: Vec<(PatternId, usize)>,
     /// The snapshot interval the curves were sampled at.
     pub snapshot_interval: usize,

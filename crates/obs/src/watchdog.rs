@@ -13,11 +13,16 @@
 //! land in a [`WatchdogReport`] carried on `CampaignRun` *next to* (not
 //! inside) `CampaignReport` equality, alongside the wall-clock shard
 //! timings.
+//!
+//! Between polls the watchdog thread parks until the next poll is due. The
+//! campaign runner raises the stop flag and then unparks the thread, so
+//! the watchdog returns as soon as the last shard is done instead of
+//! holding the campaign until its current wait runs out.
 
 use crate::live::{LiveMetrics, ShardState};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Watchdog tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,23 +122,24 @@ pub fn classify_slow_shards(timings: &[(usize, usize, u128)]) -> Vec<SlowShard> 
 /// Runs the watchdog loop until `stop` is raised: polls the heartbeat table
 /// every `cfg.poll_interval`, recording the worst stall observed per shard.
 /// Designed to run on its own thread inside the campaign's scope; returns
-/// the report for the runner to attach to `CampaignRun`.
+/// the report for the runner to attach to `CampaignRun`. Between polls the
+/// thread parks, so whoever raises `stop` should then unpark it
+/// ([`std::thread::Thread::unpark`]); without the unpark, `run` still
+/// returns, at the next poll deadline.
 pub fn run(metrics: &LiveMetrics, stop: &AtomicBool, cfg: WatchdogConfig) -> WatchdogReport {
     let mut worst: BTreeMap<usize, StallEvent> = BTreeMap::new();
     let mut polls = 0u64;
     let stall_ms = cfg.stall_after.as_millis() as u64;
+    let mut next_poll = Instant::now() + cfg.poll_interval;
     while !stop.load(Ordering::Acquire) {
-        // Sleep in small slices so shutdown stays responsive even with a
-        // long poll interval.
-        let mut slept = Duration::ZERO;
-        while slept < cfg.poll_interval && !stop.load(Ordering::Acquire) {
-            let slice = Duration::from_millis(25).min(cfg.poll_interval - slept);
-            std::thread::sleep(slice);
-            slept += slice;
+        // Park until the poll is due. An unpark (shutdown) or a spurious
+        // wakeup lands back here, re-checking the flag and the deadline.
+        let now = Instant::now();
+        if now < next_poll {
+            std::thread::park_timeout(next_poll - now);
+            continue;
         }
-        if stop.load(Ordering::Acquire) {
-            break;
-        }
+        next_poll = now + cfg.poll_interval;
         polls += 1;
         let now_ms = metrics.elapsed_ms();
         for (shard, beat) in metrics.beats().iter().enumerate() {
@@ -224,6 +230,32 @@ mod tests {
             events.iter().any(|l| l.contains("\"type\": \"stall\"")),
             "stall event missing from live log: {events:?}"
         );
+    }
+
+    /// Shutdown does not wait out the poll interval: with a minute between
+    /// polls, raising `stop` and unparking the thread returns at once.
+    #[test]
+    fn stop_and_unpark_return_before_the_next_poll() {
+        let metrics = LiveMetrics::new();
+        metrics.begin_campaign("DuckDB", 1, 1);
+        let stop = AtomicBool::new(false);
+        let cfg = WatchdogConfig {
+            poll_interval: Duration::from_secs(60),
+            stall_after: Duration::from_secs(60),
+        };
+        let (report, waited) = std::thread::scope(|scope| {
+            let watchdog = scope.spawn(|| run(&metrics, &stop, cfg));
+            // Give the watchdog time to park, so the unpark wakes a parked
+            // thread; a stop raised before it parks passes too.
+            std::thread::sleep(Duration::from_millis(50));
+            let stopped = Instant::now();
+            stop.store(true, Ordering::Release);
+            watchdog.thread().unpark();
+            let report = watchdog.join().expect("watchdog thread");
+            (report, stopped.elapsed())
+        });
+        assert!(waited < Duration::from_secs(1), "shutdown waited {waited:?}");
+        assert_eq!(report.polls, 0);
     }
 
     #[test]

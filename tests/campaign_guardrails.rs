@@ -1,7 +1,8 @@
-//! Guardrails for the campaign spine: one planner, one cut → execute step
-//! whose shards prepare what they run, one execution path per shard, one
-//! constructor per finding kind, and two campaign entry points. The tests
-//! read the source itself, so a removed path cannot quietly come back.
+//! Guardrails for the campaign spine: one on-demand case generator, one
+//! planner, one cut → execute step whose shards prepare what they run, one
+//! execution path per shard, one constructor per finding kind, and two
+//! campaign entry points. The tests read the source itself, so a removed
+//! path cannot quietly come back.
 
 const CAMPAIGN: &str = include_str!("../crates/core/src/campaign.rs");
 const CORE_LIB: &str = include_str!("../crates/core/src/lib.rs");
@@ -38,6 +39,19 @@ fn one_planner_with_one_interleave() {
     let cursor_advances =
         code.lines().filter(|l| l.contains("cursors[") && l.contains("+= 1")).count();
     assert_eq!(cursor_advances, 1, "a second round-robin loop appeared");
+}
+
+#[test]
+fn one_on_demand_generator() {
+    let code = campaign_code();
+    // The generator's work item is the only place that applies a pattern,
+    // so no eager pass can generate cases beside it.
+    assert_eq!(
+        code.matches("patterns::apply_salted(").count(),
+        1,
+        "a second pattern-application site appeared"
+    );
+    assert!(!code.contains("fn generate_cases("), "the eager generation pass is back");
 }
 
 #[test]

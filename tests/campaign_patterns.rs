@@ -10,9 +10,9 @@ use soft_repro::engine::fault::PatternId;
 use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
 
 fn config() -> CampaignConfig {
-    // Small statement budget: generation (what these tests observe) runs for
-    // every active pattern before budgeting, so the budget only bounds the
-    // execution phase.
+    // Small statement budget: generation (what these tests observe) runs on
+    // demand, and the round-robin draws from every active pattern long
+    // before 4,000 statements, so each pattern reports a non-zero count.
     CampaignConfig { max_statements: 4_000, per_seed_cap: 8, ..CampaignConfig::default() }
 }
 
