@@ -149,10 +149,11 @@ pub struct CampaignConfig {
     /// campaign semantics; the journal path is not (it only adds a sink).
     pub telemetry: TelemetryConfig,
     /// Wrong-result detection knob (default [`OracleConfig::Off`]). When on,
-    /// the multi-form oracle re-executes every planned statement through its
-    /// equivalent forms, and the pivot / differential oracles run once after
-    /// the planned stream as a synthetic trailing shard. All oracle checks
-    /// are pure functions of the prepared template and the statement, so the
+    /// the multi-form oracle compares every planned statement that has
+    /// literals to unfold with its literal-unfolded form, and the pivot /
+    /// differential oracles run once after the planned stream as a
+    /// synthetic trailing shard. All oracle checks are pure functions of
+    /// the prepared template and the statement, so the
     /// worker-count-invariance guarantee holds with oracles on.
     pub oracles: OracleConfig,
     /// Has no effect: every shard executes its statements one by one with
@@ -1501,7 +1502,7 @@ impl Campaign<'_> {
                 sink.record_since("execute", start, None);
             }
             // The multi-form oracle inspects every statement the crash plane
-            // passed on. It re-executes the statement's forms on private clones
+            // passed on. It executes the statement's forms on private clones
             // of the *template* (never this shard's engine), so the verdict is
             // a pure function of (template, statement) — shard state and worker
             // count cannot change it. A shape-keyed statement reads neither

@@ -120,7 +120,8 @@ pub fn replay_bundle(bundle: &Bundle) -> Result<(), String> {
 }
 
 /// Replays a wrong-result bundle through the oracle family its `oracle`
-/// label names and checks the finding still reproduces.
+/// label names and checks the finding still reproduces. A multi-form PoC is
+/// parsed and its statement judged, as the campaign judged it.
 fn replay_logic(profile: &DialectProfile, bundle: &Bundle) -> Result<(), String> {
     let oracle_label = bundle.oracle.as_deref().unwrap_or("");
     let kind = OracleKind::from_label(oracle_label).ok_or_else(|| {

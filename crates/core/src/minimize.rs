@@ -11,14 +11,15 @@
 //! 3. unwrap nested function calls and casts,
 //! 4. shorten long string literals and digit runs.
 //!
-//! Every accepted reduction is validated twice: once on the mutated AST
-//! (the fast path) and once on its *rendering*, re-entered through the
-//! string path. The minimised PoC is shipped as text — `repro replay`
+//! Every accepted crash reduction is validated twice: once on the mutated
+//! AST (the fast path) and once on its *rendering*, re-entered through the
+//! string path. A wrong-result reduction is judged on its rendering
+//! re-parsed. The minimised PoC is shipped as text — `repro replay`
 //! re-parses it — so a candidate whose rendering drifts from its AST
 //! (however the renderer evolves) must not be accepted on AST evidence
 //! alone.
 
-use crate::oracle::{self, LogicBug};
+use crate::oracle;
 use soft_engine::{Engine, ExecOutcome};
 use soft_parser::ast::{Expr, Literal, SelectItem, Statement};
 use soft_parser::visit;
@@ -101,8 +102,8 @@ pub fn minimize(poc: &str, mut make_engine: impl FnMut() -> Engine) -> String {
 /// Minimises a wrong-result PoC flagged by the multi-form oracle,
 /// preserving the oracle's verdict: a reduction is accepted only while
 /// [`oracle::multi_form_check`], run on the candidate's *rendering*
-/// re-parsed through the string path, still reports a divergence. Inputs
-/// the oracle does not currently flag come back unchanged.
+/// re-parsed, still reports a divergence. Inputs the oracle does not
+/// currently flag come back unchanged.
 ///
 /// `make_engine` must produce the campaign's template engine (seed state
 /// loaded); the oracle clones it per form, so one template serves the whole
@@ -112,10 +113,9 @@ pub fn minimize_logic(poc: &str, mut make_engine: impl FnMut() -> Engine) -> Str
         return poc.to_string();
     };
     let template = make_engine();
-    let flags = |sql: &str, stmt: &Statement| -> Option<LogicBug> {
-        oracle::multi_form_check(&template, sql, stmt)
-    };
-    if flags(poc, &stmt).is_none() {
+    // The oracle judges the parsed statement; its SQL-text argument is unused.
+    let flags = |stmt: &Statement| oracle::multi_form_check(&template, "", stmt).is_some();
+    if !flags(&stmt) {
         return poc.to_string();
     }
     let mut best = stmt;
@@ -130,12 +130,12 @@ pub fn minimize_logic(poc: &str, mut make_engine: impl FnMut() -> Engine) -> Str
             if rendered.len() >= best_len {
                 continue;
             }
-            // Judge the rendering re-parsed through the string path — the
-            // same text `repro replay` will feed the oracle.
+            // Judge the rendering re-parsed — the statement `repro replay`
+            // will feed the oracle.
             let Ok(reparsed) = soft_parser::parse_statement(&rendered) else {
                 continue;
             };
-            if flags(&rendered, &reparsed).is_some() {
+            if flags(&reparsed) {
                 best_len = rendered.len();
                 best = candidate;
                 changed = true;

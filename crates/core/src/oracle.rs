@@ -8,11 +8,11 @@
 //! so campaign results stay byte-identical across worker counts:
 //!
 //! * **Multi-form execution** ([`multi_form_check`]) — executes one
-//!   statement through semantically equivalent forms (prepared AST vs. the
-//!   string path, and a literal-unfolded variant that rewrites `f(42)` to
-//!   `f(42 + 0)`), and flags any divergence in outcome or result. Folding a
-//!   literal through an operator flips its provenance, so quirks gated on
-//!   [`soft_engine::ProvPred::IsLiteral`] stop firing and betray themselves.
+//!   statement as parsed and as a literal-unfolded variant that rewrites
+//!   `f(42)` to `f(42 + 0)`, and flags any divergence in outcome or result.
+//!   Folding a literal through an operator flips its provenance, so quirks
+//!   gated on [`soft_engine::ProvPred::IsLiteral`] stop firing and betray
+//!   themselves.
 //! * **PQS-style pivot probes** ([`pivot_check`]) — picks a *pivot* row
 //!   from the shared seed tables and synthesises a boundary-function
 //!   predicate that provably selects it; a result set missing the pivot is
@@ -37,7 +37,7 @@ use soft_parser::visit;
 pub enum OracleKind {
     /// PQS-style pivot containment probe.
     Pivot,
-    /// Multi-form (prepared / string / literal-unfolded) execution.
+    /// Multi-form (as-parsed / literal-unfolded) execution.
     MultiForm,
     /// Cross-dialect differential against fault-free peers.
     Differential,
@@ -117,11 +117,9 @@ fn signature(outcome: &ExecOutcome) -> Option<String> {
             Some(format!("rows: {}", rows.join("; ")))
         }
         ExecOutcome::Ok(_) => Some("ok".to_string()),
-        // All resource kills are one class (limits are legitimately
-        // form-sensitive: the string path has a length gate the prepared
-        // path does not), and all ordinary errors are one class (error
-        // *messages* may mention the literal spelling the unfolding
-        // changed).
+        // All resource kills are one class, and all ordinary errors are one
+        // class: their *messages* may mention the literal spelling the
+        // unfolding changed.
         ExecOutcome::Error(SqlError::ResourceLimit(_)) => Some("resource-limit".to_string()),
         ExecOutcome::Error(_) => Some("error".to_string()),
         ExecOutcome::Crash(_) => None,
@@ -133,18 +131,21 @@ fn signature(outcome: &ExecOutcome) -> Option<String> {
 /// tables loaded, no statements from other cases executed); every form runs
 /// on a private clone, so the check is free of cross-case state.
 ///
-/// Form A (the reference) executes the prepared AST — the campaign's normal
-/// hot path. Form B re-enters through the string path (`Engine::execute`),
-/// which re-lexes and re-parses `sql`. Form C, when literal unfolding
-/// finds anything to rewrite, executes `f(42 + 0)` in place of `f(42)` —
-/// same value, different provenance. Any form crashing returns `None`.
-pub fn multi_form_check(template: &Engine, sql: &str, stmt: &Statement) -> Option<LogicBug> {
-    let reference = {
-        let mut engine = template.clone();
-        let prepared = engine.prepare_parsed(stmt.clone());
-        engine.execute_prepared(&prepared)
-    };
-    multi_form_check_with(template, sql, stmt, &reference)
+/// Form A (the reference) executes `stmt` as parsed. Form C executes its
+/// literal-unfolded rewrite, `f(42 + 0)` in place of `f(42)` — same value,
+/// different provenance. A statement with nothing to unfold, or one calling
+/// a function whose documented result depends on provenance (MySQL's
+/// `COERCIBILITY`), has no form C, and the check returns `None` without
+/// executing anything. Either form crashing returns `None`.
+///
+/// `_sql` is unused: the benchmark's serial replay passes the statement's
+/// text, and the parameter goes when that replay does.
+pub fn multi_form_check(template: &Engine, _sql: &str, stmt: &Statement) -> Option<LogicBug> {
+    let unfolded = unfolded_form(stmt)?;
+    let mut engine = template.clone();
+    let prepared = engine.prepare_parsed(stmt.clone());
+    let reference = engine.execute_prepared(&prepared);
+    compare_unfolded(template, unfolded, &reference)
 }
 
 /// [`multi_form_check`] with form A's outcome supplied by the caller, so
@@ -155,40 +156,28 @@ pub fn multi_form_check(template: &Engine, sql: &str, stmt: &Statement) -> Optio
 /// shape-keyed statements read neither tables nor mutable session state,
 /// so the outcome the shard engine produced is exactly what a private
 /// template clone would produce — the purity contract [`multi_form_check`]
-/// establishes by cloning.
+/// establishes by cloning. `_sql` is unused, as there.
 pub fn multi_form_check_with(
     template: &Engine,
-    sql: &str,
+    _sql: &str,
     stmt: &Statement,
     reference: &ExecOutcome,
 ) -> Option<LogicBug> {
+    compare_unfolded(template, unfolded_form(stmt)?, reference)
+}
+
+/// Executes form C on a template clone and compares it with form A's
+/// outcome.
+fn compare_unfolded(
+    template: &Engine,
+    unfolded: Statement,
+    reference: &ExecOutcome,
+) -> Option<LogicBug> {
     let expected = signature(reference)?;
-
-    let string_form = template.clone().execute(sql);
-    match signature(&string_form) {
-        None => return None,
-        Some(actual) if actual != expected => {
-            return Some(LogicBug { oracle: OracleKind::MultiForm, expected, actual });
-        }
-        Some(_) => {}
-    }
-
-    if provenance_sensitive(stmt) {
-        return None;
-    }
-    if let Some(unfolded) = unfold_literals(stmt) {
-        let mut engine = template.clone();
-        let prepared = engine.prepare_parsed(unfolded);
-        let outcome = engine.execute_prepared(&prepared);
-        match signature(&outcome) {
-            None => return None,
-            Some(actual) if actual != expected => {
-                return Some(LogicBug { oracle: OracleKind::MultiForm, expected, actual });
-            }
-            Some(_) => {}
-        }
-    }
-    None
+    let mut engine = template.clone();
+    let prepared = engine.prepare_parsed(unfolded);
+    let actual = signature(&engine.execute_prepared(&prepared))?;
+    (actual != expected).then_some(LogicBug { oracle: OracleKind::MultiForm, expected, actual })
 }
 
 /// The fault id and credited function for a multi-form finding on `stmt`:
@@ -211,16 +200,20 @@ pub fn multi_form_fault_id(stmt: &Statement) -> (String, Option<String>) {
 /// that call one.
 const PROVENANCE_SENSITIVE: &[&str] = &["coercibility"];
 
-/// Whether the statement calls a function the literal-unfolded form would
+/// Form C of `stmt`: its literal-unfolded rewrite, or `None` when nothing
+/// unfolds or the statement calls a function the rewrite would
 /// legitimately perturb (see [`PROVENANCE_SENSITIVE`]).
-fn provenance_sensitive(stmt: &Statement) -> bool {
-    let mut hit = false;
+fn unfolded_form(stmt: &Statement) -> Option<Statement> {
+    let mut sensitive = false;
     visit::for_each_function_name(stmt, |name| {
         if PROVENANCE_SENSITIVE.iter().any(|f| name.eq_ignore_ascii_case(f)) {
-            hit = true;
+            sensitive = true;
         }
     });
-    hit
+    if sensitive {
+        return None;
+    }
+    unfold_literals(stmt)
 }
 
 /// Rewrites literal arguments of function calls into equivalent operator
@@ -485,6 +478,18 @@ mod tests {
             let stmt = soft_parser::parse_statement(sql).expect("parse");
             assert_eq!(multi_form_check(&t, sql, &stmt), None, "false positive on {sql}");
         }
+    }
+
+    #[test]
+    fn multi_form_is_quiet_past_the_statement_length_gate() {
+        // The engine's 1 MiB statement-length gate guards SQL text, not
+        // parsed statements, so neither form sees it: both count the
+        // literal's 1,048,586 bytes and agree.
+        let p = profile(DialectId::Postgres);
+        let t = template(&p);
+        let sql = format!("SELECT LENGTH('{}')", "x".repeat((1 << 20) + 10));
+        let stmt = soft_parser::parse_statement(&sql).expect("parse");
+        assert_eq!(multi_form_check(&t, &sql, &stmt), None);
     }
 
     #[test]

@@ -244,3 +244,16 @@ fn exponent_literals_past_the_digit_cap_are_doubles() {
     let len = rows(&mut e, "SELECT LENGTH(CAST(1e-100000 AS CHAR))");
     assert_eq!(len, vec![vec!["1".to_string()]]);
 }
+
+/// A positive exponent is counted against the digit cap before any zero is
+/// appended: `1e40000000000000000` is a double without allocating its
+/// digits, and a zero mantissa stays zero whatever its exponent.
+#[test]
+fn positive_exponent_literals_are_bounded() {
+    let mut e = engine();
+    match e.execute("SELECT 1e40000000000000000") {
+        ExecOutcome::Rows(rs) => assert!(matches!(rs.rows[0][0], Value::Float(_)), "{rs:?}"),
+        other => panic!("{other:?}"),
+    }
+    assert_eq!(rows(&mut e, "SELECT 0e300000"), vec![vec!["0".to_string()]]);
+}

@@ -185,10 +185,9 @@ impl Decimal {
 
     fn normalize(&mut self) {
         // Keep at least max(1, scale+1)? No: value 0.05 stores digits [5],
-        // scale 2. Just strip leading zeros down to one digit.
-        while self.digits.len() > 1 && self.digits[0] == 0 {
-            self.digits.remove(0);
-        }
+        // scale 2. Just strip leading zeros down to one digit, in one pass.
+        let leading = self.digits.iter().take_while(|&&d| d == 0).count();
+        self.digits.drain(..leading.min(self.digits.len().saturating_sub(1)));
         if self.digits.is_empty() {
             self.digits.push(0);
         }
@@ -572,12 +571,22 @@ impl FromStr for Decimal {
             return Err(DecimalError::Syntax(s.to_string()));
         }
         // Apply the exponent by adjusting the scale (or appending zeros).
-        let mut scale_i = scale as i64 - exp;
-        if scale_i < 0 {
-            digits.extend(std::iter::repeat(0).take((-scale_i) as usize));
-            scale_i = 0;
+        let scale_i = (scale as i64).checked_sub(exp).ok_or(DecimalError::Overflow)?;
+        if scale_i >= 0 {
+            return Decimal::from_parts(negative, digits, scale_i as usize);
         }
-        Decimal::from_parts(negative, digits, scale_i as usize)
+        // Zeros appended to a zero mantissa leave zero; past MAX_DIGITS
+        // significant digits they overflow, so refuse before allocating.
+        let significant = digits.iter().skip_while(|&&d| d == 0).count();
+        if significant == 0 {
+            return Ok(Decimal::zero());
+        }
+        let zeros = scale_i.unsigned_abs();
+        if (significant as u64).saturating_add(zeros) > MAX_DIGITS as u64 {
+            return Err(DecimalError::Overflow);
+        }
+        digits.extend(std::iter::repeat(0).take(zeros as usize));
+        Decimal::from_parts(negative, digits, 0)
     }
 }
 
@@ -800,6 +809,41 @@ mod tests {
         // Multiplication that exceeds the cap must report overflow.
         let big = d(&"9".repeat(60));
         assert!(matches!(big.checked_mul(&big), Err(DecimalError::Overflow)));
+    }
+
+    #[test]
+    fn positive_exponents_respect_the_digit_cap() {
+        let exact = d("1e80");
+        assert_eq!(exact.total_digits(), MAX_DIGITS);
+        assert_eq!(exact.to_string(), format!("1{}", "0".repeat(80)));
+        assert!(matches!("1e81".parse::<Decimal>(), Err(DecimalError::Overflow)));
+        assert!(matches!("9e999".parse::<Decimal>(), Err(DecimalError::Overflow)));
+        assert!(matches!("1e40000000000000000".parse::<Decimal>(), Err(DecimalError::Overflow)));
+        // An exponent past i64 after scale adjustment overflows cleanly too.
+        assert!(matches!(
+            "1.5e-9223372036854775807".parse::<Decimal>(),
+            Err(DecimalError::Overflow)
+        ));
+        let zero = d("0e400000000");
+        assert!(zero.is_zero());
+        assert_eq!(zero.to_string(), "0");
+        assert_eq!(d("-00.0e5").to_string(), "0");
+    }
+
+    #[test]
+    fn boundary_exponents_parse_in_linear_time() {
+        // Appended zeros are counted before any is allocated and leading
+        // zeros are stripped in one pass, so each input costs its length.
+        let padded = format!("{}1.5", "0".repeat(200_000));
+        for input in ["0e300000", "1e100000000", &padded] {
+            let start = std::time::Instant::now();
+            let _ = input.parse::<Decimal>();
+            let took = start.elapsed();
+            assert!(took < std::time::Duration::from_millis(50), "{input:.12} took {took:?}");
+        }
+        assert!(d("0e300000").is_zero());
+        assert!(matches!("1e100000000".parse::<Decimal>(), Err(DecimalError::Overflow)));
+        assert_eq!(d(&padded).to_string(), "1.5");
     }
 
     #[test]

@@ -78,13 +78,14 @@ rm -rf "$journal" "$csvdir"
 
 echo "verify: oracle smoke (wrong-result detection end to end)"
 oracle_journal="$(mktemp -t soft-oracle-XXXXXX).jsonl"
+oracle_findings="$(mktemp -d -t soft-oracle-findings-XXXXXX)"
 # With the oracles armed, the shipped ClickHouse provenance quirk must be
 # flagged: the run exits 3 (crashes found too at this budget) or 4 (logic
 # findings only), never 0 — and the journal must carry the logic-bug row.
 status=0
 cargo run --release --offline -q -p soft-bench --bin repro -- \
     campaign clickhouse --budget 3000 --oracles --journal "$oracle_journal" \
-    > /dev/null || status=$?
+    --findings "$oracle_findings" > /dev/null || status=$?
 if [ "$status" -ne 3 ] && [ "$status" -ne 4 ]; then
     echo "verify: oracles-on campaign exited $status (expected 3 or 4)" >&2
     exit 1
@@ -92,6 +93,13 @@ fi
 grep -q '"outcome": "logic-bug"' "$oracle_journal"
 grep -q '"fault": "logic-multiform-tostring"' "$oracle_journal"
 rm -f "$oracle_journal"
+# The logic finding's bundle holds the PoC the logic minimiser shrank, and
+# replaying every bundle re-judges it through the multi-form oracle.
+test -s "$oracle_findings/logic-multiform-tostring/poc.sql"
+oracle_replay="$(cargo run --release --offline -q -p soft-bench --bin repro -- \
+    replay "$oracle_findings")"
+printf '%s\n' "$oracle_replay" | grep -q "^replayed"
+rm -rf "$oracle_findings"
 
 echo "verify: forensics smoke (repro bundle + repro replay round trip)"
 findings="$(mktemp -d -t soft-findings-XXXXXX)"

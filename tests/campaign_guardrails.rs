@@ -1,15 +1,23 @@
 //! Guardrails for the campaign spine: one on-demand case generator, one
 //! planner, one cut → execute step whose shards prepare what they run, one
-//! execution path per shard, one constructor per finding kind, and two
-//! campaign entry points. The tests read the source itself, so a removed
-//! path cannot quietly come back.
+//! execution path per shard, one constructor per finding kind, two
+//! campaign entry points, and a multi-form oracle that executes only the
+//! two forms it compares (the statement as parsed and its literal-unfolded
+//! rewrite, never the SQL text again). The tests read the source itself,
+//! so a removed path cannot quietly come back.
 
 const CAMPAIGN: &str = include_str!("../crates/core/src/campaign.rs");
 const CORE_LIB: &str = include_str!("../crates/core/src/lib.rs");
+const ORACLE: &str = include_str!("../crates/core/src/oracle.rs");
+
+/// The part of a source file before its `#[cfg(test)]` module.
+fn non_test(src: &'static str) -> &'static str {
+    src.split("#[cfg(test)]").next().unwrap_or(src)
+}
 
 /// The non-test part of `campaign.rs`.
 fn campaign_code() -> &'static str {
-    CAMPAIGN.split("#[cfg(test)]").next().unwrap_or(CAMPAIGN)
+    non_test(CAMPAIGN)
 }
 
 fn is_ident_char(c: char) -> bool {
@@ -136,4 +144,17 @@ fn soft_core_exports_two_campaign_entry_points() {
         .filter_map(|(i, _)| CAMPAIGN[i + 7..].split('(').next())
         .collect();
     assert_eq!(runners, ["run_soft_parallel", "run_soft_parallel_live", "run_generator"]);
+}
+
+#[test]
+fn multi_form_oracle_executes_only_what_it_compares() {
+    let code = non_test(ORACLE);
+    for name in ["multi_form_check", "multi_form_check_with"] {
+        let start = code.find(&format!("fn {name}(")).expect("the oracle entry point exists");
+        let body = &code[start..];
+        let body = &body[..body.find("\n}\n").unwrap_or(body.len())];
+        assert!(!body.contains(".execute("), "{name} runs the SQL text through Engine::execute");
+    }
+    // Form A's reference and form C: a third form has to answer for itself.
+    assert_eq!(ORACLE.matches("execute_prepared(").count(), 2, "oracle.rs executes a third form");
 }
