@@ -62,7 +62,7 @@ use soft_core::{
     TelemetryOptions,
 };
 use soft_dialects::{all_cases, CaseKind, DialectId, DialectProfile};
-use soft_obs::{Bundle, LiveMetrics, MetricsServer, TraceFile, WatchdogConfig};
+use soft_obs::{Bundle, LiveMetrics, MetricsServer, StageLatency, TraceFile, WatchdogConfig};
 use soft_study::{analysis, studied_bugs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -278,8 +278,9 @@ fn campaign(args: &[String], budget: usize) {
     if !telemetry.epochs.is_empty() {
         println!("{}", soft_bench::trace::render_epochs(&telemetry.epochs));
     }
-    if let Some(latency) = &run.stage_latency {
-        println!("{}", latency.render());
+    // The stage-latency table is a view of the flight recorder's spans.
+    if let Some(spans) = &run.spans {
+        println!("{}", StageLatency::from_spans(spans).render());
     }
     if let Some(path) = &journal_path {
         println!("journal: {} ({} events)", path.display(), telemetry.journal.events.len());

@@ -105,7 +105,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec {
                 flag: "--spans",
                 value: Some("DIR"),
-                summary: "arm the flight recorder and write the Chrome trace-event JSON under DIR",
+                summary: "arm the flight recorder: Chrome trace JSON under DIR, stage latencies printed",
             },
             FlagSpec {
                 flag: "--stall-ms",

@@ -59,8 +59,9 @@
 //! one queue per active pattern, unbounded quotas, the budget as target.
 //! The scheduler plans per epoch: one queue per (pattern × seed-category)
 //! arm, the bandit's quotas. The drivers stay separate because only the
-//! scheduler records epoch reallocations and needs an internal observer,
-//! and only the static driver knows its exact shard count up front.
+//! scheduler records epoch reallocations and scores arms from the shards'
+//! journal events, and only the static driver knows its exact shard count
+//! up front.
 //!
 //! # Generation on demand
 //!
@@ -98,8 +99,19 @@
 //! owns exclusively, the campaign thread records the planning stages
 //! (generate, epoch, oracle, minimize, campaign), and the join merges
 //! everything into a [`SpanTrace`] on [`CampaignRun::spans`] — exportable
-//! as Chrome trace-event JSON for Perfetto. Spans are wall-clock and
-//! therefore live outside report equality, like every other surface here.
+//! as Chrome trace-event JSON for Perfetto. Spans are the campaign's only
+//! wall-clock stage timer: the stage-latency table
+//! ([`soft_obs::StageLatency::from_spans`]) is a view of them. Spans are
+//! wall-clock and therefore live outside report equality, like every other
+//! surface here.
+//!
+//! # One recorder per track
+//!
+//! Each shard, and the campaign thread, records through one `Recorder`.
+//! It classifies each executed statement once, and that one class feeds
+//! the shard's [`ShardStats`] counters, the journal event and its coverage
+//! snapshot, the live registry and the finding dedup. The recorder also
+//! owns the track's span sink.
 
 use crate::collect::{self, Collection};
 use crate::oracle::{self, LogicBug, OracleConfig, OracleKind};
@@ -110,11 +122,11 @@ use soft_dialects::DialectProfile;
 use soft_engine::{
     Coverage, CrashReport, Engine, ExecOutcome, FaultSpec, PatternId, Prepared, SqlError, Stage,
 };
+use soft_obs::live::ShardBeat;
 use soft_obs::span::CAMPAIGN_TRACK;
 use soft_obs::{
     ArmAlloc, EpochRealloc, LiveMetrics, OutcomeClass, ShardTelemetry, SpanRecord, SpanSink,
-    SpanTrace, StageLatency, StatementEvent, TelemetryConfig, TelemetryOptions, WatchdogConfig,
-    WatchdogReport,
+    SpanTrace, StatementEvent, TelemetryConfig, WatchdogConfig, WatchdogReport,
 };
 use soft_parser::ast::Statement;
 use soft_types::category::FunctionCategory;
@@ -122,7 +134,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Campaign configuration.
 #[derive(Debug, Clone)]
@@ -142,10 +154,10 @@ pub struct CampaignConfig {
     pub shard_statements: usize,
     /// Observability knob (default [`TelemetryConfig::Off`], which costs one
     /// branch per statement). When on, the run records the statement-level
-    /// event journal, yield metrics, coverage-growth curves (all
-    /// deterministic, inside [`CampaignReport::telemetry`]) and wall-clock
-    /// stage latencies (outside the report, in
-    /// [`CampaignRun::stage_latency`]). The snapshot interval is part of the
+    /// event journal, yield metrics and coverage-growth curves (all
+    /// deterministic, inside [`CampaignReport::telemetry`]). Wall-clock
+    /// stage latencies come from the flight recorder
+    /// ([`LivePlane::spans`]) instead. The snapshot interval is part of the
     /// campaign semantics; the journal path is not (it only adds a sink).
     pub telemetry: TelemetryConfig,
     /// Wrong-result detection knob (default [`OracleConfig::Off`]). When on,
@@ -244,8 +256,6 @@ struct Plan {
     /// Interned once so the per-event journal clones an `Arc`, not a
     /// `String`.
     seed_functions: Vec<Option<Arc<str>>>,
-    /// Wall-clock generation time per active pattern (telemetry only).
-    generate_latency: Vec<Duration>,
     /// The executed frontier: every case before it has been cut into a
     /// shard and run.
     executed: usize,
@@ -386,18 +396,15 @@ pub struct CampaignRun {
     pub wall_nanos: u128,
     /// Per-shard timings, in shard order.
     pub shard_timings: Vec<ShardTiming>,
-    /// Per-stage wall-clock latency histograms (generate, parse, execute,
-    /// minimize), recorded only when [`CampaignConfig::telemetry`] is on.
-    /// Wall-clock varies run to run, so this lives here — next to
-    /// [`ShardTiming`] — and never inside the comparable [`CampaignReport`].
-    pub stage_latency: Option<StageLatency>,
     /// What the shard watchdog observed (stalled/slow shards), when
     /// [`LivePlane::watchdog`] was configured. Wall-clock, so it lives on
     /// the run, outside report equality.
     pub watchdog: Option<WatchdogReport>,
     /// The flight-recorder trace (hierarchical wall-clock spans, merged
-    /// from the per-shard buffers), when [`LivePlane::spans`] was armed.
-    /// Wall-clock, so it lives on the run, outside report equality.
+    /// from the per-shard buffers), when [`LivePlane::spans`] was armed —
+    /// the campaign's stage timings; [`soft_obs::StageLatency::from_spans`]
+    /// tabulates them. Wall-clock, so it lives on the run, outside report
+    /// equality.
     pub spans: Option<SpanTrace>,
 }
 
@@ -420,7 +427,9 @@ pub struct LivePlane {
     pub watchdog: Option<WatchdogConfig>,
     /// Arm the flight recorder: every shard records wall-clock spans into
     /// a buffer it owns exclusively (no locks, no cross-thread traffic),
-    /// merged at the join into [`CampaignRun::spans`].
+    /// merged at the join into [`CampaignRun::spans`]. Armed spans also
+    /// time the minimisation of every unique finding, which runs for its
+    /// `minimize` spans only.
     pub spans: bool,
 }
 
@@ -456,7 +465,7 @@ pub fn run_soft_parallel(
 }
 
 /// [`run_soft_parallel`] returning the whole [`CampaignRun`] — per-shard
-/// timings and stage latencies beside the report — with the live
+/// timings and the flight-recorder trace beside the report — with the live
 /// observability plane attached: workers feed `live.metrics` wait-free per
 /// statement, and `live.watchdog` (when set) runs a heartbeat-polling
 /// thread whose report lands on [`CampaignRun::watchdog`]. The live plane
@@ -510,29 +519,24 @@ pub fn run_soft_parallel_live(
         .clone()
         .or_else(|| live.watchdog.map(|_| Arc::new(LiveMetrics::new())));
 
-    // When user telemetry is off, the scheduler still needs per-statement
-    // events to score arms — an internal observer with an unreachable
-    // snapshot interval and no journal records them, and the merge drops
-    // them from the report.
-    let internal =
-        TelemetryOptions { snapshot_interval: usize::MAX / 2, journal_path: None };
     let campaign = Campaign {
         profile,
         fault_index: build_fault_index(profile),
         template,
-        telemetry: telemetry_opts.or(schedule.map(|_| &internal)),
+        // The scheduler scores arms from the shards' journal events, so
+        // shards record them when either reads them; the merge drops them
+        // when telemetry is off.
+        journal: telemetry_opts.is_some() || schedule.is_some(),
+        snapshot_interval: telemetry_opts.map(|o| o.snapshot_interval.max(1)),
         oracles: config.oracles.is_on(),
         live: metrics.as_deref(),
         shard_size: config.shard_statements.max(1),
         span_origin: live.spans.then_some(t0),
         workers: n_workers.max(1),
     };
-
-    // The flight recorder: the campaign thread owns track 0 (planning
-    // stages), each shard records onto track `shard + 1` inside its own
-    // outcome buffer. All sinks share `t0` as the time origin.
-    let mut campaign_sink: Option<SpanSink> =
-        live.spans.then(|| SpanSink::new(t0, CAMPAIGN_TRACK));
+    // The campaign thread's recorder: planning stages, epochs, the
+    // campaign-level oracles and minimisation, on track 0.
+    let mut rec = Recorder::new(&campaign, CAMPAIGN_TRACK);
 
     // One scope hosts the watchdog and (via `execute_tail`) the shard
     // workers. The shard work finishes first; only then is the stop flag
@@ -541,7 +545,7 @@ pub fn run_soft_parallel_live(
     // join does not wait out the watchdog's poll interval.
     let stop = AtomicBool::new(false);
     let stop_ref = &stop;
-    let (plan, mut outcomes, epochs, watchdog_report) = std::thread::scope(|scope| {
+    let (plan, outcomes, epochs, watchdog_report) = std::thread::scope(|scope| {
         let watchdog_handle = live.watchdog.map(|cfg| {
             let registry = Arc::clone(metrics.as_ref().expect("watchdog implies a registry"));
             scope.spawn(move || soft_obs::watchdog::run(&registry, stop_ref, cfg))
@@ -551,7 +555,7 @@ pub fn run_soft_parallel_live(
             // reference semantics.
             None => {
                 let mut plan =
-                    plan_static(&collection, &ctx, config, campaign.workers, &mut campaign_sink);
+                    plan_static(&collection, &ctx, config, campaign.workers, &mut rec.spans);
                 if let Some(m) = campaign.live {
                     let shards = plan.cases.len().div_ceil(campaign.shard_size);
                     m.begin_campaign(profile.id.name(), shards, campaign.workers);
@@ -562,7 +566,7 @@ pub fn run_soft_parallel_live(
             // The feedback scheduler: plan-then-execute per epoch, budget
             // reallocated from the deterministic telemetry of prior epochs.
             Some(sched) => {
-                campaign.run_scheduled(&collection, &ctx, config, sched, &mut campaign_sink)
+                campaign.run_scheduled(&collection, &ctx, config, sched, &mut rec.spans)
             }
         };
         stop.store(true, Ordering::Release);
@@ -573,161 +577,103 @@ pub fn run_soft_parallel_live(
         });
         (plan, outcomes, epochs, wd)
     });
-    // Completion order is scheduler-dependent; merge order is not.
-    outcomes.sort_by_key(|o| o.stats.shard);
+    let statements: usize = outcomes.iter().map(|o| o.stats.statements).sum();
+    let template = &campaign.template;
 
-    // Deterministic merge: findings deduplicated by fault id in global
-    // statement order, counters summed, coverage unioned.
-    let mut findings: Vec<BugFinding> = Vec::new();
+    // Campaign-level oracles: the pivot probes and the cross-dialect
+    // differential suite run once, after the planned stream, and their
+    // events land in a synthetic trailing shard, one past the last executed
+    // one, so the journal stays globally ordered. Everything here is a pure
+    // function of (profile, template), so the report stays byte-identical
+    // across worker counts.
+    rec.stats.shard = plan.shards;
+    if campaign.oracles {
+        let start = rec.spans.now();
+        let mut hits = oracle::pivot_check(template);
+        hits.extend(oracle::differential_check(profile));
+        rec.spans.close("oracle", start, Some("pivot + differential".into()));
+        for (k, (fault_id, bug, poc)) in hits.into_iter().enumerate() {
+            rec.oracle_hit(statements + k + 1, fault_id, bug, poc);
+        }
+    }
+
+    // Deterministic merge, in shard order (`execute_tail` returns shards in
+    // order, whatever order they completed in): findings deduplicated by
+    // fault id in global statement order, the campaign-level oracle hits
+    // last; counters summed; coverage unioned.
     let mut found: HashSet<String> = HashSet::new();
+    let mut findings: Vec<BugFinding> = Vec::new();
     let mut coverage = Coverage::new();
     let mut stats: Vec<ShardStats> = Vec::with_capacity(outcomes.len());
     let mut timings: Vec<ShardTiming> = Vec::with_capacity(outcomes.len());
     let mut shard_telemetry: Vec<ShardTelemetry> = Vec::new();
     let mut span_buffers: Vec<Vec<SpanRecord>> = Vec::new();
-    let mut statements = 0usize;
-    let mut false_positives = 0usize;
-    let mut errors = 0usize;
-    for outcome in &mut outcomes {
-        for f in outcome.findings.drain(..) {
-            if found.insert(f.fault_id.clone()) {
-                findings.push(f);
-            }
-        }
-        if !outcome.spans.is_empty() {
-            span_buffers.push(std::mem::take(&mut outcome.spans));
-        }
+    for outcome in outcomes {
+        findings.extend(outcome.findings.into_iter().filter(|f| found.insert(f.fault_id.clone())));
         coverage.merge(&outcome.coverage);
-        statements += outcome.stats.statements;
-        false_positives += outcome.stats.false_positives;
-        errors += outcome.stats.errors;
         timings.push(ShardTiming {
             shard: outcome.stats.shard,
             statements: outcome.stats.statements,
             nanos: outcome.nanos,
         });
-        stats.push(outcome.stats.clone());
-        if let Some(t) = outcome.telemetry.take() {
-            // The scheduler runs an internal observer even when user
-            // telemetry is off (it needs the events to score arms); those
-            // recordings are dropped here so scheduling leaves a
-            // telemetry-off report untouched.
-            if telemetry_opts.is_some() {
-                shard_telemetry.push(t);
+        stats.push(outcome.stats);
+        shard_telemetry.extend(outcome.telemetry);
+        span_buffers.push(outcome.spans);
+    }
+    findings.extend(rec.findings.drain(..).filter(|f| found.insert(f.fault_id.clone())));
+    shard_telemetry.extend(rec.telemetry(Coverage::new()));
+
+    // Telemetry merge: the journal, yields and curves, into the report.
+    let telemetry = telemetry_opts.map(|opts| {
+        let registry = template.registry();
+        let mut merged = soft_obs::telemetry::merge_shards(
+            shard_telemetry,
+            &plan.generated_per_pattern,
+            opts.snapshot_interval.max(1),
+            |name| registry.resolve(name).map(|d| d.category),
+        );
+        // Stamp the scheduler's epoch decisions into the deterministic
+        // surface: they are identical at any worker count, so they sit
+        // inside report equality like everything else merged here.
+        merged.epochs = epochs;
+        if let Some(path) = &opts.journal_path {
+            let trace = merged.to_trace(Some(profile.id.name()), statements);
+            if let Err(e) = std::fs::write(path, trace.to_jsonl()) {
+                eprintln!("soft-obs: could not write journal {}: {e}", path.display());
             }
+        }
+        merged
+    });
+
+    // The minimize stage, timed over the unique findings (the PoCs the
+    // paper's harness would report) only when spans are armed: the
+    // reductions are discarded, so their spans are the pass's only output,
+    // and the reducer only reads cloned engines. Crash PoCs reduce under
+    // the crash signature, multi-form PoCs under the oracle verdict;
+    // pivot/differential PoCs are fixed probe queries — already minimal,
+    // but still one span each so the stage keeps one sample per finding.
+    if rec.spans.is_some() {
+        for f in &findings {
+            let start = rec.spans.now();
+            match &f.kind {
+                FindingKind::Crash(_) => {
+                    let _ = crate::minimize::minimize(&f.poc, || template.clone());
+                }
+                FindingKind::Logic(b) if b.oracle == OracleKind::MultiForm => {
+                    let _ = crate::minimize::minimize_logic(&f.poc, || template.clone());
+                }
+                FindingKind::Logic(_) => {}
+            }
+            rec.spans.close("minimize", start, Some(f.fault_id.clone()));
         }
     }
-
-    // The synthetic trailing shard index for campaign-level oracle events:
-    // one past the last executed shard, whatever decomposition (static or
-    // epoch-scheduled) produced the stream.
-    let total_shards = stats.last().map(|s| s.shard + 1).unwrap_or(0);
-    let template = &campaign.template;
-
-    // Campaign-level oracles: the pivot probes and the cross-dialect
-    // differential suite run once, after the planned stream, and their
-    // events land in the synthetic trailing shard so the journal stays
-    // globally ordered. Everything here is a pure function of (profile,
-    // template), so the report stays byte-identical across worker counts.
-    if campaign.oracles {
-        let oracle_start = campaign_sink.as_ref().map(|s| s.now_ns());
-        let mut hits = oracle::pivot_check(template);
-        hits.extend(oracle::differential_check(profile));
-        if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), oracle_start) {
-            sink.record_since("oracle", start, Some("pivot + differential".into()));
-        }
-        let mut oracle_events: Vec<StatementEvent> = Vec::new();
-        for (k, (fault_id, bug, poc)) in hits.into_iter().enumerate() {
-            let index = statements + k + 1;
-            if telemetry_opts.is_some() {
-                oracle_events.push(StatementEvent {
-                    index,
-                    shard: total_shards,
-                    seed: None,
-                    pattern: None,
-                    function: None,
-                    outcome: OutcomeClass::LogicBug,
-                    fault_id: Some(Arc::from(fault_id.as_str())),
-                });
-            }
-            if found.insert(fault_id.clone()) {
-                if let Some(m) = campaign.live {
-                    m.record_unique_candidate(&fault_id);
-                }
-                let at = Found { poc, pattern: None, seed_function: None, index };
-                findings.push(logic_finding(profile, fault_id, bug, None, at));
-            }
-        }
-        if !oracle_events.is_empty() {
-            shard_telemetry.push(ShardTelemetry {
-                shard: total_shards,
-                events: oracle_events,
-                snapshots: Vec::new(),
-                final_coverage: Coverage::new(),
-                latency: StageLatency::new(),
-            });
-        }
-    }
-
-    // Telemetry merge: deterministic (journal, yields, curves) into the
-    // report; wall-clock (stage latencies) into the run.
-    let (telemetry, stage_latency) = match telemetry_opts {
-        None => (None, None),
-        Some(opts) => {
-            let registry = template.registry();
-            let (mut merged, mut latency) = soft_obs::telemetry::merge_shards(
-                shard_telemetry,
-                &plan.generated_per_pattern,
-                opts.snapshot_interval.max(1),
-                |name| registry.resolve(name).map(|d| d.category),
-            );
-            // Stamp the scheduler's epoch decisions into the deterministic
-            // surface: they are identical at any worker count, so they sit
-            // inside report equality like everything else merged here.
-            merged.epochs = epochs;
-            for d in &plan.generate_latency {
-                latency.generate.record(*d);
-            }
-            // Time the minimize stage over the unique findings (the PoCs the
-            // paper's harness would report). The reducer only reads cloned
-            // engines, so the report is untouched. Crash PoCs reduce under
-            // the crash signature, multi-form PoCs under the oracle verdict;
-            // pivot/differential PoCs are fixed probe queries — already
-            // minimal, but still one sample each so the histogram keeps one
-            // entry per finding.
-            for f in &findings {
-                let t = Instant::now();
-                let min_start = campaign_sink.as_ref().map(|s| s.now_ns());
-                match &f.kind {
-                    FindingKind::Crash(_) => {
-                        let _ = crate::minimize::minimize(&f.poc, || template.clone());
-                    }
-                    FindingKind::Logic(b) if b.oracle == OracleKind::MultiForm => {
-                        let _ = crate::minimize::minimize_logic(&f.poc, || template.clone());
-                    }
-                    FindingKind::Logic(_) => {}
-                }
-                latency.minimize.record(t.elapsed());
-                if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), min_start) {
-                    sink.record_since("minimize", start, Some(f.fault_id.clone()));
-                }
-            }
-            if let Some(path) = &opts.journal_path {
-                let trace = merged.to_trace(Some(profile.id.name()), statements);
-                if let Err(e) = std::fs::write(path, trace.to_jsonl()) {
-                    eprintln!("soft-obs: could not write journal {}: {e}", path.display());
-                }
-            }
-            (Some(merged), Some(latency))
-        }
-    };
 
     let report = CampaignReport {
         dialect: profile.id,
         statements_executed: statements,
         findings,
-        false_positives,
-        errors,
+        false_positives: stats.iter().map(|s| s.false_positives).sum(),
+        errors: stats.iter().map(|s| s.errors).sum(),
         functions_triggered: coverage.functions_triggered(),
         branches_covered: coverage.branches_covered(),
         generated_per_pattern: plan.generated_per_pattern,
@@ -743,9 +689,8 @@ pub fn run_soft_parallel_live(
         w
     });
     // Close the root span and merge all buffers into the flight trace.
-    let spans = campaign_sink.map(|mut sink| {
-        let end = sink.now_ns();
-        sink.record("campaign", 0, end, Some(format!("{statements} statements")));
+    rec.spans.close("campaign", Some(0), Some(format!("{statements} statements")));
+    let spans = rec.spans.map(|sink| {
         span_buffers.push(sink.into_spans());
         SpanTrace::merge(span_buffers)
     });
@@ -759,7 +704,6 @@ pub fn run_soft_parallel_live(
         workers: campaign.workers,
         wall_nanos: t0.elapsed().as_nanos(),
         shard_timings: timings,
-        stage_latency,
         watchdog,
         spans,
     }
@@ -772,9 +716,11 @@ struct Campaign<'a> {
     fault_index: FaultIndex<'a>,
     /// The prepared template every shard clones and restores from.
     template: Engine,
-    /// What each shard records: the caller's telemetry, or the scheduler's
-    /// internal observer when the caller's is off.
-    telemetry: Option<&'a TelemetryOptions>,
+    /// Whether the recorders keep journal events: telemetry or the
+    /// scheduler reads them.
+    journal: bool,
+    /// Take a coverage snapshot every this many statements (telemetry on).
+    snapshot_interval: Option<usize>,
     /// Whether the wrong-result oracles are armed.
     oracles: bool,
     live: Option<&'a LiveMetrics>,
@@ -821,8 +767,8 @@ impl Campaign<'_> {
     /// Every scheduling input is event-derived and therefore a pure
     /// function of (profile, config, repository): identical at any worker
     /// count, and whether or not user telemetry is enabled (when it is not,
-    /// an internal observer records events for scoring and the merge
-    /// discards them). The adaptive stream — and with it the report — stays
+    /// the shards still record events for scoring and the merge discards
+    /// them). The adaptive stream — and with it the report — stays
     /// byte-identical however the campaign is parallelised.
     fn run_scheduled(
         &self,
@@ -830,9 +776,9 @@ impl Campaign<'_> {
         ctx: &GenCtx,
         config: &CampaignConfig,
         sched: &ScheduleOptions,
-        sink: &mut Option<SpanSink>,
+        spans: &mut Option<SpanSink>,
     ) -> (Plan, Vec<ShardOutcome>, Vec<EpochRealloc>) {
-        let gen_start = sink.as_ref().map(|s| s.now_ns());
+        let gen_start = spans.now();
         let (mut plan, mut seen, mut generator) =
             Generator::seed_and_generate(collection, ctx, config, self.workers);
         // Arm attribution: the category of each seed's root function (the
@@ -849,9 +795,7 @@ impl Campaign<'_> {
         // The bandit caps each quota by the arm's remaining cases, so the
         // scheduler generates everything up front, in one wave.
         let arms = generator.regroup(&seed_categories);
-        if let (Some(sink), Some(start)) = (sink.as_mut(), gen_start) {
-            sink.record_since("generate", start, Some(format!("{} cases", generator.generated())));
-        }
+        spans.close("generate", gen_start, Some(format!("{} cases", generator.generated())));
         let arm_of: HashMap<(PatternId, FunctionCategory), usize> = arms
             .iter()
             .enumerate()
@@ -876,7 +820,7 @@ impl Campaign<'_> {
         let mut seen_functions: HashSet<Arc<str>> = HashSet::new();
 
         for epoch in 0..n_epochs {
-            let epoch_span_start = sink.as_ref().map(|s| s.now_ns());
+            let epoch_span_start = spans.now();
             // Epoch k owns the budget slice up to `budget * (k+1) / n`;
             // planning shortfalls (deduplication, dry queues) roll into the
             // next epoch.
@@ -945,13 +889,8 @@ impl Campaign<'_> {
             if let Some(m) = self.live {
                 m.record_epoch(epoch, start_statement, epoch_budget);
             }
-            if let (Some(sink), Some(start)) = (sink.as_mut(), epoch_span_start) {
-                sink.record_since(
-                    "epoch",
-                    start,
-                    Some(format!("epoch {epoch}: budget {epoch_budget}")),
-                );
-            }
+            let detail = format!("epoch {epoch}: budget {epoch_budget}");
+            spans.close("epoch", epoch_span_start, Some(detail));
             epochs_out.push(EpochRealloc {
                 epoch,
                 start_statement,
@@ -996,9 +935,9 @@ fn plan_static(
     ctx: &GenCtx,
     config: &CampaignConfig,
     workers: usize,
-    sink: &mut Option<SpanSink>,
+    spans: &mut Option<SpanSink>,
 ) -> Plan {
-    let gen_start = sink.as_ref().map(|s| s.now_ns());
+    let gen_start = spans.now();
     let (mut plan, mut seen, mut generator) =
         Generator::seed_and_generate(collection, ctx, config, workers);
     let n = generator.queues.len();
@@ -1012,9 +951,7 @@ fn plan_static(
         &vec![usize::MAX; n],
         config.max_statements,
     );
-    if let (Some(sink), Some(start)) = (sink.as_mut(), gen_start) {
-        sink.record_since("generate", start, Some(format!("{} cases", generator.generated())));
-    }
+    spans.close("generate", gen_start, Some(format!("{} cases", generator.generated())));
     generator.close(&cursors, &mut plan);
     plan
 }
@@ -1153,9 +1090,6 @@ struct Generator<'a> {
     pattern_of: Vec<usize>,
     /// Each queue's next unopened seed chunk.
     next_chunk: Vec<usize>,
-    /// Wall-clock generation time per active pattern, summed over its work
-    /// items (telemetry only).
-    latency: Vec<Duration>,
 }
 
 impl<'a> Generator<'a> {
@@ -1184,7 +1118,6 @@ impl<'a> Generator<'a> {
             queues: vec![Vec::new(); n],
             pattern_of: (0..n).collect(),
             next_chunk: vec![0; n],
-            latency: vec![Duration::ZERO; n],
         };
         let mut plan = Plan {
             cases: Vec::new(),
@@ -1197,7 +1130,6 @@ impl<'a> Generator<'a> {
                     roots.first().map(|f| Arc::from(f.name.as_str()))
                 })
                 .collect(),
-            generate_latency: Vec::new(),
             executed: 0,
             shards: 0,
         };
@@ -1250,7 +1182,6 @@ impl<'a> Generator<'a> {
     fn open(&mut self, items: &[(usize, usize)]) {
         let parts = par_map(items.len(), self.workers, |k| {
             let (q, chunk) = items[k];
-            let t0 = Instant::now();
             let pattern = self.active[self.pattern_of[q]];
             // The cross-function patterns need wider per-seed budgets: their
             // search space is (seed × donor), not (seed × pool).
@@ -1266,11 +1197,10 @@ impl<'a> Generator<'a> {
                 patterns::apply_salted(pattern, seed, self.ctx, cap, si, &mut buf);
                 tagged.extend(buf.drain(..).map(|case| (case, si)));
             }
-            (tagged, t0.elapsed())
+            tagged
         });
-        for (&(q, chunk), (part, spent)) in items.iter().zip(parts) {
+        for (&(q, chunk), part) in items.iter().zip(parts) {
             self.queues[q].extend(part);
-            self.latency[self.pattern_of[q]] += spent;
             self.next_chunk[q] = chunk + 1;
         }
     }
@@ -1310,14 +1240,13 @@ impl<'a> Generator<'a> {
     /// Closes generation into the plan once planning is over: the cases
     /// the planner drew from each active pattern's queues (`cursors`, the
     /// queues' cursors: planned plus skipped duplicates, never what was
-    /// generated ahead of them), and each pattern's generation time.
+    /// generated ahead of them).
     fn close(self, cursors: &[usize], plan: &mut Plan) {
         let mut drawn = vec![0usize; self.active.len()];
         for (&pi, &cursor) in self.pattern_of.iter().zip(cursors) {
             drawn[pi] += cursor;
         }
         plan.generated_per_pattern = self.active.into_iter().zip(drawn).collect();
-        plan.generate_latency = self.latency;
     }
 }
 
@@ -1348,90 +1277,198 @@ fn par_map<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> 
     done.into_iter().map(|(_, out)| out).collect()
 }
 
-/// The per-shard telemetry recorder: event buffer, coverage snapshots, and
-/// the shard's parse and execute latency histograms. Only allocated when
-/// telemetry is on; the `Off` path pays a single `Option` check per
-/// statement.
-struct ShardObserver<'a> {
-    opts: &'a TelemetryOptions,
-    seed_functions: &'a [Option<Arc<str>>],
-    fault_index: &'a FaultIndex<'a>,
-    events: Vec<StatementEvent>,
-    snapshots: Vec<(usize, Coverage)>,
-    latency: StageLatency,
+/// A track's flight-recorder sink, `None` when spans are off. Spans are the
+/// campaign's one wall-clock stage timer, and both operations are no-ops
+/// when spans are off.
+trait Spans {
+    /// The span clock, when spans are armed: the start [`Spans::close`]
+    /// takes.
+    fn now(&self) -> Option<u64>;
+    /// Records the span `name` from `start` to now.
+    fn close(&mut self, name: &'static str, start: Option<u64>, detail: Option<String>);
 }
 
-impl<'a> ShardObserver<'a> {
-    fn new(
-        opts: &'a TelemetryOptions,
-        seed_functions: &'a [Option<Arc<str>>],
-        fault_index: &'a FaultIndex<'a>,
-        len: usize,
-    ) -> Self {
-        ShardObserver {
-            opts,
-            seed_functions,
-            fault_index,
-            events: Vec::with_capacity(len),
+impl Spans for Option<SpanSink> {
+    fn now(&self) -> Option<u64> {
+        self.as_ref().map(SpanSink::now_ns)
+    }
+
+    fn close(&mut self, name: &'static str, start: Option<u64>, detail: Option<String>) {
+        if let (Some(sink), Some(start)) = (self.as_mut(), start) {
+            sink.record_since(name, start, detail);
+        }
+    }
+}
+
+/// One track's recorder: shard `s` records on track `s + 1`, the campaign
+/// thread on [`CAMPAIGN_TRACK`]. It classifies each executed statement
+/// once and feeds that class to the shard's counters, the live registry,
+/// the finding dedup and the journal, and it owns the track's span sink.
+/// Each recorder belongs to one thread, so recording takes no lock beyond
+/// the live registry's on a first sighting.
+struct Recorder<'a> {
+    campaign: &'a Campaign<'a>,
+    /// The track's counters. `shard` is the shard the events belong to:
+    /// for the campaign thread, the synthetic trailing shard of the
+    /// campaign-level oracle hits.
+    stats: ShardStats,
+    /// Fault ids this track has surfaced, and the first finding of each.
+    found: HashSet<String>,
+    findings: Vec<BugFinding>,
+    /// Journal events, kept when [`Campaign::journal`] is set.
+    events: Vec<StatementEvent>,
+    /// Coverage snapshots as `(global statement count, coverage)` pairs.
+    snapshots: Vec<(usize, Coverage)>,
+    /// The live registry's heartbeat slots (shard tracks only).
+    beats: Option<Arc<Vec<ShardBeat>>>,
+    spans: Option<SpanSink>,
+}
+
+impl<'a> Recorder<'a> {
+    /// A recorder for `track`. A shard's recorder claims the shard's
+    /// heartbeat slot.
+    fn new(campaign: &'a Campaign<'a>, track: u64) -> Self {
+        let shard = (track as usize).saturating_sub(1);
+        let beats = campaign.live.filter(|_| track != CAMPAIGN_TRACK).map(|m| {
+            // This worker owns heartbeat slot `shard` exclusively while the
+            // shard runs, so every update is wait-free.
+            let beats = m.beats();
+            m.shard_started(&beats[shard], shard);
+            beats
+        });
+        Recorder {
+            campaign,
+            stats: ShardStats { shard, ..ShardStats::default() },
+            found: HashSet::new(),
+            findings: Vec::new(),
+            events: Vec::new(),
             snapshots: Vec::new(),
-            latency: StageLatency::new(),
+            beats,
+            spans: campaign.span_origin.map(|origin| SpanSink::new(origin, track)),
         }
     }
 
-    /// Records the event for one executed statement, plus the coverage
-    /// snapshot when the global index crosses the sampling interval.
-    /// `logic` carries the multi-form oracle's fault id when the oracle
-    /// flagged the statement; it overrides the surface outcome class, the
-    /// same precedence the finding merge applies.
-    fn observe(
+    /// Records the statement at plan position `i`, which `engine` just
+    /// executed. `logic` is the multi-form oracle's verdict; it overrides
+    /// the surface outcome, the same precedence the merge applies.
+    fn statement(
         &mut self,
         engine: &Engine,
-        case: &PlannedCase,
-        shard: usize,
-        index: usize,
+        plan: &Plan,
+        i: usize,
         outcome: &ExecOutcome,
-        logic: Option<&Arc<str>>,
+        logic: Option<((String, Option<String>), LogicBug)>,
     ) {
-        let function = match outcome {
-            ExecOutcome::Crash(c) if c.function.is_some() => {
-                c.function.as_deref().map(Arc::from)
+        let campaign = self.campaign;
+        let case = &plan.cases[i];
+        let class = if logic.is_some() { OutcomeClass::LogicBug } else { OutcomeClass::of(outcome) };
+        let stats = &mut self.stats;
+        match class {
+            OutcomeClass::Ok => {}
+            OutcomeClass::Error => stats.errors += 1,
+            OutcomeClass::ResourceLimit => stats.false_positives += 1,
+            OutcomeClass::Crash => stats.crashes += 1,
+            OutcomeClass::LogicBug => stats.logic_bugs += 1,
+        }
+        if let (Some(m), Some(beats)) = (campaign.live, &self.beats) {
+            m.record_statement(&beats[stats.shard], i + 1, case.pattern, class);
+        }
+        let fault_id = match (&logic, outcome) {
+            (Some(((id, function), bug)), _) => {
+                self.finding(id, || {
+                    let at = plan.found_at(i);
+                    logic_finding(campaign.profile, id.clone(), bug.clone(), function.clone(), at)
+                });
+                Some(id.as_str())
             }
-            _ => self.seed_functions.get(case.seed).cloned().flatten(),
+            (None, ExecOutcome::Crash(c)) => {
+                self.finding(&c.fault_id, || {
+                    crash_finding(campaign.profile, &campaign.fault_index, c, plan.found_at(i))
+                });
+                Some(c.fault_id.as_str())
+            }
+            (None, _) => None,
         };
-        let (class, fault_id) = match (logic, outcome) {
-            (Some(fault), _) => (OutcomeClass::LogicBug, Some(Arc::clone(fault))),
-            (None, ExecOutcome::Crash(c)) => (
-                OutcomeClass::of(outcome),
-                Some(
-                    self.fault_index
-                        .get(c.fault_id.as_str())
-                        .map(|(id, _)| Arc::clone(id))
-                        .unwrap_or_else(|| Arc::from(c.fault_id.as_str())),
-                ),
-            ),
-            (None, _) => (OutcomeClass::of(outcome), None),
+        if !campaign.journal {
+            return;
+        }
+        let function = match outcome {
+            ExecOutcome::Crash(c) if c.function.is_some() => c.function.as_deref().map(Arc::from),
+            _ => plan.seed_functions.get(case.seed).cloned().flatten(),
         };
         self.events.push(StatementEvent {
-            index,
-            shard,
+            index: i + 1,
+            shard: self.stats.shard,
             seed: Some(case.seed),
             pattern: case.pattern,
             function,
             outcome: class,
-            fault_id,
+            // Corpus faults reuse their interned id.
+            fault_id: fault_id.map(|id| {
+                campaign.fault_index.get(id).map_or_else(|| Arc::from(id), |(a, _)| Arc::clone(a))
+            }),
         });
-        if index % self.opts.snapshot_interval.max(1) == 0 {
-            self.snapshots.push((index, engine.coverage().clone()));
+        if campaign.snapshot_interval.is_some_and(|every| (i + 1) % every == 0) {
+            self.snapshots.push((i + 1, engine.coverage().clone()));
         }
     }
 
-    fn finish(self, shard: usize, engine: &Engine) -> ShardTelemetry {
-        ShardTelemetry {
-            shard,
-            events: self.events,
-            snapshots: self.snapshots,
-            final_coverage: engine.coverage().clone(),
-            latency: self.latency,
+    /// Records a campaign-level oracle hit at global statement `index`: a
+    /// logic-bug event on the track's shard, and its finding.
+    fn oracle_hit(&mut self, index: usize, fault_id: String, bug: LogicBug, poc: String) {
+        if self.campaign.journal {
+            self.events.push(StatementEvent {
+                index,
+                shard: self.stats.shard,
+                seed: None,
+                pattern: None,
+                function: None,
+                outcome: OutcomeClass::LogicBug,
+                fault_id: Some(Arc::from(fault_id.as_str())),
+            });
+        }
+        let profile = self.campaign.profile;
+        self.finding(&fault_id.clone(), || {
+            let at = Found { poc, pattern: None, seed_function: None, index };
+            logic_finding(profile, fault_id, bug, None, at)
+        });
+    }
+
+    /// The finding dedup: the first sighting of `fault_id` on this track
+    /// keeps its finding and is reported to the live registry.
+    fn finding(&mut self, fault_id: &str, build: impl FnOnce() -> BugFinding) {
+        if self.found.insert(fault_id.to_string()) {
+            if let Some(m) = self.campaign.live {
+                m.record_unique_candidate(fault_id);
+            }
+            self.findings.push(build());
+        }
+    }
+
+    /// The track's journal share, when journal events are kept.
+    fn telemetry(&mut self, final_coverage: Coverage) -> Option<ShardTelemetry> {
+        self.campaign.journal.then(|| ShardTelemetry {
+            shard: self.stats.shard,
+            events: std::mem::take(&mut self.events),
+            snapshots: std::mem::take(&mut self.snapshots),
+            final_coverage,
+        })
+    }
+
+    /// Closes a shard's recorder into the shard's outcome: `engine` ran the
+    /// plan's `range` in `nanos`.
+    fn finish(mut self, engine: &Engine, range: std::ops::Range<usize>, nanos: u128) -> ShardOutcome {
+        let shard = self.stats.shard;
+        if let (Some(m), Some(beats)) = (self.campaign.live, &self.beats) {
+            m.shard_finished(&beats[shard], shard, engine.coverage());
+        }
+        ShardOutcome {
+            telemetry: self.telemetry(engine.coverage().clone()),
+            stats: ShardStats { start_offset: range.start, statements: range.len(), ..self.stats },
+            findings: self.findings,
+            coverage: engine.coverage().clone(),
+            nanos,
+            spans: self.spans.map(SpanSink::into_spans).unwrap_or_default(),
         }
     }
 }
@@ -1448,59 +1485,24 @@ impl Campaign<'_> {
     /// the shard.
     ///
     /// Every statement is then executed once, in plan order, by
-    /// [`Engine::execute_prepared`] on the shard's engine — with its own
-    /// execute sample and span — and classified in that same step: oracle
-    /// check, telemetry event, live counter, finding, crash restore.
+    /// [`Engine::execute_prepared`] on the shard's engine — in its own
+    /// `execute` span — checked by the multi-form oracle, handed to the
+    /// shard's [`Recorder`], and followed by a restore after a crash.
     fn run_shard(&self, plan: &Plan, range: std::ops::Range<usize>, shard: usize) -> ShardOutcome {
         let t0 = Instant::now();
-        // The flight recorder: this worker owns the sink exclusively, so every
-        // record is a plain Vec push — no locks, no atomics. Track `shard + 1`
-        // keeps the campaign thread's track 0 distinct in the exported trace.
-        let mut sink = self.span_origin.map(|origin| SpanSink::new(origin, shard as u64 + 1));
-        let shard_span_start = sink.as_ref().map(|s| s.now_ns());
-        let start_offset = range.start;
-        let cases = &plan.cases[range];
-        // The live plane: this worker owns heartbeat slot `shard` exclusively
-        // while the shard runs, so every update below is wait-free.
-        let live = self.live.map(|m| (m, m.beats()));
-        if let Some((m, beats)) = &live {
-            m.shard_started(&beats[shard], shard);
-        }
-        let mut observer = self.telemetry.map(|opts| {
-            ShardObserver::new(opts, &plan.seed_functions, &self.fault_index, cases.len())
-        });
-        // The prepare loop: one parse-histogram sample per statement and one
-        // `parse` span per shard.
-        let parse_start = sink.as_ref().map(|s| s.now_ns());
-        let mut prepared: Vec<Result<Prepared, SqlError>> = Vec::with_capacity(cases.len());
-        for case in cases {
-            let t = observer.is_some().then(Instant::now);
-            let p = self.template.prepare(&case.sql);
-            if let (Some(obs), Some(t)) = (observer.as_mut(), t) {
-                obs.latency.parse.record(t.elapsed());
-            }
-            prepared.push(p);
-        }
-        if let (Some(sink), Some(start)) = (sink.as_mut(), parse_start) {
-            sink.record_since("parse", start, None);
-        }
+        let mut rec = Recorder::new(self, shard as u64 + 1);
+        let shard_start = rec.spans.now();
+        let cases = &plan.cases[range.clone()];
+        // The prepare loop, in one `parse` span per shard.
+        let parse_start = rec.spans.now();
+        let prepared: Vec<Result<Prepared, SqlError>> =
+            cases.iter().map(|case| self.template.prepare(&case.sql)).collect();
+        rec.spans.close("parse", parse_start, None);
         let mut engine = self.template.clone();
-        let mut found: HashSet<String> = HashSet::new();
-        let mut findings: Vec<BugFinding> = Vec::new();
-        let mut crashes = 0usize;
-        let mut false_positives = 0usize;
-        let mut errors = 0usize;
-        let mut logic_bugs = 0usize;
-        for (i, (case, prepared)) in cases.iter().zip(&prepared).enumerate() {
-            let t = observer.is_some().then(Instant::now);
-            let span_start = sink.as_ref().map(|s| s.now_ns());
+        for (i, (case, prepared)) in range.clone().zip(cases.iter().zip(&prepared)) {
+            let start = rec.spans.now();
             let outcome = execute_planned(&mut engine, prepared);
-            if let (Some(obs), Some(t)) = (observer.as_mut(), t) {
-                obs.latency.execute.record(t.elapsed());
-            }
-            if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
-                sink.record_since("execute", start, None);
-            }
+            rec.spans.close("execute", start, None);
             // The multi-form oracle inspects every statement the crash plane
             // passed on. It executes the statement's forms on private clones
             // of the *template* (never this shard's engine), so the verdict is
@@ -1512,7 +1514,7 @@ impl Campaign<'_> {
             let logic = match (&outcome, self.oracles) {
                 (ExecOutcome::Crash(_), _) | (_, false) => None,
                 (_, true) => prepared.as_ref().ok().and_then(|p| {
-                    let span_start = sink.as_ref().map(|s| s.now_ns());
+                    let start = rec.spans.now();
                     let bug = if self.template.shape_key(p).is_some() {
                         oracle::multi_form_check_with(
                             &self.template,
@@ -1523,87 +1525,20 @@ impl Campaign<'_> {
                     } else {
                         oracle::multi_form_check(&self.template, &case.sql, p.statement())
                     };
-                    if let (Some(sink), Some(start)) = (sink.as_mut(), span_start) {
-                        sink.record_since("oracle", start, None);
-                    }
+                    rec.spans.close("oracle", start, None);
                     bug.map(|bug| (oracle::multi_form_fault_id(p.statement()), bug))
                 }),
             };
-            let logic_fault: Option<Arc<str>> =
-                logic.as_ref().map(|((id, _), _)| Arc::from(id.as_str()));
-            if let Some(obs) = &mut observer {
-                obs.observe(
-                    &engine,
-                    case,
-                    shard,
-                    start_offset + i + 1,
-                    &outcome,
-                    logic_fault.as_ref(),
-                );
-            }
-            if let Some((m, beats)) = &live {
-                let class = if logic.is_some() {
-                    OutcomeClass::LogicBug
-                } else {
-                    OutcomeClass::of(&outcome)
-                };
-                m.record_statement(&beats[shard], start_offset + i + 1, case.pattern, class);
-            }
-            if let Some(((fault_id, function), bug)) = logic {
-                logic_bugs += 1;
-                if found.insert(fault_id.clone()) {
-                    if let Some((m, _)) = &live {
-                        m.record_unique_candidate(&fault_id);
-                    }
-                    let at = plan.found_at(start_offset + i);
-                    findings.push(logic_finding(self.profile, fault_id, bug, function, at));
-                }
-                // The statement is accounted as a wrong result; its surface
-                // outcome class (rows, ok, error) does not also count below.
-                continue;
-            }
-            match outcome {
-                ExecOutcome::Crash(c) => {
-                    crashes += 1;
-                    if found.insert(c.fault_id.clone()) {
-                        if let Some((m, _)) = &live {
-                            m.record_unique_candidate(&c.fault_id);
-                        }
-                        let at = plan.found_at(start_offset + i);
-                        findings.push(crash_finding(self.profile, &self.fault_index, &c, at));
-                    }
-                    // "Restart" the DBMS: snapshot-restore from the prepared
-                    // template — state-identical to reset + preparation replay,
-                    // without re-executing the preparation statements.
-                    engine.restore_database(&self.template);
-                }
-                ExecOutcome::Error(SqlError::ResourceLimit(_)) => false_positives += 1,
-                ExecOutcome::Error(_) => errors += 1,
-                ExecOutcome::Rows(_) | ExecOutcome::Ok(_) => {}
+            rec.statement(&engine, plan, i, &outcome, logic);
+            if let ExecOutcome::Crash(_) = outcome {
+                // "Restart" the DBMS: snapshot-restore from the prepared
+                // template — state-identical to reset + preparation replay,
+                // without re-executing the preparation statements.
+                engine.restore_database(&self.template);
             }
         }
-        if let Some((m, beats)) = &live {
-            m.shard_finished(&beats[shard], shard, engine.coverage());
-        }
-        if let (Some(sink), Some(start)) = (sink.as_mut(), shard_span_start) {
-            sink.record_since("shard", start, Some(format!("{} statements", cases.len())));
-        }
-        ShardOutcome {
-            stats: ShardStats {
-                shard,
-                start_offset,
-                statements: cases.len(),
-                crashes,
-                errors,
-                false_positives,
-                logic_bugs,
-            },
-            findings,
-            telemetry: observer.map(|obs| obs.finish(shard, &engine)),
-            coverage: engine.coverage().clone(),
-            nanos: t0.elapsed().as_nanos(),
-            spans: sink.map(SpanSink::into_spans).unwrap_or_default(),
-        }
+        rec.spans.close("shard", shard_start, Some(format!("{} statements", cases.len())));
+        rec.finish(&engine, range, t0.elapsed().as_nanos())
     }
 }
 
@@ -1799,9 +1734,11 @@ mod tests {
                 let head = one.cases[..budget / 2].iter().map(|c| &c.sql);
                 assert!(prefix.cases.iter().map(|c| &c.sql).eq(head), "{id:?}: not a prefix");
                 let seeds_only = CampaignConfig { max_statements: 10, ..cfg };
-                let plan = plan_static(&collection, &ctx, &seeds_only, 3, &mut None);
+                let mut spans = Some(SpanSink::new(Instant::now(), CAMPAIGN_TRACK));
+                let plan = plan_static(&collection, &ctx, &seeds_only, 3, &mut spans);
                 assert!(plan.cases.iter().all(|c| c.pattern.is_none()));
-                assert!(plan.generate_latency.iter().all(Duration::is_zero), "{id:?}: generated");
+                let generate = spans.map(SpanSink::into_spans).unwrap_or_default();
+                assert_eq!(generate[0].detail.as_deref(), Some("0 cases"), "{id:?}: generated");
             }
         }
     }
@@ -1931,14 +1868,20 @@ mod tests {
             .windows(2)
             .all(|w| w[0].branches <= w[1].branches && w[0].statements < w[1].statements));
 
-        // Wall-clock stage histograms: one execute (and parse) sample per
-        // statement, one minimize sample per unique finding, at least one
-        // generate sample per active pattern.
-        let latency = run.stage_latency.expect("stage latency recorded");
+        // Wall-clock stage histograms come from the flight recorder, never
+        // from telemetry: this run armed no spans, so it timed nothing. A
+        // spans-armed rerun has one execute sample per statement, one parse
+        // sample per shard, one minimize sample per unique finding and one
+        // generate sample, and leaves the report as it was.
+        assert!(run.spans.is_none(), "telemetry alone recorded spans");
+        let plane = LivePlane { spans: true, ..LivePlane::default() };
+        let armed = run_soft_parallel_live(&profile, &tcfg, 2, &plane);
+        assert_eq!(armed.report, on, "spans changed the telemetry report");
+        let latency = soft_obs::StageLatency::from_spans(&armed.spans.expect("spans armed"));
         assert_eq!(latency.execute.samples() as usize, on.statements_executed);
-        assert_eq!(latency.parse.samples(), latency.execute.samples());
+        assert_eq!(latency.parse.samples() as usize, on.shards.len());
         assert_eq!(latency.minimize.samples() as usize, on.findings.len());
-        assert_eq!(latency.generate.samples() as usize, on.generated_per_pattern.len());
+        assert_eq!(latency.generate.samples(), 1);
 
         // Yields reconcile with the report's counters.
         let executed: usize =

@@ -83,7 +83,7 @@ pub struct BugFinding {
 /// telemetry (statements/sec) lives in
 /// [`ShardTiming`](crate::campaign::ShardTiming) instead, outside the
 /// comparable report.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard index, in global statement order.
     pub shard: usize,

@@ -23,9 +23,9 @@
 //!
 //! Rewards are intentionally *event-derived* rather than coverage-derived:
 //! the merged statement events are identical under any telemetry
-//! configuration (the campaign records them with an internal observer when
-//! the user's telemetry is off), while per-statement coverage deltas are
-//! not part of that deterministic record.
+//! configuration (the shards record them for the scheduler when the user's
+//! telemetry is off, and the merge drops them), while per-statement
+//! coverage deltas are not part of that deterministic record.
 
 use soft_engine::PatternId;
 use soft_types::category::FunctionCategory;

@@ -94,11 +94,6 @@ impl Catalog {
         self.tables.get_mut(&name.to_ascii_lowercase())
     }
 
-    /// Names of all tables, sorted.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
-    }
-
     /// Advances and returns the named sequence (`NEXTVAL`), creating it at 1.
     pub fn nextval(&mut self, name: &str) -> i64 {
         let v = self.sequences.entry(name.to_ascii_lowercase()).or_insert(0);

@@ -5,7 +5,7 @@ use crate::eval::Evaluated;
 use crate::functions::string::some_or_null;
 use crate::registry::*;
 use soft_types::category::FunctionCategory as C;
-use soft_types::datetime::{days_in_month, Date, DateTime, Interval, Time};
+use soft_types::datetime::{Date, DateTime, Interval, Time};
 use soft_types::value::Value;
 
 fn def(name: &'static str, min: usize, max: Option<usize>, f: ScalarImpl) -> FunctionDef {
@@ -548,9 +548,4 @@ fn f_timestampdiff(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Eng
             return runtime_err(format!("unknown TIMESTAMPDIFF unit {unit}"));
         }
     }))
-}
-
-/// Days in month helper exposed for tests.
-pub fn month_len(year: i32, month: u8) -> u8 {
-    days_in_month(year, month)
 }

@@ -547,27 +547,6 @@ pub fn want_binary(
     }
 }
 
-/// Coerces argument `i` to a date; NULL propagates as `None`.
-pub fn want_date(
-    ctx: &mut FnCtx<'_>,
-    args: &[Evaluated],
-    i: usize,
-) -> Result<Option<Date>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match ctx.cast(e, DataType::Date, false)?.value {
-        Value::Date(d) => Ok(Some(d)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected date, got {}",
-            other.data_type()
-        )))),
-    }
-}
-
 /// Coerces argument `i` to a datetime; NULL propagates as `None`.
 pub fn want_datetime(
     ctx: &mut FnCtx<'_>,

@@ -1,10 +1,11 @@
 //! Fixed-bucket wall-clock latency histograms per pipeline stage.
 //!
-//! These are the only *non-deterministic* telemetry: they measure real time
-//! and therefore live outside the campaign report's `PartialEq` surface
-//! (next to `ShardTiming`, on `soft_core::campaign::CampaignRun`'s side of
-//! the split).
+//! The campaign's one wall-clock stage timer is the flight recorder
+//! ([`crate::span`]); [`StageLatency`] is a view of its spans. Wall-clock
+//! varies run to run, so none of this enters the campaign report's
+//! `PartialEq` surface.
 
+use crate::span::SpanTrace;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -94,7 +95,8 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-stage latency histograms for the campaign pipeline.
+/// Per-stage latency histograms for the campaign pipeline, built from the
+/// flight recorder's spans ([`StageLatency::from_spans`]).
 ///
 /// The stages are genuinely disjoint: `parse` times each shard's prepare
 /// loop (`Engine::prepare`, one parse per planned statement, by the shard
@@ -103,11 +105,12 @@ impl LatencyHistogram {
 /// double-counted inside `execute`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageLatency {
-    /// Pattern-based case generation, one sample per active pattern (its
-    /// seed chunks' times summed).
+    /// The campaign's planning: seed phase, case generation and interleave,
+    /// one sample per `generate` span.
     pub generate: LatencyHistogram,
     /// Statement preparation (`Engine::prepare`: the parse + function
-    /// resolution done once per planned statement).
+    /// resolution done once per planned statement), one sample per shard's
+    /// prepare loop.
     pub parse: LatencyHistogram,
     /// Prepared-statement execution (`Engine::execute_prepared`, parse
     /// excluded), one sample per executed statement.
@@ -122,12 +125,22 @@ impl StageLatency {
         StageLatency::default()
     }
 
-    /// Merges another stage set into this one.
-    pub fn merge(&mut self, other: &StageLatency) {
-        self.generate.merge(&other.generate);
-        self.parse.merge(&other.parse);
-        self.execute.merge(&other.execute);
-        self.minimize.merge(&other.minimize);
+    /// The histograms of a flight-recorder trace: each `generate`, `parse`,
+    /// `execute` and `minimize` span is one sample of its stage, and other
+    /// spans are ignored.
+    pub fn from_spans(trace: &SpanTrace) -> StageLatency {
+        let mut latency = StageLatency::new();
+        for span in &trace.spans {
+            let stage = match span.name {
+                "generate" => &mut latency.generate,
+                "parse" => &mut latency.parse,
+                "execute" => &mut latency.execute,
+                "minimize" => &mut latency.minimize,
+                _ => continue,
+            };
+            stage.record(Duration::from_nanos(span.dur_ns));
+        }
+        latency
     }
 
     /// Renders a `stage → samples / mean / p50 / p99` table.
@@ -290,6 +303,26 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.samples(), 3);
         assert!(a.mean_ns() > 10.0);
+    }
+
+    #[test]
+    fn stages_sample_their_spans_only() {
+        use crate::span::SpanRecord;
+        let span = |name, dur_ns| SpanRecord { name, track: 1, start_ns: 0, dur_ns, detail: None };
+        let trace = SpanTrace::merge(vec![vec![
+            span("generate", 5_000),
+            span("parse", 300),
+            span("execute", 10),
+            span("execute", 20),
+            span("oracle", 40),
+            span("shard", 400),
+        ]]);
+        let latency = StageLatency::from_spans(&trace);
+        assert_eq!(latency.generate.samples(), 1);
+        assert_eq!(latency.parse.samples(), 1);
+        assert_eq!(latency.execute.samples(), 2);
+        assert_eq!(latency.execute.mean_ns(), 15.0);
+        assert_eq!(latency.minimize.samples(), 0);
     }
 
     #[test]

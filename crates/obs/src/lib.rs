@@ -14,11 +14,13 @@
 //! * [`metrics`] — per-pattern and per-function-category
 //!   generated/executed/crashing yield counters;
 //! * [`latency`] — fixed-bucket wall-clock histograms per pipeline stage
-//!   (generate, parse, execute, minimize);
+//!   (generate, parse, execute, minimize), a view of the flight recorder's
+//!   spans;
 //! * [`curve`] — coverage-vs-statements and unique-bugs-vs-statements
 //!   growth series (the §7.5 analogue);
-//! * [`telemetry`] — the [`TelemetryConfig`] campaign knob, the per-shard
-//!   recorder, and the deterministic shard merge;
+//! * [`telemetry`] — the [`TelemetryConfig`] campaign knob, what each
+//!   shard records for the journal ([`ShardTelemetry`]), and the
+//!   deterministic shard merge;
 //! * [`schedule`] — the feedback scheduler's deterministic epoch
 //!   reallocation records ([`EpochRealloc`]), journaled beside the events;
 //! * [`json`] — the hand-rolled std-only JSON helpers behind the JSONL
@@ -44,13 +46,15 @@
 //!
 //! # Determinism
 //!
-//! Everything except the latency histograms is a pure function of the
-//! campaign configuration: events are recorded against the *planned*
-//! statement stream (whose shard decomposition never depends on the worker
-//! count) and merged by global statement index, so a telemetry-on parallel
-//! run produces the same journal, yields, and curves event-for-event as the
-//! serial reference. Wall-clock histograms are kept on a separate surface
-//! ([`StageLatency`]) precisely so reports can stay byte-comparable.
+//! The deterministic plane is a pure function of the campaign
+//! configuration: events are recorded against the *planned* statement
+//! stream (whose shard decomposition never depends on the worker count)
+//! and merged by global statement index, so a telemetry-on parallel run
+//! produces the same journal, yields, and curves event-for-event as the
+//! serial reference. Telemetry reads no clock. Wall-clock stage timings
+//! come only from the flight recorder's spans, and the stage histograms
+//! ([`StageLatency`]) are a view of them, kept off the report so reports
+//! stay byte-comparable.
 //!
 //! # Examples
 //!

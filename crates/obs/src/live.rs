@@ -19,8 +19,8 @@
 //! registry; no campaign decision reads it back, so the
 //! byte-identical-for-any-worker-count invariant is untouched. The two slow
 //! paths — global unique-fault dedup and the coverage curve — take a `Mutex`,
-//! but only on a crash event or a shard completion respectively, never per
-//! statement.
+//! but only on a shard's first sighting of a fault or a shard completion
+//! respectively, never per statement.
 
 use crate::event::OutcomeClass;
 use crate::json::{num_field, str_field};
@@ -225,7 +225,8 @@ impl LiveMetrics {
     /// heartbeat slots (at least as many as the campaign will run shards)
     /// and zeroes the plan gauges. Called once by the runner before any
     /// shard executes; the gauges then grow through
-    /// [`plan_shards`](LiveMetrics::plan_shards).
+    /// [`plan_shards`](LiveMetrics::plan_shards), and a snapshot shows only
+    /// the slots of shards cut so far.
     pub fn begin_campaign(&self, dialect: &str, shard_slots: usize, workers: usize) {
         *self.dialect.lock().expect("dialect poisoned") = dialect.to_string();
         self.planned_statements.store(0, Ordering::Relaxed);
@@ -350,10 +351,11 @@ impl LiveMetrics {
         beat.last_beat_ms.store(self.elapsed_ms(), Ordering::Relaxed);
     }
 
-    /// Records a crash the shard has not seen before. Takes the global dedup
-    /// lock (crash events are rare, and the shard-local dedup already
-    /// filtered repeats); appends a live bug-curve point when the fault is
-    /// globally new. Returns whether it was.
+    /// Records a finding of any kind (a crash or a wrong-result verdict)
+    /// whose fault id the reporting shard has not seen before. Takes the
+    /// global dedup lock (first sightings are rare: the shard-local dedup
+    /// already filtered repeats); appends a live bug-curve point when the
+    /// fault is globally new. Returns whether it was.
     pub fn record_unique_candidate(&self, fault_id: &str) -> bool {
         let mut seen = self.seen_faults.lock().expect("faults poisoned");
         if !seen.insert(fault_id.to_string()) {
@@ -413,6 +415,7 @@ impl LiveMetrics {
     /// registry stays outside report equality.)
     pub fn snapshot(&self) -> LiveSnapshot {
         let beats = self.beats();
+        let shards_total = self.shards_total.load(Ordering::Relaxed);
         let elapsed_ms = self.elapsed_ms();
         let statements = self.statements.load(Ordering::Relaxed);
         let per_pattern = (0..PATTERN_SLOTS)
@@ -437,7 +440,7 @@ impl LiveMetrics {
                 .map(|c| (c, self.outcomes[c as usize].load(Ordering::Relaxed))),
             per_pattern,
             unique_faults: self.unique_faults.load(Ordering::Relaxed),
-            shards_total: self.shards_total.load(Ordering::Relaxed),
+            shards_total,
             shards_done: self.shards_done.load(Ordering::Relaxed),
             workers: self.workers.load(Ordering::Relaxed),
             statements_per_sec: if elapsed_ms == 0 {
@@ -445,8 +448,11 @@ impl LiveMetrics {
             } else {
                 statements as f64 * 1000.0 / elapsed_ms as f64
             },
+            // Slots past the shards cut so far are only the heartbeat
+            // table's headroom (the scheduler sizes it by an upper bound).
             shards: beats
                 .iter()
+                .take(shards_total as usize)
                 .map(|b| ShardSnapshot {
                     state: b.state(),
                     last_index: b.last_index(),
@@ -516,7 +522,8 @@ pub struct LiveSnapshot {
     pub workers: u64,
     /// Overall execution rate so far.
     pub statements_per_sec: f64,
-    /// Per-shard heartbeat snapshots, in shard order.
+    /// Per-shard heartbeat snapshots of the shards cut so far, in shard
+    /// order.
     pub shards: Vec<ShardSnapshot>,
     /// Live unique-bug curve (approximate statement counts).
     pub bug_curve: Vec<LiveBugPoint>,

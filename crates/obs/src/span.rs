@@ -1,11 +1,13 @@
 //! Span tracing — the campaign **flight recorder**.
 //!
-//! The existing wall-clock surfaces ([`crate::latency`], `ShardTiming`, the
-//! watchdog) answer "how long did stage X take *in aggregate*"; spans answer
-//! "what was each worker doing *when*". A span is one named interval on one
-//! track: track 0 is the campaign itself (planning, epochs, campaign-level
-//! oracles, minimisation), track `s + 1` is shard `s` (the whole shard,
-//! the parse of its range, and the per-statement execute/oracle stages).
+//! Spans are the campaign's one wall-clock stage timer. They answer "what
+//! was each worker doing *when*", and the per-stage latency table
+//! ([`crate::latency::StageLatency::from_spans`]) is a view of them that
+//! answers "how long did stage X take *in aggregate*". A span is one named
+//! interval on one track: track 0 is the campaign itself (planning, epochs,
+//! campaign-level oracles, minimisation), track `s + 1` is shard `s` (the
+//! whole shard, the parse of its range, and the per-statement
+//! execute/oracle stages).
 //!
 //! # Recording discipline
 //!
@@ -94,12 +96,6 @@ impl SpanSink {
             dur_ns: end.saturating_sub(start_ns),
             detail,
         });
-    }
-
-    /// Records a fully specified span (used when the duration was measured
-    /// elsewhere, e.g. alongside an existing latency-histogram sample).
-    pub fn record(&mut self, name: &'static str, start_ns: u64, dur_ns: u64, detail: Option<String>) {
-        self.spans.push(SpanRecord { name, track: self.track, start_ns, dur_ns, detail });
     }
 
     /// Consumes the sink, yielding its buffer for the merge.
@@ -484,14 +480,15 @@ mod tests {
         let start = sink.now_ns();
         std::thread::sleep(Duration::from_millis(2));
         sink.record_since("execute", start, None);
-        sink.record("batch-group", 10, 20, Some("4 statements".into()));
+        sink.record_since("shard", 0, Some("4 statements".into()));
         assert_eq!(sink.len(), 2);
         assert!(!sink.is_empty());
         let spans = sink.into_spans();
         assert_eq!(spans[0].name, "execute");
         assert_eq!(spans[0].track, 3);
         assert!(spans[0].dur_ns >= 1_000_000, "slept 2ms: {}", spans[0].dur_ns);
-        assert_eq!(spans[1].detail.as_deref(), Some("4 statements"));
+        assert_eq!((spans[1].start_ns, spans[1].detail.as_deref()), (0, Some("4 statements")));
+        assert!(spans[1].dur_ns >= spans[0].dur_ns, "a span from the origin covers the rest");
     }
 
     #[test]

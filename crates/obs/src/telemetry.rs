@@ -1,5 +1,5 @@
-//! The campaign telemetry knob, the per-shard recorder's output, and the
-//! deterministic shard merge.
+//! The campaign telemetry knob, what each shard records for the journal,
+//! and the deterministic shard merge.
 //!
 //! # Why the merged telemetry is deterministic
 //!
@@ -8,13 +8,12 @@
 //! which depends only on the campaign configuration. The merge then sorts
 //! by that index, unions coverage snapshots in shard order, and folds the
 //! ordered event stream into yields and curves. No wall clock, worker id,
-//! or completion order participates; wall-clock histograms come out on a
-//! separate surface ([`StageLatency`]) that campaign reports never compare.
+//! or completion order participates: the campaign's wall-clock stage
+//! timings are flight-recorder spans, which never pass through here.
 
 use crate::curve::{CoveragePoint, GrowthCurves};
 use crate::event::StatementEvent;
 use crate::journal::{Journal, TraceFile};
-use crate::latency::StageLatency;
 use crate::metrics::YieldMetrics;
 use crate::schedule::EpochRealloc;
 use soft_engine::{Coverage, PatternId};
@@ -24,13 +23,13 @@ use std::path::PathBuf;
 /// The campaign's telemetry knob.
 ///
 /// `Off` is the default and costs one branch per executed statement — no
-/// allocation, no clock reads, no buffers.
+/// allocation, no buffers. Telemetry reads no clock either way.
 #[derive(Debug, Clone, Default)]
 pub enum TelemetryConfig {
     /// No telemetry (the default).
     #[default]
     Off,
-    /// Record the event journal, yields, curves, and stage latencies.
+    /// Record the event journal, yields and curves.
     On(TelemetryOptions),
 }
 
@@ -89,8 +88,6 @@ pub struct ShardTelemetry {
     pub snapshots: Vec<(usize, Coverage)>,
     /// The shard engine's coverage after its last statement.
     pub final_coverage: Coverage,
-    /// Wall-clock stage histograms recorded inside the shard.
-    pub latency: StageLatency,
 }
 
 /// The deterministic telemetry of one campaign — part of the campaign
@@ -137,17 +134,15 @@ impl CampaignTelemetry {
 /// * coverage curve: shards walked in shard order, each snapshot unioned
 ///   with the running coverage of all *previous* shards — exactly the
 ///   coverage a serial run would have accumulated at that statement count;
-/// * bug curve and yields: folds over the ordered journal;
-/// * latencies: histogram sums (wall-clock, returned separately).
+/// * bug curve and yields: folds over the ordered journal.
 pub fn merge_shards(
     mut shards: Vec<ShardTelemetry>,
     generated: &[(PatternId, usize)],
     snapshot_interval: usize,
     resolve: impl Fn(&str) -> Option<FunctionCategory>,
-) -> (CampaignTelemetry, StageLatency) {
+) -> CampaignTelemetry {
     shards.sort_by_key(|s| s.shard);
 
-    let mut latency = StageLatency::new();
     let mut coverage_curve: Vec<CoveragePoint> = Vec::new();
     let mut running = Coverage::new();
     let mut buffers: Vec<Vec<StatementEvent>> = Vec::with_capacity(shards.len());
@@ -162,26 +157,22 @@ pub fn merge_shards(
             });
         }
         running.merge(&shard.final_coverage);
-        latency.merge(&shard.latency);
         buffers.push(shard.events);
     }
 
     let journal = Journal::merge_shards(buffers);
     let yields = YieldMetrics::from_events(&journal.events, generated, resolve);
     let bugs = GrowthCurves::bugs_from_events(&journal.events);
-    (
-        CampaignTelemetry {
-            journal,
-            yields,
-            curves: GrowthCurves { coverage: coverage_curve, bugs },
-            generated: generated.to_vec(),
-            snapshot_interval,
-            // The runner stamps scheduler epochs after the merge; a shard
-            // has no say in budget reallocation.
-            epochs: Vec::new(),
-        },
-        latency,
-    )
+    CampaignTelemetry {
+        journal,
+        yields,
+        curves: GrowthCurves { coverage: coverage_curve, bugs },
+        generated: generated.to_vec(),
+        snapshot_interval,
+        // The runner stamps scheduler epochs after the merge; a shard has
+        // no say in budget reallocation.
+        epochs: Vec::new(),
+    }
 }
 
 #[cfg(test)]
@@ -202,7 +193,6 @@ mod tests {
             events,
             snapshots: vec![(start + fns.len(), cov.clone())],
             final_coverage: cov,
-            latency: StageLatency::new(),
         }
     }
 
@@ -210,8 +200,8 @@ mod tests {
     fn merge_is_order_independent_and_unions_coverage() {
         let a = shard(0, 0, &["floor", "substr"]);
         let b = shard(1, 2, &["substr", "repeat"]);
-        let (fwd, _) = merge_shards(vec![a.clone(), b.clone()], &[], 2, |_| None);
-        let (rev, _) = merge_shards(vec![b, a], &[], 2, |_| None);
+        let fwd = merge_shards(vec![a.clone(), b.clone()], &[], 2, |_| None);
+        let rev = merge_shards(vec![b, a], &[], 2, |_| None);
         assert_eq!(fwd, rev, "shard submission order leaked into telemetry");
 
         let indices: Vec<usize> = fwd.journal.events.iter().map(|e| e.index).collect();
@@ -229,7 +219,7 @@ mod tests {
         s.events[0].outcome = OutcomeClass::Crash;
         s.events[0].fault_id = Some("f-1".into());
         s.events[0].pattern = Some(PatternId::P1_2);
-        let (t, _) = merge_shards(vec![s], &[(PatternId::P1_2, 5)], 100, |_| {
+        let t = merge_shards(vec![s], &[(PatternId::P1_2, 5)], 100, |_| {
             Some(FunctionCategory::String)
         });
         assert_eq!(t.curves.bugs.len(), 1);

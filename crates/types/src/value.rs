@@ -127,14 +127,6 @@ impl DataType {
     pub fn is_numeric(&self) -> bool {
         matches!(self, DataType::Integer | DataType::Decimal | DataType::Float)
     }
-
-    /// True for the temporal family.
-    pub fn is_temporal(&self) -> bool {
-        matches!(
-            self,
-            DataType::Date | DataType::Time | DataType::DateTime | DataType::Interval
-        )
-    }
 }
 
 impl fmt::Display for DataType {

@@ -12,7 +12,7 @@ use soft_repro::soft::campaign::{
     default_workers, run_soft_parallel, run_soft_parallel_live, CampaignConfig, LivePlane,
 };
 use soft_repro::soft::report::render_table4;
-use soft_repro::soft::{TelemetryConfig, TelemetryOptions};
+use soft_repro::soft::{StageLatency, TelemetryConfig, TelemetryOptions};
 
 fn main() {
     let budget: usize = std::env::args()
@@ -48,9 +48,10 @@ fn main() {
     println!("grand total: {found}/{expected} (paper: 132 confirmed, 97 fixed)");
 
     // Telemetry demonstration: rerun one target with the observability
-    // ledger on. The report stays byte-identical to an Off-mode run (the
-    // journal, yields, and curves are derived, not steering), and the
-    // wall-clock stage latencies live outside the report's equality.
+    // ledger and the flight recorder on. The report stays byte-identical to
+    // an Off-mode run (the journal, yields, and curves are derived, not
+    // steering), and the wall-clock stage latencies, a view of the spans,
+    // live outside the report's equality.
     let demo_budget = (budget / 10).clamp(2_000, 20_000);
     println!("\ntelemetry demo: ClickHouse, {demo_budget}-statement budget\n");
     let profile = DialectProfile::build(DialectId::Clickhouse);
@@ -63,11 +64,12 @@ fn main() {
         }),
         ..CampaignConfig::default()
     };
-    let run = run_soft_parallel_live(&profile, &cfg, default_workers(), &LivePlane::default());
+    let plane = LivePlane { spans: true, ..LivePlane::default() };
+    let run = run_soft_parallel_live(&profile, &cfg, default_workers(), &plane);
     let telemetry = run.report.telemetry.as_ref().expect("telemetry was on");
     println!("{}", telemetry.yields.render_pattern_table());
     println!("{}", telemetry.curves.render());
-    if let Some(latency) = &run.stage_latency {
-        println!("{}", latency.render());
+    if let Some(spans) = &run.spans {
+        println!("{}", StageLatency::from_spans(spans).render());
     }
 }

@@ -130,13 +130,18 @@ echo "verify: flight recorder smoke (campaign --spans + trace --chrome)"
 # sample trace artifacts.
 spans_journal="$(mktemp -t soft-spans-XXXXXX).jsonl"
 status=0
-cargo run --release --offline -q -p soft-bench --bin repro -- \
+spans_out="$(cargo run --release --offline -q -p soft-bench --bin repro -- \
     campaign clickhouse --budget 3000 --spans "$PWD" --stall-ms 10000 \
-    --journal "$spans_journal" > /dev/null || status=$?
+    --journal "$spans_journal")" || status=$?
 if [ "$status" -ne 0 ] && [ "$status" -ne 3 ] && [ "$status" -ne 4 ]; then
     echo "verify: spans-armed campaign exited $status (expected 0, 3, or 4)" >&2
     exit 1
 fi
+# Spans are the campaign's only stage timer: the stage-latency table is a
+# view of them, printed only with --spans, and must carry the parse and
+# execute rows.
+printf '%s\n' "$spans_out" | grep -q '^parse '
+printf '%s\n' "$spans_out" | grep -q '^execute '
 test -s clickhouse_trace.json
 # The export is a JSON array of trace events: opens with `[`, and every
 # event is a Chrome trace-event object.

@@ -1,14 +1,17 @@
 //! Guardrails for the campaign spine: one on-demand case generator, one
 //! planner, one cut → execute step whose shards prepare what they run, one
 //! execution path per shard, one constructor per finding kind, two
-//! campaign entry points, and a multi-form oracle that executes only the
-//! two forms it compares (the statement as parsed and its literal-unfolded
-//! rewrite, never the SQL text again). The tests read the source itself,
-//! so a removed path cannot quietly come back.
+//! campaign entry points, a multi-form oracle that executes only the two
+//! forms it compares (the statement as parsed and its literal-unfolded
+//! rewrite, never the SQL text again), and one recorder per track, which
+//! classifies each statement once, with spans as the only stage timer.
+//! The tests read the source itself, so a removed path cannot quietly come
+//! back.
 
 const CAMPAIGN: &str = include_str!("../crates/core/src/campaign.rs");
 const CORE_LIB: &str = include_str!("../crates/core/src/lib.rs");
 const ORACLE: &str = include_str!("../crates/core/src/oracle.rs");
+const TELEMETRY: &str = include_str!("../crates/obs/src/telemetry.rs");
 
 /// The part of a source file before its `#[cfg(test)]` module.
 fn non_test(src: &'static str) -> &'static str {
@@ -157,4 +160,27 @@ fn multi_form_oracle_executes_only_what_it_compares() {
     }
     // Form A's reference and form C: a third form has to answer for itself.
     assert_eq!(ORACLE.matches("execute_prepared(").count(), 2, "oracle.rs executes a third form");
+}
+
+#[test]
+fn one_recorder_per_track() {
+    let code = campaign_code();
+    // One classification, one live hot-path call and one finding dedup per
+    // executed statement, all inside the recorder, which also builds every
+    // span sink. The clock is read only for the campaign's and each shard's
+    // wall-clock start: spans are the only stage timer.
+    for (site, sites) in [
+        ("OutcomeClass::of(", 1),
+        ("record_statement(", 1),
+        ("record_unique_candidate(", 1),
+        ("SpanSink::new(", 1),
+        ("Instant::now", 2),
+    ] {
+        assert_eq!(code.matches(site).count(), sites, "campaign.rs: `{site}` sites");
+    }
+    assert!(!mentions(code, "ShardObserver"), "a second per-shard recorder is back");
+    assert!(!code.contains("usize::MAX / 2"), "the scheduler's stand-in telemetry is back");
+    for name in ["StageLatency", "Instant", "Duration"] {
+        assert!(!mentions(TELEMETRY, name), "telemetry.rs names {name}: telemetry reads no clock");
+    }
 }

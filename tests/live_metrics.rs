@@ -174,6 +174,77 @@ fn assert_final_scrape_reconciles(
     for shard in 0..report.shards.len() {
         assert_eq!(samples[&format!("soft_shard_state{{shard=\"{shard}\"}}")], 2.0);
     }
+    // ... and there is no other shard series: heartbeat slots past the
+    // shards cut are headroom, not shards pending forever.
+    let series = samples.keys().filter(|k| k.starts_with("soft_shard_state{")).count();
+    assert_eq!(series, report.shards.len(), "shard series for shards that never ran");
+}
+
+/// Each executed statement is classified once, and that one class feeds
+/// the shard's counters, the journal and the live registry. On all seven
+/// dialects with oracles, telemetry and a live registry armed, and once
+/// under the scheduler, each shard's journal events per class equal its
+/// `ShardStats` counters, and the final live outcome counters equal the
+/// report's sums for all five classes.
+#[test]
+fn one_classification_feeds_the_journal_shard_stats_and_live_counters() {
+    use soft_repro::obs::OutcomeClass;
+    use soft_repro::soft::{OracleConfig, ScheduleConfig, ScheduleOptions, TelemetryConfig};
+    let armed = CampaignConfig {
+        max_statements: 2_000,
+        per_seed_cap: 8,
+        telemetry: TelemetryConfig::with_interval(500),
+        oracles: OracleConfig::on(),
+        ..CampaignConfig::default()
+    };
+    let scheduled = CampaignConfig {
+        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 4 }),
+        ..armed.clone()
+    };
+    let runs = DialectId::ALL
+        .into_iter()
+        .map(|d| (d, armed.clone()))
+        .chain([(DialectId::Clickhouse, scheduled)]);
+    for (dialect, cfg) in runs {
+        let profile = DialectProfile::build(dialect);
+        let metrics = Arc::new(LiveMetrics::new());
+        let plane =
+            LivePlane { metrics: Some(Arc::clone(&metrics)), watchdog: None, spans: false };
+        let report = run_soft_parallel_live(&profile, &cfg, 2, &plane).report;
+        let name = dialect.name();
+        let events = &report.telemetry.as_ref().expect("telemetry was on").journal.events;
+        let mut sums = [0usize; OutcomeClass::ALL.len()];
+        for s in &report.shards {
+            let ok = s.statements - s.errors - s.false_positives - s.crashes - s.logic_bugs;
+            for (class, n) in [
+                (OutcomeClass::Ok, ok),
+                (OutcomeClass::Error, s.errors),
+                (OutcomeClass::ResourceLimit, s.false_positives),
+                (OutcomeClass::Crash, s.crashes),
+                (OutcomeClass::LogicBug, s.logic_bugs),
+            ] {
+                let journaled =
+                    events.iter().filter(|e| e.shard == s.shard && e.outcome == class).count();
+                assert_eq!(journaled, n, "{name} shard {}: {} events", s.shard, class.label());
+                sums[class as usize] += n;
+            }
+        }
+        // The campaign-level oracle hits sit past the executed shards: the
+        // journal's synthetic trailing shard, not executed statements.
+        assert!(events
+            .iter()
+            .filter(|e| e.shard >= report.shards.len())
+            .all(|e| e.outcome == OutcomeClass::LogicBug));
+        assert_eq!(sums[OutcomeClass::Error as usize], report.errors, "{name}");
+        assert_eq!(sums[OutcomeClass::ResourceLimit as usize], report.false_positives, "{name}");
+        assert_eq!(sums.iter().sum::<usize>(), report.statements_executed, "{name}");
+        let samples = parse_prometheus(&metrics.snapshot().render_prometheus());
+        for class in OutcomeClass::ALL {
+            let live = samples[&format!("soft_outcomes_total{{class=\"{}\"}}", class.label())];
+            assert_eq!(live, sums[class as usize] as f64, "{name}: live {}", class.label());
+        }
+        assert_final_scrape_reconciles(&samples, &report, 2);
+    }
 }
 
 /// The plan gauges reconcile whichever driver planned the stream: under

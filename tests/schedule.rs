@@ -9,7 +9,7 @@
 //! 1. a scheduled campaign — telemetry and oracles armed — produces a
 //!    byte-identical [`CampaignReport`] at 1, 2, 4, and 7 workers;
 //! 2. scheduling decisions are invariant to whether user telemetry is on
-//!    (the internal observer never leaks);
+//!    (the events the shards record for the scheduler never leak);
 //! 3. the journaled epoch records are well-formed and round-trip through
 //!    the JSONL trace format.
 
