@@ -4,7 +4,9 @@
 //! into [`Engine::prepare`] + [`Engine::execute_prepared`], the prepared-
 //! statement discipline real DBMSs use to amortise frontend cost: parsing
 //! and function-name resolution happen exactly once, and every subsequent
-//! execution walks the owned AST with allocation-free dispatch.
+//! execution walks the owned AST with allocation-free dispatch. That is the
+//! engine's one execution path; [`Engine::shape_key`] tells which prepared
+//! statements are state-independent.
 
 use std::sync::Arc;
 
@@ -15,6 +17,7 @@ use crate::executor::Exec;
 use crate::fault::FaultSet;
 use crate::functions;
 use crate::registry::{FunctionRegistry, Limits, SessionState};
+use crate::shape::ShapeKey;
 use soft_parser::ast::Statement;
 use soft_types::cast::CastStrictness;
 
@@ -37,6 +40,22 @@ impl Default for EngineConfig {
             strictness: CastStrictness::Lenient,
             limits: Limits::default(),
         }
+    }
+}
+
+/// The group size below which the campaign benchmark's replay executes
+/// statements one by one. Kept for that replay (ROADMAP, item 1).
+pub const MIN_BATCH_GROUP: usize = 3;
+
+/// The arena argument of [`Engine::execute_batch_in`]; it holds nothing.
+/// Kept for the campaign benchmark's replay (ROADMAP, item 1).
+#[derive(Debug, Default)]
+pub struct BatchArena;
+
+impl BatchArena {
+    /// A new (empty) arena.
+    pub fn new() -> Self {
+        BatchArena
     }
 }
 
@@ -245,53 +264,26 @@ impl Engine {
     }
 
     /// The structural shape key of a prepared statement, or `None` when it
-    /// cannot take the batch path (it reads rows, calls volatile or unknown
-    /// functions, aggregates, …). Statements with equal keys can be handed
-    /// to [`Engine::execute_batch`] as one group.
-    pub fn shape_key(&self, prepared: &Prepared) -> Option<crate::batch::ShapeKey> {
-        if self.backend.config.limits.max_rows < 1 {
-            return None;
-        }
-        crate::batch::shape_key(&self.backend.registry, &prepared.stmt)
+    /// may depend on engine state (it reads rows, calls volatile or unknown
+    /// functions, aggregates, …). A keyed statement executes alike on every
+    /// clone of one template, which is the multi-form oracle's outcome-reuse
+    /// predicate.
+    pub fn shape_key(&self, prepared: &Prepared) -> Option<ShapeKey> {
+        crate::shape::shape_key(&self.backend.registry, &prepared.stmt)
     }
 
-    /// Executes a group of same-shape prepared statements as one columnar
-    /// batch, allocating a fresh scratch arena. See
-    /// [`Engine::execute_batch_in`].
-    pub fn execute_batch(&mut self, members: &[&Prepared]) -> Option<Vec<ExecOutcome>> {
-        let mut arena = crate::batch::BatchArena::new();
-        self.execute_batch_in(members, &mut arena)
-    }
-
-    /// Executes a group of same-shape prepared statements as one columnar
-    /// batch using a caller-provided scratch arena (shard runners keep one
-    /// arena alive for the whole campaign).
-    ///
-    /// Returns `None`, with no side effects, when the group is not
-    /// batchable — callers fall back to [`Engine::execute_prepared`] per
-    /// member. On `Some`, the outcomes are exactly what
-    /// `execute_prepared` would have produced for each member, in member
-    /// order, including coverage, fault triggering and crash logging.
+    /// Executes `members` one after another with [`Engine::execute_prepared`].
+    /// Kept for the campaign benchmark's replay (ROADMAP, item 1).
     pub fn execute_batch_in(
         &mut self,
         members: &[&Prepared],
-        arena: &mut crate::batch::BatchArena,
+        _arena: &mut BatchArena,
     ) -> Option<Vec<ExecOutcome>> {
-        let dispatch: &[DispatchEntry] = match members.first() {
-            Some(m) => &m.dispatch,
-            None => return Some(Vec::new()),
-        };
-        let outcomes = crate::batch::execute_batch(&mut self.exec(dispatch), members, arena)?;
-        for o in &outcomes {
-            if let ExecOutcome::Crash(c) = o {
-                self.crash_log.push(c.clone());
-            }
-        }
-        Some(outcomes)
+        Some(members.iter().map(|p| self.execute_prepared(p)).collect())
     }
 
-    /// The executor for one statement (or one batch group): the shared
-    /// backend read-only, the session mutably.
+    /// The executor for one statement: the shared backend read-only, the
+    /// session mutably.
     fn exec<'e>(&'e mut self, dispatch: &'e [DispatchEntry]) -> Exec<'e> {
         let backend = &*self.backend;
         Exec {

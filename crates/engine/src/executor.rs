@@ -779,8 +779,7 @@ impl<'e> Exec<'e> {
     }
 
     /// Combines two already-evaluated operand values for every binary
-    /// operator except the short-circuiting AND/OR — the single source of
-    /// truth shared by the scalar row path and the columnar batch kernel.
+    /// operator except the short-circuiting AND/OR.
     pub(crate) fn binary_op_value(
         &mut self,
         op: BinaryOp,
@@ -1167,8 +1166,7 @@ impl<'e> Exec<'e> {
     }
 }
 
-/// Shared unary-operator semantics over an already-evaluated operand — used
-/// by the scalar row path and the columnar batch kernel.
+/// Unary-operator semantics over an already-evaluated operand.
 pub(crate) fn unary_op_result(op: UnaryOp, inner: Evaluated) -> Evaluated {
     match op {
         UnaryOp::Plus => inner,
@@ -1208,8 +1206,7 @@ pub(crate) fn unary_op_result(op: UnaryOp, inner: Evaluated) -> Evaluated {
     }
 }
 
-/// The engine value of a literal as written — shared by the row evaluator
-/// and the batch binder.
+/// The engine value of a literal as written.
 pub(crate) fn literal_value(l: &Literal) -> Value {
     match l {
         Literal::Null => Value::Null,
@@ -1220,12 +1217,12 @@ pub(crate) fn literal_value(l: &Literal) -> Value {
     }
 }
 
-/// Shared `IS [NOT] NULL` semantics.
+/// `IS [NOT] NULL` semantics.
 pub(crate) fn is_null_result(v: &Value, negated: bool) -> Value {
     Value::Boolean(v.is_null() != negated)
 }
 
-/// Shared `BETWEEN` semantics over already-evaluated operand values.
+/// `BETWEEN` semantics over already-evaluated operand values.
 pub(crate) fn between_result(v: &Value, lo: &Value, hi: &Value, negated: bool) -> Value {
     let ge = v.sql_cmp(lo).unwrap_or(None);
     let le = v.sql_cmp(hi).unwrap_or(None);

@@ -456,19 +456,6 @@ impl FaultSet {
         &self.quirks
     }
 
-    /// True when any function-site fault targets this canonical name — the
-    /// batch kernel prefetches this once per call node so fault-free
-    /// functions (the common case) skip the per-row lookup entirely.
-    pub fn has_function_faults(&self, name: &str) -> bool {
-        self.by_function.contains_key(name)
-    }
-
-    /// True when any wrong-result quirk targets this canonical name (same
-    /// prefetch role as [`FaultSet::has_function_faults`]).
-    pub fn has_quirks_for(&self, name: &str) -> bool {
-        self.quirks.iter().any(|q| q.function == name)
-    }
-
     /// Checks wrong-result quirks for a scalar call's return path; returns
     /// the first match in corpus order. `name` is the canonical function
     /// name, exactly as passed to [`FaultSet::check_function`].

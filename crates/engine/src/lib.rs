@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod batch;
 pub mod catalog;
 pub mod coverage;
 pub mod error;
@@ -34,10 +33,10 @@ pub mod regex;
 pub mod registry;
 
 mod engine;
+mod shape;
 
-pub use batch::{BatchArena, ShapeKey, MIN_BATCH_GROUP};
 pub use coverage::Coverage;
-pub use engine::{Engine, EngineConfig, Prepared};
+pub use engine::{BatchArena, Engine, EngineConfig, Prepared, MIN_BATCH_GROUP};
 pub use error::{CrashKind, CrashReport, ExecOutcome, ResultSet, SqlError, Stage};
 pub use eval::{Evaluated, Provenance};
 pub use fault::{
@@ -45,6 +44,7 @@ pub use fault::{
     ValuePred,
 };
 pub use registry::{FunctionDef, FunctionRegistry, Limits};
+pub use shape::ShapeKey;
 
 // Thread-safety audit for the sharded campaign runner: every worker owns a
 // private session (catalog, session state, coverage, crash log), but all

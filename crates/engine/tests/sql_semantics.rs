@@ -257,3 +257,18 @@ fn positive_exponent_literals_are_bounded() {
     }
     assert_eq!(rows(&mut e, "SELECT 0e300000"), vec![vec!["0".to_string()]]);
 }
+
+/// A unary chain is charged to the parser's depth budget, so a deep one is
+/// a parse error instead of a tree that overflows the stack of a campaign
+/// shard (2 MiB, the spawned-thread default) when it is evaluated.
+#[test]
+fn deep_unary_chains_are_parse_errors() {
+    let sql = format!("SELECT {}1", "NOT ".repeat(3_000));
+    let outcome = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || engine().execute(&sql))
+        .expect("spawn")
+        .join()
+        .expect("the statement runs to an outcome");
+    assert!(matches!(outcome, ExecOutcome::Error(SqlError::Parse(_))), "{outcome:?}");
+}

@@ -42,7 +42,7 @@ fn is_reserved(word: &str) -> bool {
 /// Parses a single SQL statement (a trailing `;` is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(tokens);
     let stmt = p.statement()?;
     p.eat(&Token::Semicolon);
     if p.pos != p.tokens.len() {
@@ -54,7 +54,7 @@ pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
 /// Parses a `;`-separated script into statements (empty statements skipped).
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>, ParseError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(tokens);
     let mut out = Vec::new();
     loop {
         while p.eat(&Token::Semicolon) {}
@@ -69,7 +69,7 @@ pub fn parse_script(sql: &str) -> Result<Vec<Statement>, ParseError> {
 /// Parses a standalone scalar expression (used by the generators).
 pub fn parse_expression(sql: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0, depth: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.expr()?;
     if p.pos != p.tokens.len() {
         return Err(p.err("trailing tokens after expression"));
@@ -79,15 +79,65 @@ pub fn parse_expression(sql: &str) -> Result<Expr, ParseError> {
 
 /// Maximum expression nesting the parser accepts; the recursion guard that a
 /// real DBMS parser needs for exactly the reasons §5.3 of the paper explains.
+/// Every nested operand and every fold of a left-associative chain
+/// (`a + b + c`, `x::INT::INT`, `s UNION s`) is charged to it, so an
+/// accepted tree is at most this deep and rendering, visiting, evaluating
+/// and dropping it recurse at most this far.
 const MAX_PARSE_DEPTH: usize = 200;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// The nesting level of the node being parsed.
     depth: usize,
+    /// The deepest level any node of the current left-associative chain
+    /// reaches, its folds included (see [`Parser::start_chain`]). A failed
+    /// parse abandons the parser, so error paths restore neither level.
+    deepest: usize,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser { tokens, pos: 0, depth: 0, deepest: 0 }
+    }
+
+    /// The depth-budget error, built straight into the caller's return
+    /// value, so the recursive functions that return it gain no stack slot
+    /// for it: a debug build keeps one per temporary, and deep input runs
+    /// on a campaign shard's 2 MiB stack.
+    fn too_deep<T>(&self) -> Result<T, ParseError> {
+        Err(self.err("expression too deeply nested"))
+    }
+
+    /// Enters one nesting level; false when that exceeds
+    /// [`MAX_PARSE_DEPTH`]. The caller parses the nested part and then
+    /// decrements `depth`.
+    fn enter(&mut self) -> bool {
+        self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
+        self.depth <= MAX_PARSE_DEPTH
+    }
+
+    /// Starts a left-associative chain: its reach is measured from the
+    /// current level, so siblings parsed before it do not count against
+    /// it. Returns the enclosing chain's reach for [`Parser::end_chain`].
+    fn start_chain(&mut self) -> usize {
+        std::mem::replace(&mut self.deepest, self.depth)
+    }
+
+    /// Charges one fold of a chain: the new node holds everything the chain
+    /// has parsed so far one level further down. False when that exceeds
+    /// [`MAX_PARSE_DEPTH`].
+    fn fold(&mut self) -> bool {
+        self.deepest += 1;
+        self.deepest <= MAX_PARSE_DEPTH
+    }
+
+    /// Ends a chain: the enclosing chain reaches at least as deep.
+    fn end_chain(&mut self, outer: usize) {
+        self.deepest = self.deepest.max(outer);
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError { message: message.to_string(), position: self.pos }
     }
@@ -197,19 +247,29 @@ impl Parser {
     }
 
     fn select_body(&mut self) -> Result<SelectBody, ParseError> {
+        let outer = self.start_chain();
         let mut left = self.select_atom()?;
         while self.peek().is_some_and(|t| t.is_kw("UNION")) {
             self.pos += 1;
             let all = self.eat_kw("ALL");
             let right = self.select_atom()?;
+            if !self.fold() {
+                return self.too_deep();
+            }
             left = SelectBody::Union { left: Box::new(left), right: Box::new(right), all };
         }
+        self.end_chain(outer);
         Ok(left)
     }
 
     fn select_atom(&mut self) -> Result<SelectBody, ParseError> {
         if self.eat(&Token::LParen) {
-            let body = self.select_body()?;
+            if !self.enter() {
+                return self.too_deep();
+            }
+            let body = self.select_body();
+            self.depth -= 1;
+            let body = body?;
             self.expect(&Token::RParen)?;
             Ok(body)
         } else {
@@ -278,7 +338,12 @@ impl Parser {
 
     fn table_ref(&mut self) -> Result<TableRef, ParseError> {
         if self.eat(&Token::LParen) {
-            let query = self.select_stmt()?;
+            if !self.enter() {
+                return self.too_deep();
+            }
+            let query = self.select_stmt();
+            self.depth -= 1;
+            let query = query?;
             self.expect(&Token::RParen)?;
             let alias = self.opt_alias()?;
             Ok(TableRef::Subquery { query: Box::new(query), alias })
@@ -411,10 +476,8 @@ impl Parser {
     // ---- expression grammar ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.depth += 1;
-        if self.depth > MAX_PARSE_DEPTH {
-            self.depth -= 1;
-            return Err(self.err("expression too deeply nested"));
+        if !self.enter() {
+            return self.too_deep();
         }
         let r = self.or_expr();
         self.depth -= 1;
@@ -422,32 +485,55 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.start_chain();
         let mut left = self.and_expr()?;
         while self.eat_kw("OR") {
             let right = self.and_expr()?;
-            left = Expr::Binary { left: Box::new(left), op: BinaryOp::Or, right: Box::new(right) };
+            if !self.fold() {
+                return self.too_deep();
+            }
+            left = Expr::Binary {
+                left: Box::new(left),
+                op: BinaryOp::Or,
+                right: Box::new(right),
+            };
         }
+        self.end_chain(outer);
         Ok(left)
     }
 
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.start_chain();
         let mut left = self.not_expr()?;
         while self.eat_kw("AND") {
             let right = self.not_expr()?;
-            left = Expr::Binary { left: Box::new(left), op: BinaryOp::And, right: Box::new(right) };
+            if !self.fold() {
+                return self.too_deep();
+            }
+            left = Expr::Binary {
+                left: Box::new(left),
+                op: BinaryOp::And,
+                right: Box::new(right),
+            };
         }
+        self.end_chain(outer);
         Ok(left)
     }
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
-            return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
+            if !self.enter() {
+                return self.too_deep();
+            }
+            let inner = self.not_expr();
+            self.depth -= 1;
+            return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner?) });
         }
         self.comparison()
     }
 
     fn comparison(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.start_chain();
         let mut left = self.additive()?;
         loop {
             let op = match self.peek() {
@@ -463,12 +549,18 @@ impl Parser {
             if let Some(op) = op {
                 self.pos += 1;
                 let right = self.additive()?;
+                if !self.fold() {
+                    return self.too_deep();
+                }
                 left = Expr::Binary { left: Box::new(left), op, right: Box::new(right) };
                 continue;
             }
             if self.eat_kw("IS") {
                 let negated = self.eat_kw("NOT");
                 self.expect_kw("NULL")?;
+                if !self.fold() {
+                    return self.too_deep();
+                }
                 left = Expr::IsNull { expr: Box::new(left), negated };
                 continue;
             }
@@ -493,6 +585,9 @@ impl Parser {
                     }
                 }
                 self.expect(&Token::RParen)?;
+                if !self.fold() {
+                    return self.too_deep();
+                }
                 left = Expr::InList { expr: Box::new(left), list, negated };
                 continue;
             }
@@ -500,6 +595,9 @@ impl Parser {
                 let low = self.additive()?;
                 self.expect_kw("AND")?;
                 let high = self.additive()?;
+                if !self.fold() {
+                    return self.too_deep();
+                }
                 left = Expr::Between {
                     expr: Box::new(left),
                     low: Box::new(low),
@@ -513,10 +611,12 @@ impl Parser {
             }
             break;
         }
+        self.end_chain(outer);
         Ok(left)
     }
 
     fn additive(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.start_chain();
         let mut left = self.multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -527,12 +627,17 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.multiplicative()?;
+            if !self.fold() {
+                return self.too_deep();
+            }
             left = Expr::Binary { left: Box::new(left), op, right: Box::new(right) };
         }
+        self.end_chain(outer);
         Ok(left)
     }
 
     fn multiplicative(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.start_chain();
         let mut left = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -543,8 +648,12 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.unary()?;
+            if !self.fold() {
+                return self.too_deep();
+            }
             left = Expr::Binary { left: Box::new(left), op, right: Box::new(right) };
         }
+        self.end_chain(outer);
         Ok(left)
     }
 
@@ -552,32 +661,43 @@ impl Parser {
         match self.peek() {
             Some(Token::Minus) => {
                 self.pos += 1;
-                let e = self.unary()?;
-                Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e) })
+                if !self.enter() {
+                    return self.too_deep();
+                }
+                let e = self.unary();
+                self.depth -= 1;
+                Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(e?) })
             }
             Some(Token::Plus) => {
                 self.pos += 1;
-                let e = self.unary()?;
-                Ok(Expr::Unary { op: UnaryOp::Plus, expr: Box::new(e) })
+                if !self.enter() {
+                    return self.too_deep();
+                }
+                let e = self.unary();
+                self.depth -= 1;
+                Ok(Expr::Unary { op: UnaryOp::Plus, expr: Box::new(e?) })
             }
             _ => self.postfix(),
         }
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.start_chain();
         let mut e = self.primary()?;
         while self.eat(&Token::DoubleColon) {
             let type_name = self.type_name()?;
+            if !self.fold() {
+                return self.too_deep();
+            }
             e = Expr::Cast { expr: Box::new(e), type_name, postgres_style: true };
         }
+        self.end_chain(outer);
         Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        self.depth += 1;
-        if self.depth > MAX_PARSE_DEPTH {
-            self.depth -= 1;
-            return Err(self.err("expression too deeply nested"));
+        if !self.enter() {
+            return self.too_deep();
         }
         let r = self.primary_inner();
         self.depth -= 1;
@@ -934,6 +1054,36 @@ mod tests {
         let deep = format!("SELECT {}1{}", "(".repeat(5000), ")".repeat(5000));
         let e = parse_statement(&deep).unwrap_err();
         assert!(e.message.contains("nested"), "{e}");
+        // Unary and left-associative chains build trees as deep as they are
+        // long, so they are charged to the same budget.
+        let links = 1_000;
+        for sql in [
+            format!("SELECT {}1", "NOT ".repeat(links)),
+            format!("SELECT {}1", "- ".repeat(links)),
+            format!("SELECT 1{}", " + 1".repeat(links)),
+            format!("SELECT 1{}", " AND 1".repeat(links)),
+            format!("SELECT 'a'{}", " || 'a'".repeat(links)),
+            format!("SELECT 1{}", "::INT".repeat(links)),
+            format!("SELECT 1{}", " UNION SELECT 1".repeat(links)),
+            format!("{}SELECT 1{}", "(".repeat(links), ")".repeat(links)),
+            format!("SELECT 1{}", " FROM (SELECT 1".repeat(links)) + &")".repeat(links),
+        ] {
+            let e = parse_statement(&sql).unwrap_err();
+            assert!(e.message.contains("too deeply nested"), "{}: {e}", &sql[..40]);
+        }
+        // A chain folds on top of its deepest operand, wherever that sits.
+        let nested_sum = |parens: usize, terms: usize| {
+            let operand = format!("{}1{}", "(".repeat(parens), ")".repeat(parens));
+            parse_statement(&format!("SELECT {operand}{}", " + 1".repeat(terms)))
+        };
+        assert!(nested_sum(90, 10).is_ok());
+        assert!(nested_sum(90, 30).is_err());
+        assert!(nested_sum(10, 150).is_ok());
+        // Siblings do not add up: each argument is measured on its own.
+        let wide = format!("SELECT f({})", vec!["1 + 1 + 1 + 1"; 400].join(", "));
+        assert!(parse_statement(&wide).is_ok());
+        let long_chain = format!("SELECT 1{}", " + 1".repeat(150));
+        assert!(parse_statement(&long_chain).is_ok());
     }
 
     #[test]

@@ -198,9 +198,9 @@ fn class_bit(class: BoundaryClass) -> u32 {
 }
 
 /// The boundary classes of a value as a bitmask over the (finite) class
-/// universe — the allocation-free form of [`classify`], used on per-call hot
-/// paths (coverage memo keys in the batch kernel). Bit `i` is set iff
-/// `classify(value)` contains the `i`-th class in sorted order.
+/// universe — the allocation-free form of [`classify`], which decodes it.
+/// Bit `i` is set iff `classify(value)` contains the `i`-th class in sorted
+/// order.
 pub fn class_bits(value: &Value) -> u32 {
     use BoundaryClass::*;
     let mut bits = 0u32;

@@ -27,7 +27,6 @@
 pub mod boundary;
 pub mod cast;
 pub mod category;
-pub mod column;
 pub mod datetime;
 pub mod decimal;
 pub mod geometry;

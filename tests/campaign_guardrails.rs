@@ -3,8 +3,9 @@
 //! execution path per shard, one constructor per finding kind, two
 //! campaign entry points, a multi-form oracle that executes only the two
 //! forms it compares (the statement as parsed and its literal-unfolded
-//! rewrite, never the SQL text again), and one recorder per track, which
-//! classifies each statement once, with spans as the only stage timer.
+//! rewrite, never the SQL text again), one recorder per track, which
+//! classifies each statement once, with spans as the only stage timer, and
+//! one engine execution path, with no columnar backend beside it.
 //! The tests read the source itself, so a removed path cannot quietly come
 //! back.
 
@@ -12,6 +13,8 @@ const CAMPAIGN: &str = include_str!("../crates/core/src/campaign.rs");
 const CORE_LIB: &str = include_str!("../crates/core/src/lib.rs");
 const ORACLE: &str = include_str!("../crates/core/src/oracle.rs");
 const TELEMETRY: &str = include_str!("../crates/obs/src/telemetry.rs");
+const TYPES_LIB: &str = include_str!("../crates/types/src/lib.rs");
+const ENGINE: &str = include_str!("../crates/engine/src/engine.rs");
 
 /// The part of a source file before its `#[cfg(test)]` module.
 fn non_test(src: &'static str) -> &'static str {
@@ -183,4 +186,52 @@ fn one_recorder_per_track() {
     for name in ["StageLatency", "Instant", "Duration"] {
         assert!(!mentions(TELEMETRY, name), "telemetry.rs names {name}: telemetry reads no clock");
     }
+}
+
+/// The non-test part of every `.rs` file under `dir`, with its path.
+fn non_test_sources(dir: &std::path::Path, out: &mut Vec<(String, String)>) {
+    for entry in std::fs::read_dir(dir).expect("source directory reads") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            non_test_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let src = std::fs::read_to_string(&path).expect("source file reads");
+            let code = src.split("#[cfg(test)]").next().unwrap_or("").to_string();
+            out.push((path.display().to_string(), code));
+        }
+    }
+}
+
+#[test]
+fn columnar_backend_stays_removed() {
+    assert!(!TYPES_LIB.contains("mod column"), "soft_types declares a column module again");
+    let mut sources = Vec::new();
+    let engine_src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/engine/src");
+    non_test_sources(&engine_src, &mut sources);
+    assert!(sources.len() > 10, "the engine sources were not found");
+    for (path, code) in &sources {
+        for removed in ["ColumnVec", "ColumnArena"] {
+            assert!(!mentions(code, removed), "{path} names {removed} again");
+        }
+        assert!(!code.contains("fn execute_batch("), "{path} defines execute_batch again");
+    }
+    // The perfbench leftovers are the scalar path under old names.
+    let engine = non_test(ENGINE);
+    let start = engine.find("fn execute_batch_in(").expect("execute_batch_in exists");
+    let body = &engine[start..];
+    let body = &body[body.find('{').expect("a body")..body.find("\n    }\n").expect("its end")];
+    let mut calls: Vec<&str> = body
+        .match_indices('(')
+        .filter_map(|(i, _)| body[..i].rsplit(|c: char| !is_ident_char(c)).next())
+        .filter(|name| !name.is_empty())
+        .collect();
+    calls.sort_unstable();
+    assert_eq!(
+        calls,
+        ["Some", "collect", "execute_prepared", "iter", "map"],
+        "execute_batch_in does more than call execute_prepared per member"
+    );
+    let arena = &engine[engine.find("pub struct BatchArena").expect("BatchArena exists")..];
+    let decl = arena["pub struct BatchArena".len()..].trim_start();
+    assert!(decl.starts_with(';') || decl.starts_with("{}"), "BatchArena has fields again");
 }
