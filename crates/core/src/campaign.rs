@@ -70,17 +70,16 @@
 //! The generator therefore works in (pattern, 16-seed chunk) items and
 //! generates a pattern's next chunks only when the interleave reads past
 //! the cases that exist: the first read generates chunk 0 of every active
-//! pattern in one wave, and a pattern that runs dry gets its next
-//! `workers` chunks in one wave. A queue is its chunks concatenated in
-//! seed order, so every prefix the interleave reads equals the prefix of
-//! the fully generated queue, and the planned stream is the same at any
-//! worker count. The scheduler's bandit caps each quota by an arm's
-//! remaining cases, so it generates every chunk in one wave before its
-//! first epoch. Either way the report's per-pattern count
+//! pattern in one wave on the workers, and a pattern that runs dry gets
+//! its next chunk on the planner's own thread. A queue is its chunks
+//! concatenated in seed order, so every prefix the interleave reads equals
+//! the prefix of the fully generated queue, and the planned stream is the
+//! same at any worker count. The scheduler's bandit caps each quota by an
+//! arm's remaining cases, so it generates every chunk in one wave before
+//! its first epoch. Either way the report's per-pattern count
 //! ([`CampaignReport::generated_per_pattern`]) is what the planner drew
 //! from each pattern's queues, planned or skipped as a duplicate — never
-//! what was generated ahead of it, which follows the wave size and with
-//! it the worker count.
+//! what was generated ahead of it.
 //!
 //! # The live plane
 //!
@@ -1151,17 +1150,18 @@ impl<'a> Generator<'a> {
     }
 
     /// Case `i` of queue `a`, `None` once the queue is exhausted. When `i`
-    /// runs past the cases that exist, generates more in one wave: the
-    /// first request opens chunk 0 of every queue, a later one the next
-    /// `workers` chunks of queue `a`, until case `i` exists or the queue's
-    /// seeds run out.
+    /// runs past the cases that exist, generates more: the first request
+    /// opens chunk 0 of every queue in one wave, a later one the next chunk
+    /// of queue `a` on the calling thread, until case `i` exists or the
+    /// queue's seeds run out. A single chunk costs about as much as
+    /// starting the workers of a wave, and a wave of one chunk per worker
+    /// ends only when the last worker the host schedules does.
     fn case(&mut self, a: usize, i: usize) -> Option<&(GeneratedCase, usize)> {
         while i >= self.queues[a].len() && self.next_chunk[a] < self.chunks() {
             let items: Vec<(usize, usize)> = if self.next_chunk.iter().all(|&c| c == 0) {
                 (0..self.queues.len()).map(|q| (q, 0)).collect()
             } else {
-                let first = self.next_chunk[a];
-                (first..self.chunks()).take(self.workers).map(|c| (a, c)).collect()
+                vec![(a, self.next_chunk[a])]
             };
             self.open(&items);
         }
@@ -1176,9 +1176,10 @@ impl<'a> Generator<'a> {
         self.open(&items);
     }
 
-    /// Generates the (queue, seed chunk) `items` on worker threads and
-    /// appends each chunk to its queue. The items of one queue must be its
-    /// next chunks in order; `par_map` returns them in that order.
+    /// Generates the (queue, seed chunk) `items` on worker threads (one
+    /// item on the calling thread) and appends each chunk to its queue. The
+    /// items of one queue must be its next chunks in order; `par_map`
+    /// returns them in that order.
     fn open(&mut self, items: &[(usize, usize)]) {
         let parts = par_map(items.len(), self.workers, |k| {
             let (q, chunk) = items[k];
@@ -1250,6 +1251,12 @@ impl<'a> Generator<'a> {
     }
 }
 
+/// The stack of a [`par_map`] worker: the main thread's usual 8 MiB rather
+/// than the 2 MiB a spawned thread gets by default, so the deepest
+/// statement the parser accepts evaluates on a shard as it does inline,
+/// in a debug build too.
+const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// Maps `f` over `0..n` on up to `workers` threads, which take indices from
 /// a shared cursor as they free up, and returns the results in index order
 /// — so the output never depends on the worker count or completion order.
@@ -1262,14 +1269,17 @@ fn par_map<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> 
     let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
     std::thread::scope(|scope| {
         for _ in 0..workers.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = f(i);
-                done.lock().expect("a worker panicked holding the results").push((i, out));
-            });
+            std::thread::Builder::new()
+                .stack_size(WORKER_STACK_BYTES)
+                .spawn_scoped(scope, || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let out = f(i);
+                    done.lock().expect("a worker panicked holding the results").push((i, out));
+                })
+                .expect("spawning a campaign worker");
         }
     });
     let mut done = done.into_inner().expect("a worker panicked holding the results");
@@ -2094,5 +2104,32 @@ mod tests {
         let report = run_soft_parallel(&profile, &cfg, 1);
         assert!(report.findings.iter().all(|f| f.kind.crash().is_some()));
         assert!(report.shards.iter().all(|s| s.logic_bugs == 0));
+    }
+
+    /// The deepest statements the parser accepts evaluate on a campaign
+    /// worker. In a debug build 99 nested `CASE`s, 198 `NOT`s and a chain
+    /// of 198 `+` need up to about 2.9 MB of stack, more than a spawned
+    /// thread's 2 MiB default; one level deeper is a parse error.
+    #[test]
+    fn deepest_accepted_statements_evaluate_on_a_worker() {
+        let nested_case =
+            |n: usize| format!("SELECT {}1{}", "CASE WHEN 1 THEN ".repeat(n), " END".repeat(n));
+        let not_chain = |n: usize| format!("SELECT {}1", "NOT ".repeat(n));
+        let plus_chain = |n: usize| format!("SELECT 1{}", " + 1".repeat(n));
+        let deepest = [nested_case(99), not_chain(198), plus_chain(198)];
+        let too_deep = [nested_case(100), not_chain(199), plus_chain(199)];
+        let engine = DialectProfile::build(DialectId::Mysql).engine_without_faults();
+        let statements: Vec<&String> = deepest.iter().chain(&too_deep).collect();
+        let outcomes = par_map(statements.len(), 2, |i| engine.clone().execute(statements[i]));
+        for (sql, outcome) in statements.iter().zip(&outcomes).take(deepest.len()) {
+            assert!(matches!(outcome, ExecOutcome::Rows(_)), "{}: {outcome:?}", &sql[..40]);
+        }
+        for (sql, outcome) in statements.iter().zip(&outcomes).skip(deepest.len()) {
+            assert!(
+                matches!(outcome, ExecOutcome::Error(SqlError::Parse(_))),
+                "{}: {outcome:?}",
+                &sql[..40]
+            );
+        }
     }
 }

@@ -297,7 +297,6 @@ impl Engine {
             memory_used: 0,
             subquery_depth: 0,
             dispatch,
-            feature_buf: String::new(),
         }
     }
 

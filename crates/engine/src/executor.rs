@@ -4,7 +4,7 @@
 //! checking.
 
 use crate::catalog::{Catalog, Column};
-use crate::coverage::Coverage;
+use crate::coverage::{self, Coverage, Feature};
 use crate::engine::DispatchEntry;
 use crate::error::{EngineError, ResultSet, SqlError};
 use crate::eval::{Evaluated, Provenance};
@@ -43,9 +43,6 @@ pub(crate) struct Exec<'e> {
     pub limits: Limits,
     pub memory_used: usize,
     pub subquery_depth: usize,
-    /// Scratch buffer for coverage feature keys (reused across calls so the
-    /// per-call recording allocates nothing after the first use).
-    pub feature_buf: String,
 }
 
 /// A row-evaluation context: column bindings plus optional group rows for
@@ -1089,33 +1086,25 @@ impl<'e> Exec<'e> {
     }
 
     pub(crate) fn record_call(&mut self, canonical: &str, args: &[Evaluated]) {
-        use std::fmt::Write as _;
-        // The feature keys are rebuilt in a buffer reused across calls —
-        // their bytes (what `record_feature` hashes) are exactly the strings
-        // the old per-key `format!`s produced, without the per-call
-        // allocations on the campaign's hottest path.
-        let mut key = std::mem::take(&mut self.feature_buf);
-        let mut feat = |coverage: &mut Coverage, args: std::fmt::Arguments<'_>| {
-            key.clear();
-            key.write_fmt(args).expect("writing to a String cannot fail");
-            coverage.record_feature(canonical, &key);
-        };
-        feat(&mut *self.coverage, format_args!("arity-{}", args.len().min(8)));
-        for (i, a) in args.iter().enumerate().take(4) {
-            feat(&mut *self.coverage, format_args!("arg{i}-{}", a.value.data_type()));
-            for class in boundary::classify(&a.value) {
-                feat(&mut *self.coverage, format_args!("arg{i}-{class:?}"));
+        let function = coverage::name_id(canonical);
+        let cov = &mut *self.coverage;
+        cov.record_feature(function, Feature::Arity(args.len().min(8) as u8));
+        for (i, a) in (0u8..4).zip(args) {
+            cov.record_feature(function, Feature::ArgType(i, a.value.data_type()));
+            let mut bits = boundary::class_bits(&a.value);
+            while bits != 0 {
+                cov.record_feature(function, Feature::ArgClass(i, bits.trailing_zeros() as u8));
+                bits &= bits - 1;
             }
             // Provenance features: nested-function and cast-fed arguments
             // exercise different code paths.
             if a.provenance.from_function(None) {
-                feat(&mut *self.coverage, format_args!("arg{i}-from-fn"));
+                cov.record_feature(function, Feature::ArgFromFn(i));
             }
             if a.provenance.via_cast(None) {
-                feat(&mut *self.coverage, format_args!("arg{i}-via-cast"));
+                cov.record_feature(function, Feature::ArgViaCast(i));
             }
         }
-        self.feature_buf = key;
     }
 
     fn invoke_scalar(

@@ -155,7 +155,7 @@ impl ValuePred {
                 _ => false,
             },
             ValuePred::RepeatRunAtLeast(n) => match v {
-                Value::Text(s) => boundary::repeated_prefix_run(s) >= *n,
+                Value::Text(s) => boundary::repeated_prefix_run_capped(s, *n) >= *n,
                 // Arrays with a long leading run of equal elements are the
                 // container analogue of a repeated prefix (P1.4 on array
                 // literals).
@@ -169,7 +169,7 @@ impl ValuePred {
             ValuePred::NestingAtLeast(n) => match v {
                 Value::Json(j) => j.depth() >= *n,
                 Value::Xml(x) => x.roots.iter().map(|r| r.depth()).max().unwrap_or(0) >= *n,
-                Value::Text(s) => boundary::repeated_prefix_run(s) >= *n,
+                Value::Text(s) => boundary::repeated_prefix_run_capped(s, *n) >= *n,
                 Value::Array(_) => container_depth(v) >= *n,
                 _ => false,
             },

@@ -10,6 +10,7 @@ use crate::eval::Evaluated;
 use crate::regex::Regex;
 use crate::registry::*;
 use soft_types::category::FunctionCategory as C;
+use soft_types::hex;
 use soft_types::value::Value;
 
 fn def(
@@ -458,11 +459,7 @@ fn f_hex(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> 
         Value::Integer(i) => Ok(Value::Text(format!("{i:X}"))),
         _ => {
             let b = some_or_null!(want_binary(ctx, args, 0)?);
-            let mut out = String::with_capacity(b.len() * 2);
-            for byte in b {
-                out.push_str(&format!("{byte:02X}"));
-            }
-            Ok(Value::Text(out))
+            Ok(Value::Text(hex::upper(&b)))
         }
     }
 }
@@ -502,13 +499,9 @@ fn digest_hex(data: &[u8], out_bytes: usize) -> String {
             state ^= b as u64;
             state = state.wrapping_mul(0x100000001b3);
         }
-        for byte in state.to_be_bytes() {
-            if produced >= out_bytes {
-                break;
-            }
-            out.push_str(&format!("{byte:02x}"));
-            produced += 1;
-        }
+        let take = (out_bytes - produced).min(8);
+        hex::push_lower(&mut out, &state.to_be_bytes()[..take]);
+        produced += take;
         round = round.wrapping_add(1);
     }
     out

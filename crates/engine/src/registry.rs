@@ -1,6 +1,6 @@
 //! The function registry and the per-call execution context.
 
-use crate::coverage::Coverage;
+use crate::coverage::{name_id, Coverage, Feature};
 use crate::error::{EngineError, SqlError};
 use crate::eval::{Evaluated, Provenance};
 use crate::fault::FaultSet;
@@ -344,7 +344,7 @@ pub fn perform_cast(
     faults: &FaultSet,
 ) -> Result<Evaluated, EngineError> {
     let from = operand.value.data_type();
-    coverage.record_feature("cast", &format!("{from}->{to}"));
+    coverage.record_feature(name_id("cast"), Feature::Cast(from, to));
     if let Some(fault) = faults.check_cast(to, !explicit, operand) {
         return Err(EngineError::Crash(fault.crash(None)));
     }

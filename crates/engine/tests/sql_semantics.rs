@@ -259,8 +259,9 @@ fn positive_exponent_literals_are_bounded() {
 }
 
 /// A unary chain is charged to the parser's depth budget, so a deep one is
-/// a parse error instead of a tree that overflows the stack of a campaign
-/// shard (2 MiB, the spawned-thread default) when it is evaluated.
+/// a parse error instead of a tree that overflows a thread's stack when it
+/// is evaluated. The test runs on 2 MiB, the spawned-thread default and a
+/// quarter of what campaign workers get (`WORKER_STACK_BYTES`).
 #[test]
 fn deep_unary_chains_are_parse_errors() {
     let sql = format!("SELECT {}1", "NOT ".repeat(3_000));

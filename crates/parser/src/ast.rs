@@ -574,13 +574,7 @@ impl fmt::Display for Literal {
         match self {
             Literal::Number(s) => write!(f, "{s}"),
             Literal::String(s) => write!(f, "{}", quote_sql_string(s)),
-            Literal::HexBlob(b) => {
-                write!(f, "x'")?;
-                for byte in b {
-                    write!(f, "{byte:02X}")?;
-                }
-                write!(f, "'")
-            }
+            Literal::HexBlob(b) => write!(f, "x'{}'", soft_types::hex::upper(b)),
             Literal::Null => write!(f, "NULL"),
             Literal::Boolean(true) => write!(f, "TRUE"),
             Literal::Boolean(false) => write!(f, "FALSE"),
@@ -647,6 +641,14 @@ impl fmt::Display for Expr {
                     Expr::Literal(_) | Expr::Column(_) | Expr::Function(_) => {
                         write!(f, "{sym}{expr}")
                     }
+                    // A nested unary of the same operator needs no
+                    // parentheses, which would charge the parser's depth
+                    // budget a second level per operator. The space keeps
+                    // `- -x` from starting a `--` comment.
+                    Expr::Unary { op: inner, .. } if inner == op => match op {
+                        UnaryOp::Not => write!(f, "{sym}{expr}"),
+                        UnaryOp::Neg | UnaryOp::Plus => write!(f, "{sym} {expr}"),
+                    },
                     _ => write!(f, "{sym}({expr})"),
                 }
             }

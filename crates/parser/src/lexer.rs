@@ -73,13 +73,7 @@ impl fmt::Display for Token {
             Token::Ident(s) => write!(f, "{s}"),
             Token::Number(s) => write!(f, "{s}"),
             Token::String(s) => write!(f, "'{s}'"),
-            Token::HexBlob(b) => {
-                write!(f, "x'")?;
-                for byte in b {
-                    write!(f, "{byte:02X}")?;
-                }
-                write!(f, "'")
-            }
+            Token::HexBlob(b) => write!(f, "x'{}'", soft_types::hex::upper(b)),
             Token::LParen => write!(f, "("),
             Token::RParen => write!(f, ")"),
             Token::LBracket => write!(f, "["),

@@ -104,7 +104,7 @@ impl Parser {
     /// The depth-budget error, built straight into the caller's return
     /// value, so the recursive functions that return it gain no stack slot
     /// for it: a debug build keeps one per temporary, and deep input runs
-    /// on a campaign shard's 2 MiB stack.
+    /// on threads with a fixed stack (a campaign worker's is 8 MiB).
     fn too_deep<T>(&self) -> Result<T, ParseError> {
         Err(self.err("expression too deeply nested"))
     }
@@ -1084,6 +1084,29 @@ mod tests {
         assert!(parse_statement(&wide).is_ok());
         let long_chain = format!("SELECT 1{}", " + 1".repeat(150));
         assert!(parse_statement(&long_chain).is_ok());
+    }
+
+    /// A chain of one unary operator renders as `NOT NOT x`, `- -x` or
+    /// `+ +x`, so every chain the parser accepts renders to text it accepts
+    /// again, with the same tree.
+    #[test]
+    fn unary_chains_round_trip_at_every_accepted_depth() {
+        for op in ["NOT ", "- ", "+ "] {
+            let mut deepest = 0;
+            for n in 1.. {
+                let Ok(tree) = parse_statement(&format!("SELECT {}x", op.repeat(n))) else {
+                    break;
+                };
+                let rendered = tree.to_string();
+                assert!(!rendered.contains("--"), "{op:?} x{n} renders a comment: {rendered}");
+                match parse_statement(&rendered) {
+                    Ok(again) => assert_eq!(again, tree, "{op:?} x{n} changed in the round trip"),
+                    Err(e) => panic!("{op:?} x{n} renders unparseable text: {e}"),
+                }
+                deepest = n;
+            }
+            assert_eq!(deepest, MAX_PARSE_DEPTH - 2, "{op:?}: the deepest accepted chain moved");
+        }
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! be classified into a set of [`BoundaryClass`]es. The engine uses the
 //! classes for feature-branch coverage, the fault corpus uses them as trigger
 //! predicates, and the analyses report on them.
+//!
+//! Boundary arguments are large on purpose (Patterns 1.4 and 3.1 build
+//! repeated-prefix strings, the literal pools hold 4 KiB and 64 KiB
+//! strings), so classification must not cost more as an argument grows
+//! where the answer does not depend on its size. The one scan that could,
+//! the repeated-prefix run, is capped: [`class_bits`] stops counting at
+//! 512 repeats, the floor of the top [`BoundaryClass::RepeatedPrefix`]
+//! bucket, and a fault predicate asking for at least `n` repeats stops at
+//! `n` ([`repeated_prefix_run_capped`]).
 
 use crate::value::Value;
 
@@ -76,6 +85,11 @@ fn depth_bucket(n: usize) -> Option<u8> {
     }
 }
 
+/// The floor of the top [`BoundaryClass::RepeatedPrefix`] bucket: a run
+/// this long or longer classifies the same, so [`class_bits`] counts no
+/// further.
+const REPEAT_CAP: usize = 512;
+
 fn repeat_bucket(n: usize) -> Option<u32> {
     match n {
         0..=7 => None,
@@ -85,25 +99,27 @@ fn repeat_bucket(n: usize) -> Option<u32> {
     }
 }
 
-/// Length of the longest run of a repeated 1-4 byte prefix at the start of
-/// `s` (e.g. `"[1,[1,[1,"` has a repeated 3-byte prefix with run 3).
-pub fn repeated_prefix_run(s: &str) -> usize {
+/// The length of the longest run of a repeated 1-4 byte prefix at the
+/// start of `s` (e.g. `"[1,[1,[1,"` has a repeated 3-byte prefix with run
+/// 3), capped at `cap`: it reads at most `cap` repeats of each prefix
+/// length, so the cost is bounded by `cap`, not by the length of `s`.
+pub fn repeated_prefix_run_capped(s: &str, cap: usize) -> usize {
     let bytes = s.as_bytes();
     let mut best = 1;
     for plen in 1..=4usize {
-        if bytes.len() < plen * 2 {
+        if best >= cap || bytes.len() < plen * 2 {
             break;
         }
         let prefix = &bytes[..plen];
         let mut count = 1;
         let mut i = plen;
-        while i + plen <= bytes.len() && &bytes[i..i + plen] == prefix {
+        while count < cap && i + plen <= bytes.len() && &bytes[i..i + plen] == prefix {
             count += 1;
             i += plen;
         }
         best = best.max(count);
     }
-    best
+    best.min(cap)
 }
 
 /// Case-insensitive ASCII prefix test without allocating an uppercased copy
@@ -131,15 +147,18 @@ pub fn looks_structured(s: &str) -> bool {
     if b.len() >= 8 && b[..4].iter().all(u8::is_ascii_digit) && b[4] == b'-' {
         return true;
     }
-    if t.splitn(4, '.').count() == 4 && t.bytes().all(|c| c.is_ascii_digit() || c == b'.') {
+    // The byte test runs first: it stops at the first byte that is neither,
+    // where the dot count would read a long string to its end.
+    if t.bytes().all(|c| c.is_ascii_digit() || c == b'.') && t.splitn(4, '.').count() == 4 {
         return true;
     }
     false
 }
 
-/// The `(class, bit)` table behind [`class_bits`], in the sorted order
-/// [`classify`] promises (variant order, then bucket payload order).
-const CLASS_TABLE: [BoundaryClass; 22] = {
+/// The class universe in bit order: bit `i` of [`class_bits`] is
+/// `CLASS_TABLE[i]`. The order is the sorted order [`classify`] promises
+/// (variant order, then bucket payload order).
+pub const CLASS_TABLE: [BoundaryClass; 22] = {
     use BoundaryClass::*;
     [
         NullValue,
@@ -253,7 +272,7 @@ pub fn class_bits(value: &Value) -> u32 {
             if let Some(b) = len_bucket(s.len()) {
                 set(LongString(b));
             }
-            if let Some(b) = repeat_bucket(repeated_prefix_run(s)) {
+            if let Some(b) = repeat_bucket(repeated_prefix_run_capped(s, REPEAT_CAP)) {
                 set(RepeatedPrefix(b));
             }
             if looks_structured(s) {
@@ -378,10 +397,13 @@ mod tests {
 
     #[test]
     fn repeated_prefix_runs() {
-        assert_eq!(repeated_prefix_run(&"[".repeat(100)), 100);
-        assert_eq!(repeated_prefix_run(&"[1,".repeat(100)), 100);
-        assert_eq!(repeated_prefix_run("abcdef"), 1);
-        assert_eq!(repeated_prefix_run(""), 1);
+        let run = |s: &str| repeated_prefix_run_capped(s, usize::MAX);
+        assert_eq!(run(&"[".repeat(100)), 100);
+        assert_eq!(run(&"[1,".repeat(100)), 100);
+        assert_eq!(run("abcdef"), 1);
+        assert_eq!(run(""), 1);
+        assert_eq!(repeated_prefix_run_capped(&"[1,".repeat(100), 64), 64);
+        assert_eq!(repeated_prefix_run_capped("abcdef", 0), 0);
     }
 
     #[test]

@@ -30,6 +30,7 @@ pub mod category;
 pub mod datetime;
 pub mod decimal;
 pub mod geometry;
+pub mod hex;
 pub mod inet;
 pub mod json;
 pub mod value;

@@ -334,9 +334,7 @@ impl Value {
             Value::Binary(b) => {
                 let mut out = String::with_capacity(2 + b.len() * 2);
                 out.push_str("0x");
-                for byte in b {
-                    out.push_str(&format!("{byte:02X}"));
-                }
+                crate::hex::push_upper(&mut out, b);
                 out
             }
             Value::Date(d) => d.to_string(),
@@ -375,10 +373,9 @@ impl Value {
             Value::Float(f) => format!("{f:?}"),
             Value::Text(s) => quote_sql_string(s),
             Value::Binary(b) => {
-                let mut out = String::from("x'");
-                for byte in b {
-                    out.push_str(&format!("{byte:02X}"));
-                }
+                let mut out = String::with_capacity(3 + b.len() * 2);
+                out.push_str("x'");
+                crate::hex::push_upper(&mut out, b);
                 out.push('\'');
                 out
             }

@@ -37,21 +37,26 @@ echo "verify: campaign benchmark package tests (perfbench/)"
 # replay's fidelity to the real campaign.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "verify: campaign benchmark smoke (one full-budget smoke iteration)"
+echo "verify: campaign benchmark smoke (one full-budget smoke and table4 iteration)"
 # The package tests check fingerprints at a twentieth of each budget only.
 # One `smoke` iteration (all seven dialects at their full 3,000-statement
 # budget, a few seconds) checks every campaign's report fingerprint at
-# the size the benchmark runs. Its last line is the result object.
-bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload smoke --seed 0 --seconds 1 --trace 0)"
-bench_result="$(printf '%s\n' "$bench_out" | tail -n 1)"
-case "$bench_result" in
-    *'"correct": true'*'"failed": 0'*) ;;
-    *)
-        echo "verify: benchmark smoke failed: $bench_result" >&2
-        exit 1
-        ;;
-esac
+# the size the benchmark runs, and one `table4` iteration (ClickHouse,
+# MonetDB and MariaDB at 60,000 statements, a few seconds) checks the
+# coverage counts of full-size campaigns. Each run's last line is its
+# result object.
+for workload in smoke table4; do
+    bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 --trace 0)"
+    bench_result="$(printf '%s\n' "$bench_out" | tail -n 1)"
+    case "$bench_result" in
+        *'"correct": true'*'"failed": 0'*) ;;
+        *)
+            echo "verify: benchmark $workload iteration failed: $bench_result" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "verify: telemetry smoke (repro campaign + repro trace round trip)"
 journal="$(mktemp -t soft-journal-XXXXXX).jsonl"

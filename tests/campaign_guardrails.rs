@@ -4,8 +4,11 @@
 //! campaign entry points, a multi-form oracle that executes only the two
 //! forms it compares (the statement as parsed and its literal-unfolded
 //! rewrite, never the SQL text again), one recorder per track, which
-//! classifies each statement once, with spans as the only stage timer, and
-//! one engine execution path, with no columnar backend beside it.
+//! classifies each statement once, with spans as the only stage timer,
+//! one engine execution path, with no columnar backend beside it, and
+//! boundary-argument bookkeeping that pays nothing per byte where the
+//! answer does not depend on the size: integer coverage ids recorded
+//! without formatting, a capped repeated-prefix scan, and one hex encoder.
 //! The tests read the source itself, so a removed path cannot quietly come
 //! back.
 
@@ -15,6 +18,10 @@ const ORACLE: &str = include_str!("../crates/core/src/oracle.rs");
 const TELEMETRY: &str = include_str!("../crates/obs/src/telemetry.rs");
 const TYPES_LIB: &str = include_str!("../crates/types/src/lib.rs");
 const ENGINE: &str = include_str!("../crates/engine/src/engine.rs");
+const COVERAGE: &str = include_str!("../crates/engine/src/coverage.rs");
+const EXECUTOR: &str = include_str!("../crates/engine/src/executor.rs");
+const REGISTRY: &str = include_str!("../crates/engine/src/registry.rs");
+const BOUNDARY: &str = include_str!("../crates/types/src/boundary.rs");
 
 /// The part of a source file before its `#[cfg(test)]` module.
 fn non_test(src: &'static str) -> &'static str {
@@ -234,4 +241,37 @@ fn columnar_backend_stays_removed() {
     let arena = &engine[engine.find("pub struct BatchArena").expect("BatchArena exists")..];
     let decl = arena["pub struct BatchArena".len()..].trim_start();
     assert!(decl.starts_with(';') || decl.starts_with("{}"), "BatchArena has fields again");
+}
+
+/// The body of `fn {name}(` in `code`, up to the line that closes it at
+/// `indent`.
+fn fn_body<'a>(code: &'a str, name: &str, indent: &str) -> &'a str {
+    let start = code.find(&format!("fn {name}(")).unwrap_or_else(|| panic!("{name} exists"));
+    let body = &code[start..];
+    &body[..body.find(&format!("\n{indent}}}\n")).expect("the body closes")]
+}
+
+#[test]
+fn boundary_bookkeeping_pays_nothing_per_byte() {
+    assert!(!mentions(COVERAGE, "DefaultHasher"), "coverage.rs hashes with SipHash again");
+    for body in [fn_body(non_test(EXECUTOR), "record_call", "    "), fn_body(REGISTRY, "perform_cast", "")]
+    {
+        for banned in ["format!", "format_args!", "write_fmt", "classify("] {
+            assert!(!body.contains(banned), "a coverage record site calls {banned}:\n{body}");
+        }
+    }
+    // The one capped scan: classification stops at the top repeat bucket.
+    let class_bits = fn_body(BOUNDARY, "class_bits", "");
+    assert!(class_bits.contains("repeated_prefix_run_capped("), "class_bits scans uncapped");
+    assert!(!class_bits.contains("repeated_prefix_run("), "class_bits scans uncapped");
+    for code in [EXECUTOR, ENGINE] {
+        assert!(!mentions(code, "feature_buf"), "Exec formats feature keys into a buffer again");
+    }
+    // One hex encoder: no per-byte `format!` anywhere in the crates.
+    let mut sources = Vec::new();
+    non_test_sources(&std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates"), &mut sources);
+    assert!(sources.len() > 50, "the crate sources were not found");
+    for (path, code) in &sources {
+        assert!(!code.contains("format!(\"{byte:02"), "{path} formats hex per byte again");
+    }
 }

@@ -490,3 +490,162 @@ fn tlp_holds_for_random_predicates() {
         },
     );
 }
+
+/// The uncapped repeated-prefix scan `boundary::repeated_prefix_run` ran
+/// before the capped one replaced it: the reference the capped scan and
+/// `class_bits` are checked against.
+fn reference_prefix_run(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let mut best = 1;
+    for plen in 1..=4usize {
+        if bytes.len() < plen * 2 {
+            break;
+        }
+        let prefix = &bytes[..plen];
+        let mut count = 1;
+        let mut i = plen;
+        while i + plen <= bytes.len() && &bytes[i..i + plen] == prefix {
+            count += 1;
+            i += plen;
+        }
+        best = best.max(count);
+    }
+    best
+}
+
+/// The classes of a text under the uncapped scan, as a `class_bits` mask.
+fn reference_text_bits(s: &str) -> u32 {
+    use soft_repro::types::boundary::{looks_structured, BoundaryClass, CLASS_TABLE};
+    let mut classes = Vec::new();
+    if s.is_empty() {
+        classes.push(BoundaryClass::EmptyString);
+    }
+    match s.len() {
+        0..=255 => {}
+        256..=4095 => classes.push(BoundaryClass::LongString(256)),
+        4096..=65535 => classes.push(BoundaryClass::LongString(4096)),
+        _ => classes.push(BoundaryClass::LongString(65536)),
+    }
+    match reference_prefix_run(s) {
+        0..=7 => {}
+        8..=63 => classes.push(BoundaryClass::RepeatedPrefix(8)),
+        64..=511 => classes.push(BoundaryClass::RepeatedPrefix(64)),
+        _ => classes.push(BoundaryClass::RepeatedPrefix(512)),
+    }
+    if looks_structured(s) {
+        classes.push(BoundaryClass::StructuredText);
+    }
+    classes
+        .iter()
+        .map(|c| 1 << CLASS_TABLE.iter().position(|t| t == c).expect("a class of the table"))
+        .sum()
+}
+
+/// The capped scan is the uncapped one clamped to its cap, and
+/// `class_bits`, which caps at the top repeat bucket, classifies texts as
+/// the uncapped scan would: prefixes of 1–5 bytes repeated around every
+/// bucket edge, with a short tail.
+#[test]
+fn capped_prefix_scan_matches_the_uncapped_reference() {
+    use soft_repro::types::boundary::{class_bits, repeated_prefix_run_capped};
+    use soft_repro::types::value::Value;
+    const RUNS: [usize; 9] = [1, 7, 8, 63, 64, 511, 512, 513, 2_000];
+    const CAPS: [usize; 10] = [0, 1, 2, 7, 8, 63, 64, 511, 512, usize::MAX];
+    Check::new("capped_prefix_scan_matches_the_uncapped_reference").run(
+        |rng| {
+            let prefix = gen_word(rng, b"ab[1,", 1, 5);
+            let run = RUNS[rng.gen_range(0..RUNS.len())] + rng.gen_range(0..2usize);
+            let tail = gen_word(rng, b"ab[1,.", 0, 6);
+            let cap = if rng.gen_bool(0.5) {
+                CAPS[rng.gen_range(0..CAPS.len())]
+            } else {
+                rng.gen_range(0..600usize)
+            };
+            (prefix.repeat(run) + &tail, cap)
+        },
+        |(s, cap)| {
+            let run = reference_prefix_run(s);
+            let capped = repeated_prefix_run_capped(s, *cap);
+            if capped != run.min(*cap) {
+                return Err(format!("capped at {cap}: {capped}, reference run {run}"));
+            }
+            let bits = class_bits(&Value::Text(s.clone()));
+            if bits != reference_text_bits(s) {
+                return Err(format!("class bits {bits:#x} != {:#x}", reference_text_bits(s)));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Bytes spelled two hex digits each, the per-byte `format!` way.
+fn per_byte_hex(bytes: &[u8], upper: bool) -> String {
+    bytes.iter().map(|b| if upper { format!("{b:02X}") } else { format!("{b:02x}") }).collect()
+}
+
+/// The FNV-1a stand-in digest the engine's `MD5`, `SHA1` and `SHA2` return,
+/// spelled the per-byte `format!` way.
+fn reference_digest(data: &[u8], out_bytes: usize) -> String {
+    let mut state: u64 = 0xcbf29ce484222325;
+    let mut out = String::new();
+    let mut round = 0u8;
+    while out.len() < out_bytes * 2 {
+        for &b in data.iter().chain(std::slice::from_ref(&round)) {
+            state ^= b as u64;
+            state = state.wrapping_mul(0x100000001b3);
+        }
+        let left = out_bytes - out.len() / 2;
+        out.push_str(&per_byte_hex(&state.to_be_bytes()[..left.min(8)], false));
+        round = round.wrapping_add(1);
+    }
+    out
+}
+
+/// The table-driven hex encoder spells bytes as `format!("{:02X}")` and
+/// `format!("{:02x}")` do, and so do SQL `HEX`, the digests, a binary
+/// value's rendering and its SQL literal.
+#[test]
+fn hex_encoder_matches_per_byte_format() {
+    use soft_repro::engine::ExecOutcome;
+    use soft_repro::types::hex;
+    use soft_repro::types::value::Value;
+    Check::new("hex_encoder_matches_per_byte_format").cases(64).run(
+        |rng| {
+            let len = rng.gen_range(0..300usize);
+            (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect::<Vec<u8>>()
+        },
+        |bytes| {
+            let upper = per_byte_hex(bytes, true);
+            let mut lower = String::from("0x");
+            hex::push_lower(&mut lower, bytes);
+            let value = Value::Binary(bytes.clone());
+            let checks = [
+                (hex::upper(bytes), upper.clone()),
+                (lower, format!("0x{}", per_byte_hex(bytes, false))),
+                (value.render(), format!("0x{upper}")),
+                (value.sql_literal(), format!("x'{upper}'")),
+            ];
+            for (got, want) in checks {
+                if got != want {
+                    return Err(format!("{got} != {want}"));
+                }
+            }
+            let mut e = Engine::with_default_functions(Default::default());
+            let lit = format!("x'{upper}'");
+            let queries = [
+                (format!("SELECT HEX({lit})"), upper.clone()),
+                (format!("SELECT MD5({lit})"), reference_digest(bytes, 16)),
+                (format!("SELECT SHA1({lit})"), reference_digest(bytes, 20)),
+                (format!("SELECT SHA2({lit}, 224)"), reference_digest(bytes, 28)),
+                (format!("SELECT SHA2({lit}, 512)"), reference_digest(bytes, 64)),
+            ];
+            for (sql, want) in queries {
+                match e.execute(&sql) {
+                    ExecOutcome::Rows(rs) if rs.rows[0][0] == Value::Text(want.clone()) => {}
+                    other => return Err(format!("{sql}: {other:?}, want {want}")),
+                }
+            }
+            Ok(())
+        },
+    );
+}
