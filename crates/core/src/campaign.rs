@@ -1978,7 +1978,8 @@ mod tests {
     /// walking each dialect's static plan shard by shard as `run_shard`
     /// does (restoring after crashes), every non-crashing shape-keyed
     /// statement's shard outcome, used as form A, yields exactly the verdict
-    /// of form A re-executed on a template clone.
+    /// of form A re-executed on a template clone, and exactly the verdict
+    /// of comparing every pair of outcomes by their rendered signatures.
     #[test]
     fn oracle_outcome_reuse_matches_the_fresh_clone_reference() {
         let cfg = CampaignConfig {
@@ -2009,6 +2010,11 @@ mod tests {
                         let verdict = oracle::multi_form_check_with(&template, sql, stmt, &outcome);
                         let fresh = oracle::multi_form_check(&template, sql, stmt);
                         assert_eq!(verdict, fresh, "{id:?}: outcome reuse diverged on {sql}");
+                        let rendered = oracle::multi_form_check_rendered(&template, stmt, &outcome);
+                        assert_eq!(
+                            verdict, rendered,
+                            "{id:?}: the equal-rows shortcut diverged on {sql}"
+                        );
                         if verdict.is_some() {
                             flagged.push((id, case.sql.clone()));
                         }

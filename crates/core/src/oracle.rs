@@ -31,6 +31,7 @@ use soft_dialects::{seeds, DialectId, DialectProfile};
 use soft_engine::{Engine, ExecOutcome, SqlError};
 use soft_parser::ast::{BinaryOp, Expr, Literal, Statement};
 use soft_parser::visit;
+use soft_types::value::Value;
 
 /// Which oracle family raised a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -168,16 +169,83 @@ pub fn multi_form_check_with(
 
 /// Executes form C on a template clone and compares it with form A's
 /// outcome.
+///
+/// Rows whose values are strictly equal ([`rows_strictly_equal`]) render
+/// equally, so they are judged equal without rendering: a Pattern 3.1
+/// statement returns a 100–500 KB text that both forms would otherwise
+/// render only to compare. Everything else is compared by [`signature`],
+/// which alone builds a [`LogicBug`].
 fn compare_unfolded(
     template: &Engine,
     unfolded: Statement,
     reference: &ExecOutcome,
 ) -> Option<LogicBug> {
-    let expected = signature(reference)?;
+    if matches!(reference, ExecOutcome::Crash(_)) {
+        return None;
+    }
+    let outcome = execute_unfolded(template, unfolded);
+    if rows_strictly_equal(reference, &outcome) {
+        return None;
+    }
+    compare_signatures(reference, &outcome)
+}
+
+/// Executes form C on a private template clone.
+fn execute_unfolded(template: &Engine, unfolded: Statement) -> ExecOutcome {
     let mut engine = template.clone();
     let prepared = engine.prepare_parsed(unfolded);
-    let actual = signature(&engine.execute_prepared(&prepared))?;
+    engine.execute_prepared(&prepared)
+}
+
+/// The verdict on two outcomes by their rendered signatures.
+fn compare_signatures(reference: &ExecOutcome, outcome: &ExecOutcome) -> Option<LogicBug> {
+    let expected = signature(reference)?;
+    let actual = signature(outcome)?;
     (actual != expected).then_some(LogicBug { oracle: OracleKind::MultiForm, expected, actual })
+}
+
+/// True when both outcomes are rows of the same shape whose values are
+/// pairwise [`strictly_equal`].
+fn rows_strictly_equal(a: &ExecOutcome, b: &ExecOutcome) -> bool {
+    let (ExecOutcome::Rows(a), ExecOutcome::Rows(b)) = (a, b) else {
+        return false;
+    };
+    a.rows.len() == b.rows.len()
+        && a.rows
+            .iter()
+            .zip(&b.rows)
+            .all(|(x, y)| x.len() == y.len() && x.iter().zip(y).all(|(v, w)| strictly_equal(v, w)))
+}
+
+/// Equality that implies equal rendering: same variant, and `Text` and
+/// `Binary` equal by bytes, `Integer` and `Boolean` by value, `Float` by
+/// bits and `Json` by structure. Every other value is unequal here and
+/// goes to the rendered comparison: a `Decimal`'s `==` is numeric (`1.0`
+/// equals `1.00`), and `0.0` equals `-0.0` as a float.
+fn strictly_equal(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Null, Value::Null) => true,
+        (Value::Text(x), Value::Text(y)) => x == y,
+        (Value::Binary(x), Value::Binary(y)) => x == y,
+        (Value::Integer(x), Value::Integer(y)) => x == y,
+        (Value::Boolean(x), Value::Boolean(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        (Value::Json(x), Value::Json(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// [`multi_form_check_with`] with every verdict rendered by [`signature`]:
+/// the reference the [`rows_strictly_equal`] shortcut is tested against.
+#[cfg(test)]
+pub(crate) fn multi_form_check_rendered(
+    template: &Engine,
+    stmt: &Statement,
+    reference: &ExecOutcome,
+) -> Option<LogicBug> {
+    let unfolded = unfolded_form(stmt)?;
+    signature(reference)?;
+    compare_signatures(reference, &execute_unfolded(template, unfolded))
 }
 
 /// The fault id and credited function for a multi-form finding on `stmt`:
@@ -490,6 +558,57 @@ mod tests {
         let sql = format!("SELECT LENGTH('{}')", "x".repeat((1 << 20) + 10));
         let stmt = soft_parser::parse_statement(&sql).expect("parse");
         assert_eq!(multi_form_check(&t, &sql, &stmt), None);
+    }
+
+    #[test]
+    fn only_strictly_equal_rows_skip_rendering() {
+        let rows = |vals: Vec<Value>| {
+            ExecOutcome::Rows(soft_engine::ResultSet {
+                columns: vec![],
+                rows: vec![vals],
+            })
+        };
+        let dec = |s: &str| Value::Decimal(s.parse().expect("decimal"));
+        let equal = [
+            (
+                Value::Text("x".repeat(300_000)),
+                Value::Text("x".repeat(300_000)),
+            ),
+            (Value::Float(1.5), Value::Float(1.5)),
+            (Value::Null, Value::Null),
+            (
+                Value::Json(soft_types::json::parse("[1,{\"a\":2}]").expect("json")),
+                Value::Json(soft_types::json::parse("[1, {\"a\": 2}]").expect("json")),
+            ),
+        ];
+        for (a, b) in equal {
+            assert!(
+                rows_strictly_equal(&rows(vec![a.clone()]), &rows(vec![b.clone()])),
+                "{a:?}"
+            );
+            assert_eq!(a.render(), b.render());
+        }
+        // Equal under `==` but not strictly: these take the rendering path,
+        // which tells `0` from `-0` and `1.0` from `1.00`.
+        for (a, b) in [
+            (Value::Float(0.0), Value::Float(-0.0)),
+            (dec("1.0"), dec("1.00")),
+        ] {
+            assert_eq!(a, b);
+            let (ra, rb) = (rows(vec![a.clone()]), rows(vec![b.clone()]));
+            assert!(!rows_strictly_equal(&ra, &rb), "{a:?} vs {b:?}");
+            assert!(compare_signatures(&ra, &rb).is_some(), "{a:?} vs {b:?}");
+        }
+        // A different shape is never strictly equal.
+        let two = ExecOutcome::Rows(soft_engine::ResultSet {
+            columns: vec![],
+            rows: vec![vec![Value::Integer(1)], vec![Value::Integer(1)]],
+        });
+        assert!(!rows_strictly_equal(&rows(vec![Value::Integer(1)]), &two));
+        assert!(!rows_strictly_equal(
+            &rows(vec![Value::Integer(1)]),
+            &rows(vec![Value::Boolean(true)])
+        ));
     }
 
     #[test]

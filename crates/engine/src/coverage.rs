@@ -204,6 +204,15 @@ impl Coverage {
         self.functions.clear();
         self.branches.clear();
     }
+
+    /// The covered branch ids, sorted: what a differential test compares
+    /// between two implementations of one built-in.
+    #[cfg(test)]
+    pub(crate) fn branch_ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self.branches.iter().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
 }
 
 #[cfg(test)]

@@ -144,9 +144,7 @@ impl ValuePred {
             ValuePred::DigitsAtLeast(n) => match v {
                 Value::Integer(i) => i.unsigned_abs().to_string().len() >= *n,
                 Value::Decimal(d) => d.total_digits() >= *n,
-                Value::Text(s) => {
-                    s.chars().filter(|c| c.is_ascii_digit()).count() >= *n
-                }
+                Value::Text(s) => boundary::has_digits_at_least(s, *n),
                 _ => false,
             },
             ValuePred::LenAtLeast(n) => match v {

@@ -270,45 +270,103 @@ fn f_maketime(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineEr
 }
 
 /// `DATE_FORMAT` with the common MySQL specifiers.
+///
+/// Pattern 3.1 hands it formats such as `REPEAT('%Y-', 100000)`, so the
+/// text between specifiers is copied a run at a time, and each numeric
+/// field is rendered at most once per call, on first use: a format
+/// without `%j` never computes the day of the year, and one with 100,000
+/// `%Y` renders the year once.
 fn f_date_format(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
     let dt = some_or_null!(want_datetime(ctx, args, 0)?);
     let fmt = some_or_null!(want_text(ctx, args, 1)?);
-    let mut out = String::new();
-    let mut chars = fmt.chars();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            None => {
-                ctx.branch("trailing-percent");
-                break;
-            }
-            Some('Y') => out.push_str(&format!("{:04}", dt.date.year())),
-            Some('y') => out.push_str(&format!("{:02}", dt.date.year() % 100)),
-            Some('m') => out.push_str(&format!("{:02}", dt.date.month())),
-            Some('c') => out.push_str(&dt.date.month().to_string()),
-            Some('d') => out.push_str(&format!("{:02}", dt.date.day())),
-            Some('e') => out.push_str(&dt.date.day().to_string()),
-            Some('H') => out.push_str(&format!("{:02}", dt.time.hour())),
-            Some('i') => out.push_str(&format!("{:02}", dt.time.minute())),
-            Some('s') | Some('S') => out.push_str(&format!("{:02}", dt.time.second())),
-            Some('f') => out.push_str(&format!("{:06}", dt.time.micros())),
-            Some('M') => out.push_str(MONTHS[dt.date.month() as usize - 1]),
-            Some('b') => out.push_str(&MONTHS[dt.date.month() as usize - 1][..3]),
-            Some('W') => out.push_str(DAYS[dt.date.weekday() as usize]),
-            Some('a') => out.push_str(&DAYS[dt.date.weekday() as usize][..3]),
-            Some('j') => out.push_str(&format!("{:03}", dt.date.day_of_year())),
-            Some('u') => out.push_str(&format!("{:02}", dt.date.iso_week())),
-            Some('%') => out.push('%'),
-            Some(other) => {
-                ctx.branch("unknown-specifier");
-                out.push(other);
-            }
+    let mut out = String::with_capacity(fmt.len());
+    let mut fields = FormatFields::new(&dt);
+    let mut rest = fmt.as_str();
+    while let Some(at) = rest.find('%') {
+        out.push_str(&rest[..at]);
+        let mut spec = rest[at + 1..].chars();
+        let Some(c) = spec.next() else {
+            ctx.branch("trailing-percent");
+            rest = "";
+            break;
+        };
+        rest = spec.as_str();
+        match c {
+            'M' => out.push_str(MONTHS[dt.date.month() as usize - 1]),
+            'b' => out.push_str(&MONTHS[dt.date.month() as usize - 1][..3]),
+            'W' => out.push_str(DAYS[fields.weekday() as usize]),
+            'a' => out.push_str(&DAYS[fields.weekday() as usize][..3]),
+            '%' => out.push('%'),
+            c => match fields.numeric(c) {
+                Some(text) => out.push_str(text),
+                None => {
+                    ctx.branch("unknown-specifier");
+                    out.push(c);
+                }
+            },
         }
     }
+    out.push_str(rest);
     Ok(Value::Text(out))
+}
+
+/// The numeric fields of one `DATE_FORMAT` call, each rendered on first use.
+struct FormatFields<'a> {
+    dt: &'a DateTime,
+    weekday: Option<u8>,
+    rendered: [Option<String>; 12],
+}
+
+impl<'a> FormatFields<'a> {
+    fn new(dt: &'a DateTime) -> FormatFields<'a> {
+        FormatFields {
+            dt,
+            weekday: None,
+            rendered: Default::default(),
+        }
+    }
+
+    fn weekday(&mut self) -> u8 {
+        *self.weekday.get_or_insert_with(|| self.dt.date.weekday())
+    }
+
+    /// The text of numeric specifier `c` (`%S` is `%s`), or `None` when `c`
+    /// is not one.
+    fn numeric(&mut self, c: char) -> Option<&str> {
+        // (slot, zero-padded width)
+        let (slot, width) = match c {
+            'Y' => (0, 4),
+            'y' => (1, 2),
+            'm' => (2, 2),
+            'c' => (3, 0),
+            'd' => (4, 2),
+            'e' => (5, 0),
+            'H' => (6, 2),
+            'i' => (7, 2),
+            's' | 'S' => (8, 2),
+            'f' => (9, 6),
+            'j' => (10, 3),
+            'u' => (11, 2),
+            _ => return None,
+        };
+        let (d, t) = (&self.dt.date, &self.dt.time);
+        let text = self.rendered[slot].get_or_insert_with(|| {
+            let value = match slot {
+                0 => d.year() as u32,
+                1 => (d.year() % 100) as u32,
+                2 | 3 => u32::from(d.month()),
+                4 | 5 => u32::from(d.day()),
+                6 => u32::from(t.hour()),
+                7 => u32::from(t.minute()),
+                8 => u32::from(t.second()),
+                9 => t.micros(),
+                10 => u32::from(d.day_of_year()),
+                _ => u32::from(d.iso_week()),
+            };
+            format!("{value:0width$}")
+        });
+        Some(text)
+    }
 }
 
 /// `STR_TO_DATE` for the `%Y`/`%m`/`%d`/`%H`/`%i`/`%s` specifiers.
@@ -548,4 +606,83 @@ fn f_timestampdiff(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Eng
             return runtime_err(format!("unknown TIMESTAMPDIFF unit {unit}"));
         }
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::functions::testkit::call;
+    use soft_rng::Rng;
+
+    /// `DATE_FORMAT` before it rendered each field once: one `format!` per
+    /// specifier.
+    fn reference_date_format(
+        ctx: &mut FnCtx<'_>,
+        args: &[Evaluated],
+    ) -> Result<Value, EngineError> {
+        let dt = some_or_null!(want_datetime(ctx, args, 0)?);
+        let fmt = some_or_null!(want_text(ctx, args, 1)?);
+        let mut out = String::new();
+        let mut chars = fmt.chars();
+        while let Some(c) = chars.next() {
+            if c != '%' {
+                out.push(c);
+                continue;
+            }
+            match chars.next() {
+                None => {
+                    ctx.branch("trailing-percent");
+                    break;
+                }
+                Some('Y') => out.push_str(&format!("{:04}", dt.date.year())),
+                Some('y') => out.push_str(&format!("{:02}", dt.date.year() % 100)),
+                Some('m') => out.push_str(&format!("{:02}", dt.date.month())),
+                Some('c') => out.push_str(&dt.date.month().to_string()),
+                Some('d') => out.push_str(&format!("{:02}", dt.date.day())),
+                Some('e') => out.push_str(&dt.date.day().to_string()),
+                Some('H') => out.push_str(&format!("{:02}", dt.time.hour())),
+                Some('i') => out.push_str(&format!("{:02}", dt.time.minute())),
+                Some('s') | Some('S') => out.push_str(&format!("{:02}", dt.time.second())),
+                Some('f') => out.push_str(&format!("{:06}", dt.time.micros())),
+                Some('M') => out.push_str(MONTHS[dt.date.month() as usize - 1]),
+                Some('b') => out.push_str(&MONTHS[dt.date.month() as usize - 1][..3]),
+                Some('W') => out.push_str(DAYS[dt.date.weekday() as usize]),
+                Some('a') => out.push_str(&DAYS[dt.date.weekday() as usize][..3]),
+                Some('j') => out.push_str(&format!("{:03}", dt.date.day_of_year())),
+                Some('u') => out.push_str(&format!("{:02}", dt.date.iso_week())),
+                Some('%') => out.push('%'),
+                Some(other) => {
+                    ctx.branch("unknown-specifier");
+                    out.push(other);
+                }
+            }
+        }
+        Ok(Value::Text(out))
+    }
+
+    #[test]
+    fn date_format_matches_the_reference() {
+        const PIECES: [&str; 30] = [
+            "%Y", "%y", "%m", "%c", "%d", "%e", "%H", "%i", "%s", "%S", "%f", "%M", "%b", "%W",
+            "%a", "%j", "%u", "%%", "%q", "%é", "%", "-", " ", "é", "日", "x", "%Y-", "%%Y",
+            "%j%j", "",
+        ];
+        let mut rng = Rng::seed_from_u64(0x4446_4d54);
+        let limits = Limits::default();
+        for _ in 0..5000 {
+            let date =
+                Date::from_days_from_epoch(rng.gen_range(0..3_652_059i64)).expect("in range");
+            let time = Time::from_micros_from_midnight(rng.gen_range(0..86_400_000_000i64))
+                .expect("in range");
+            let fmt: String = (0..rng.gen_range(0..8usize))
+                .map(|_| *rng.choose(&PIECES).expect("pieces"))
+                .collect();
+            let args = [Value::DateTime(DateTime::new(date, time)), Value::Text(fmt)];
+            assert_eq!(
+                call("date_format", f_date_format, &args, &limits),
+                call("date_format", reference_date_format, &args, &limits),
+                "{args:?}"
+            );
+        }
+    }
 }

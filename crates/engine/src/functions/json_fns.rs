@@ -6,7 +6,7 @@ use crate::eval::Evaluated;
 use crate::functions::string::some_or_null;
 use crate::registry::*;
 use soft_types::category::FunctionCategory as C;
-use soft_types::json::{self, JsonPath, JsonValue};
+use soft_types::json::{self, JsonPath, JsonValue, Legs, PathLeg};
 use soft_types::value::Value;
 
 fn def(name: &'static str, min: usize, max: Option<usize>, f: ScalarImpl) -> FunctionDef {
@@ -43,7 +43,7 @@ pub fn install(r: &mut FunctionRegistry) {
     r.register(def("column_get", 2, Some(2), f_column_get));
 }
 
-fn parse_path(ctx: &mut FnCtx<'_>, p: &str) -> Result<Option<JsonPath>, EngineError> {
+fn parse_path<'p>(ctx: &mut FnCtx<'_>, p: &'p str) -> Result<Option<JsonPath<'p>>, EngineError> {
     match JsonPath::parse(p) {
         Ok(path) => Ok(Some(path)),
         Err(_) => {
@@ -157,12 +157,8 @@ fn to_json_node(ctx: &mut FnCtx<'_>, e: &Evaluated) -> Result<JsonValue, EngineE
         Value::Decimal(d) => JsonValue::Number(d.to_string()),
         Value::Float(f) => JsonValue::Number(format!("{f}")),
         Value::Json(j) => j.clone(),
-        other => {
-            let v = ctx.cast(
-                &Evaluated { value: other.clone(), provenance: e.provenance.clone() },
-                soft_types::value::DataType::Text,
-                false,
-            )?;
+        _ => {
+            let v = ctx.cast(e, soft_types::value::DataType::Text, false)?;
             match v.value {
                 Value::Text(s) => JsonValue::String(s),
                 _ => JsonValue::Null,
@@ -312,7 +308,7 @@ fn json_modify(
             return runtime_err(format!("invalid JSON path {p:?}"));
         };
         let node = to_json_node(ctx, &args[i + 1])?;
-        set_path(&mut doc, &path.legs, node, insert, replace);
+        set_path(&mut doc, path.legs(), node, insert, replace);
         i += 2;
     }
     let v = Value::Json(doc);
@@ -320,49 +316,46 @@ fn json_modify(
     Ok(v)
 }
 
-fn set_path(
-    doc: &mut JsonValue,
-    legs: &[json::PathLeg],
-    node: JsonValue,
-    insert: bool,
-    replace: bool,
-) {
-    let Some(first) = legs.first() else {
+/// Applies one JSON_SET/INSERT/REPLACE path, reading its legs only as far
+/// as the document reaches.
+fn set_path(doc: &mut JsonValue, mut legs: Legs<'_>, node: JsonValue, insert: bool, replace: bool) {
+    let Some(first) = legs.next() else {
         if replace {
             *doc = node;
         }
         return;
     };
+    let last = legs.is_empty();
     match (first, doc) {
-        (json::PathLeg::Key(k), JsonValue::Object(fields)) => {
+        (PathLeg::Key(k), JsonValue::Object(fields)) => {
             let existing = fields.iter_mut().find(|(fk, _)| fk == k);
             match existing {
                 Some((_, v)) => {
-                    if legs.len() == 1 {
+                    if last {
                         if replace {
                             *v = node;
                         }
                     } else {
-                        set_path(v, &legs[1..], node, insert, replace);
+                        set_path(v, legs, node, insert, replace);
                     }
                 }
                 None => {
-                    if legs.len() == 1 && insert {
-                        fields.push((k.clone(), node));
+                    if last && insert {
+                        fields.push((k.to_string(), node));
                     }
                 }
             }
         }
-        (json::PathLeg::Index(i), JsonValue::Array(items)) => {
-            if *i < items.len() {
-                if legs.len() == 1 {
+        (PathLeg::Index(i), JsonValue::Array(items)) => {
+            if i < items.len() {
+                if last {
                     if replace {
-                        items[*i] = node;
+                        items[i] = node;
                     }
                 } else {
-                    set_path(&mut items[*i], &legs[1..], node, insert, replace);
+                    set_path(&mut items[i], legs, node, insert, replace);
                 }
-            } else if legs.len() == 1 && insert {
+            } else if last && insert {
                 items.push(node);
             }
         }
@@ -389,28 +382,31 @@ fn f_json_remove(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engin
         let Some(path) = parse_path(ctx, &p)? else {
             return runtime_err(format!("invalid JSON path {p:?}"));
         };
-        remove_path(&mut doc, &path.legs);
+        remove_path(&mut doc, path.legs());
     }
     Ok(Value::Json(doc))
 }
 
-fn remove_path(doc: &mut JsonValue, legs: &[json::PathLeg]) {
-    let Some(first) = legs.first() else { return };
+/// Applies one JSON_REMOVE path, reading its legs only as far as the
+/// document reaches.
+fn remove_path(doc: &mut JsonValue, mut legs: Legs<'_>) {
+    let Some(first) = legs.next() else { return };
+    let last = legs.is_empty();
     match (first, doc) {
-        (json::PathLeg::Key(k), JsonValue::Object(fields)) => {
-            if legs.len() == 1 {
+        (PathLeg::Key(k), JsonValue::Object(fields)) => {
+            if last {
                 fields.retain(|(fk, _)| fk != k);
             } else if let Some((_, v)) = fields.iter_mut().find(|(fk, _)| fk == k) {
-                remove_path(v, &legs[1..]);
+                remove_path(v, legs);
             }
         }
-        (json::PathLeg::Index(i), JsonValue::Array(items)) => {
-            if legs.len() == 1 {
-                if *i < items.len() {
-                    items.remove(*i);
+        (PathLeg::Index(i), JsonValue::Array(items)) => {
+            if last {
+                if i < items.len() {
+                    items.remove(i);
                 }
-            } else if let Some(v) = items.get_mut(*i) {
-                remove_path(v, &legs[1..]);
+            } else if let Some(v) = items.get_mut(i) {
+                remove_path(v, legs);
             }
         }
         _ => {}
@@ -514,5 +510,262 @@ fn f_column_get(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engine
             None => Ok(Value::Null),
         },
         None => runtime_err("COLUMN_GET(): argument is not a dynamic column blob"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use soft_rng::Rng;
+
+    /// The JSON path code before paths were read lazily: `parse` built an
+    /// owned leg per step, and the walks took leg slices.
+    mod reference {
+        use soft_types::json::{JsonError, JsonValue};
+
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Leg {
+            Key(String),
+            Index(usize),
+        }
+
+        pub fn parse(text: &str) -> Result<Vec<Leg>, JsonError> {
+            let bytes = text.trim().as_bytes();
+            if bytes.first() != Some(&b'$') {
+                return Err(JsonError::BadPath(text.to_string()));
+            }
+            let mut legs = Vec::new();
+            let mut i = 1;
+            while i < bytes.len() {
+                match bytes[i] {
+                    b'.' => {
+                        i += 1;
+                        let start = i;
+                        while i < bytes.len() && bytes[i] != b'.' && bytes[i] != b'[' {
+                            i += 1;
+                        }
+                        if start == i {
+                            return Err(JsonError::BadPath(text.to_string()));
+                        }
+                        let key = std::str::from_utf8(&bytes[start..i])
+                            .map_err(|_| JsonError::BadPath(text.to_string()))?;
+                        legs.push(Leg::Key(key.to_string()));
+                    }
+                    b'[' => {
+                        i += 1;
+                        let start = i;
+                        while i < bytes.len() && bytes[i] != b']' {
+                            i += 1;
+                        }
+                        if i == bytes.len() {
+                            return Err(JsonError::BadPath(text.to_string()));
+                        }
+                        let idx = std::str::from_utf8(&bytes[start..i])
+                            .ok()
+                            .and_then(|s| s.trim().parse::<usize>().ok())
+                            .ok_or_else(|| JsonError::BadPath(text.to_string()))?;
+                        legs.push(Leg::Index(idx));
+                        i += 1;
+                    }
+                    _ => return Err(JsonError::BadPath(text.to_string())),
+                }
+            }
+            Ok(legs)
+        }
+
+        pub fn eval_path<'a>(v: &'a JsonValue, legs: &[Leg]) -> Option<&'a JsonValue> {
+            let mut cur = v;
+            for leg in legs {
+                cur = match leg {
+                    Leg::Key(k) => cur.get_key(k)?,
+                    Leg::Index(i) => cur.get_index(*i)?,
+                };
+            }
+            Some(cur)
+        }
+
+        pub fn set_path(
+            doc: &mut JsonValue,
+            legs: &[Leg],
+            node: JsonValue,
+            insert: bool,
+            replace: bool,
+        ) {
+            let Some(first) = legs.first() else {
+                if replace {
+                    *doc = node;
+                }
+                return;
+            };
+            match (first, doc) {
+                (Leg::Key(k), JsonValue::Object(fields)) => {
+                    match fields.iter_mut().find(|(fk, _)| fk == k) {
+                        Some((_, v)) => {
+                            if legs.len() == 1 {
+                                if replace {
+                                    *v = node;
+                                }
+                            } else {
+                                set_path(v, &legs[1..], node, insert, replace);
+                            }
+                        }
+                        None => {
+                            if legs.len() == 1 && insert {
+                                fields.push((k.clone(), node));
+                            }
+                        }
+                    }
+                }
+                (Leg::Index(i), JsonValue::Array(items)) => {
+                    if *i < items.len() {
+                        if legs.len() == 1 {
+                            if replace {
+                                items[*i] = node;
+                            }
+                        } else {
+                            set_path(&mut items[*i], &legs[1..], node, insert, replace);
+                        }
+                    } else if legs.len() == 1 && insert {
+                        items.push(node);
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        pub fn remove_path(doc: &mut JsonValue, legs: &[Leg]) {
+            let Some(first) = legs.first() else { return };
+            match (first, doc) {
+                (Leg::Key(k), JsonValue::Object(fields)) => {
+                    if legs.len() == 1 {
+                        fields.retain(|(fk, _)| fk != k);
+                    } else if let Some((_, v)) = fields.iter_mut().find(|(fk, _)| fk == k) {
+                        remove_path(v, &legs[1..]);
+                    }
+                }
+                (Leg::Index(i), JsonValue::Array(items)) => {
+                    if legs.len() == 1 {
+                        if *i < items.len() {
+                            items.remove(*i);
+                        }
+                    } else if let Some(v) = items.get_mut(*i) {
+                        remove_path(v, &legs[1..]);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    const KEYS: [&str; 5] = ["a", "b", "é", "a b", "x]y"];
+
+    fn random_doc(rng: &mut Rng, depth: usize) -> JsonValue {
+        match rng.gen_range(0..if depth == 0 { 2 } else { 4 }) {
+            0 => JsonValue::Number(rng.gen_range(0..100u32).to_string()),
+            1 => JsonValue::String((*rng.choose(&KEYS).expect("keys")).to_string()),
+            2 => JsonValue::Array(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| random_doc(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Object(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| {
+                        (
+                            (*rng.choose(&KEYS).expect("keys")).to_string(),
+                            random_doc(rng, depth - 1),
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Paths that are mostly well formed, with malformed legs, spaces,
+    /// signs, multi-byte keys and indices past both ends mixed in.
+    fn random_path(rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            ".a",
+            ".b",
+            ".é",
+            ".a b",
+            "[0]",
+            "[1]",
+            "[3]",
+            "[ 2 ]",
+            "[+1]",
+            "[-1]",
+            "[x]",
+            ".",
+            "[",
+            "]",
+            "[99999999999999999999]",
+            "$",
+        ];
+        let mut p = String::new();
+        if rng.gen_bool(0.1) {
+            p.push(' ');
+        }
+        if rng.gen_bool(0.95) {
+            p.push('$');
+        }
+        let broken = rng.gen_bool(0.2);
+        for _ in 0..rng.gen_range(0..6usize) {
+            let piece = if broken {
+                rng.choose(&PIECES)
+            } else {
+                rng.choose(&PIECES[..10])
+            };
+            p.push_str(piece.expect("pieces"));
+        }
+        if rng.gen_bool(0.1) {
+            p.push('\t');
+        }
+        p
+    }
+
+    #[test]
+    fn lazy_paths_match_the_reference_walks() {
+        let mut rng = Rng::seed_from_u64(0x5041_5448);
+        let mut valid = 0;
+        for _ in 0..4000 {
+            let path = random_path(&mut rng);
+            let doc = random_doc(&mut rng, 3);
+            let (new, old) = (JsonPath::parse(&path), reference::parse(&path));
+            assert_eq!(new.as_ref().err(), old.as_ref().err(), "{path:?}");
+            let (Ok(new), Ok(old)) = (new, old) else {
+                continue;
+            };
+            valid += 1;
+            let as_old = |leg: PathLeg<'_>| match leg {
+                PathLeg::Key(k) => reference::Leg::Key(k.to_string()),
+                PathLeg::Index(i) => reference::Leg::Index(i),
+            };
+            assert_eq!(new.legs().map(as_old).collect::<Vec<_>>(), old, "{path:?}");
+            assert_eq!(
+                doc.eval_path(&new),
+                reference::eval_path(&doc, &old),
+                "{path:?}"
+            );
+            for (insert, replace) in [(true, true), (true, false), (false, true)] {
+                let node = JsonValue::Number("7".into());
+                let (mut a, mut b) = (doc.clone(), doc.clone());
+                set_path(&mut a, new.legs(), node.clone(), insert, replace);
+                reference::set_path(&mut b, &old, node, insert, replace);
+                assert_eq!(a, b, "set {path:?} on {doc:?}");
+            }
+            let (mut a, mut b) = (doc.clone(), doc.clone());
+            remove_path(&mut a, new.legs());
+            reference::remove_path(&mut b, &old);
+            assert_eq!(a, b, "remove {path:?} on {doc:?}");
+        }
+        assert!(valid > 2000, "only {valid} valid paths");
+        // Pattern 3.1's path: 100,000 legs, none of which the walk reads
+        // past the first.
+        let long = "$.a".repeat(100_000);
+        let doc = soft_types::json::parse(r#"{"a":1}"#).expect("json");
+        let old = reference::parse(&long).expect("valid");
+        assert_eq!(old.len(), 100_000);
+        assert_eq!(doc.eval_path(&JsonPath::parse(&long).expect("valid")), None);
     }
 }

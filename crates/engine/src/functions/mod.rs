@@ -68,6 +68,47 @@ pub fn install_common_aliases(r: &mut FunctionRegistry) {
     r.alias("rlike", "regexp_like");
 }
 
+/// Runs built-ins outside an engine, for differential tests that hold a
+/// kernel to its earlier implementation.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use crate::coverage::Coverage;
+    use crate::error::EngineError;
+    use crate::eval::Evaluated;
+    use crate::fault::FaultSet;
+    use crate::registry::{FnCtx, Limits, ScalarImpl, SessionState};
+    use soft_types::cast::CastStrictness;
+    use soft_types::value::Value;
+
+    /// Everything a call leaves behind that the engine can observe.
+    #[derive(Debug, PartialEq)]
+    pub struct Call {
+        pub result: Result<Value, EngineError>,
+        pub branches: Vec<u64>,
+        pub memory_used: usize,
+    }
+
+    /// Calls `f` on literal arguments under `limits`, as `name`.
+    pub fn call(name: &'static str, f: ScalarImpl, args: &[Value], limits: &Limits) -> Call {
+        let mut coverage = Coverage::new();
+        let faults = FaultSet::default();
+        let mut session = SessionState::default();
+        let mut memory_used = 0;
+        let args: Vec<Evaluated> = args.iter().cloned().map(Evaluated::literal).collect();
+        let mut ctx = FnCtx {
+            name,
+            strictness: CastStrictness::Lenient,
+            limits,
+            coverage: &mut coverage,
+            faults: &faults,
+            session: &mut session,
+            memory_used: &mut memory_used,
+        };
+        let result = f(&mut ctx, &args);
+        Call { result, branches: coverage.branch_ids(), memory_used }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -178,9 +178,13 @@ fn f_concat_ws(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineE
             ctx.branch("skip-null");
         }
     }
-    let v = Value::Text(parts.join(&sep));
-    ctx.charge(&v)?;
-    Ok(v)
+    // Charged before joining: the separator repeats once per argument.
+    let seps = parts.len().saturating_sub(1);
+    let len = parts.iter().fold(seps.saturating_mul(sep.len()), |acc, p| {
+        acc.saturating_add(p.len())
+    });
+    ctx.charge_text(len)?;
+    Ok(Value::Text(parts.join(&sep)))
 }
 
 fn f_substr(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -194,33 +198,63 @@ fn f_substr(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErro
     } else {
         None
     };
-    let chars: Vec<char> = s.chars().collect();
-    let n = chars.len() as i64;
     // SQL 1-based indexing; negative start counts from the end (MySQL).
     let begin = if start > 0 {
         ctx.branch("positive-start");
-        start - 1
+        char_offset(&s, usize::try_from(start - 1).unwrap_or(usize::MAX))
     } else if start < 0 {
         ctx.branch("negative-start");
-        n + start
+        last_chars_offset(
+            &s,
+            usize::try_from(start.unsigned_abs()).unwrap_or(usize::MAX),
+        )
     } else {
         // MySQL: position 0 yields an empty result.
         ctx.branch("zero-start");
         return Ok(Value::Text(String::new()));
     };
-    if begin < 0 || begin >= n {
+    let Some(begin) = begin else {
         ctx.branch("out-of-range");
         return Ok(Value::Text(String::new()));
-    }
-    let take = match len {
-        None => n - begin,
+    };
+    let rest = &s[begin..];
+    let taken = match len {
+        None => rest,
         Some(l) if l <= 0 => {
             ctx.branch("non-positive-length");
-            0
+            ""
         }
-        Some(l) => l.min(n - begin),
+        Some(l) => take_chars(rest, usize::try_from(l).unwrap_or(usize::MAX)),
     };
-    Ok(Value::Text(chars[begin as usize..(begin + take) as usize].iter().collect()))
+    Ok(Value::Text(taken.to_string()))
+}
+
+// Character positions as byte offsets. Each helper reads its text only as
+// far as the character it looks for and allocates nothing; every
+// character takes at least one byte, so a count of at least `s.len()`
+// characters needs no reading at all.
+
+/// The byte offset of character `n` (0-based) of `s`, or `None` when `s`
+/// has at most `n` characters.
+fn char_offset(s: &str, n: usize) -> Option<usize> {
+    if n >= s.len() {
+        return None;
+    }
+    s.char_indices().nth(n).map(|(i, _)| i)
+}
+
+/// The byte offset where the last `n` (at least 1) characters of `s`
+/// begin, or `None` when `s` has fewer than `n`.
+fn last_chars_offset(s: &str, n: usize) -> Option<usize> {
+    if n > s.len() {
+        return None;
+    }
+    s.char_indices().rev().nth(n - 1).map(|(i, _)| i)
+}
+
+/// The first `n` characters of `s` (all of `s` when it has fewer).
+fn take_chars(s: &str, n: usize) -> &str {
+    &s[..char_offset(s, n).unwrap_or(s.len())]
 }
 
 fn f_left(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -230,7 +264,9 @@ fn f_left(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError>
         ctx.branch("non-positive");
         return Ok(Value::Text(String::new()));
     }
-    Ok(Value::Text(s.chars().take(n as usize).collect()))
+    Ok(Value::Text(
+        take_chars(&s, usize::try_from(n).unwrap_or(usize::MAX)).to_string(),
+    ))
 }
 
 fn f_right(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -240,9 +276,8 @@ fn f_right(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError
         ctx.branch("non-positive");
         return Ok(Value::Text(String::new()));
     }
-    let chars: Vec<char> = s.chars().collect();
-    let skip = chars.len().saturating_sub(n as usize);
-    Ok(Value::Text(chars[skip..].iter().collect()))
+    let begin = last_chars_offset(&s, usize::try_from(n).unwrap_or(usize::MAX)).unwrap_or(0);
+    Ok(Value::Text(s[begin..].to_string()))
 }
 
 fn pad(
@@ -262,10 +297,10 @@ fn pad(
         return Ok(Value::Null);
     }
     let n = ctx.repeat_count(n)?;
-    let cur: Vec<char> = s.chars().collect();
-    if cur.len() >= n {
+    let count = s.chars().count();
+    if count >= n {
         ctx.branch("truncate");
-        return Ok(Value::Text(cur[..n].iter().collect()));
+        return Ok(Value::Text(take_chars(&s, n).to_string()));
     }
     if pad.is_empty() {
         // MySQL returns NULL when the pad string is empty and padding is
@@ -273,12 +308,25 @@ fn pad(
         ctx.branch("empty-pad");
         return Ok(Value::Null);
     }
-    let missing = n - cur.len();
-    let padding: String = pad.chars().cycle().take(missing).collect();
-    let out = if left_side { format!("{padding}{s}") } else { format!("{s}{padding}") };
-    let v = Value::Text(out);
-    ctx.charge(&v)?;
-    Ok(v)
+    // `missing` characters of `pad` repeated: whole copies, then a prefix.
+    let missing = n - count;
+    let pad_chars = pad.chars().count();
+    let tail = take_chars(&pad, missing % pad_chars);
+    let copies = missing / pad_chars;
+    let len = s.len() + copies * pad.len() + tail.len();
+    ctx.charge_text(len)?;
+    let mut out = String::with_capacity(len);
+    if !left_side {
+        out.push_str(&s);
+    }
+    for _ in 0..copies {
+        out.push_str(&pad);
+    }
+    out.push_str(tail);
+    if left_side {
+        out.push_str(&s);
+    }
+    Ok(Value::Text(out))
 }
 
 fn f_lpad(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -339,9 +387,29 @@ fn f_replace(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErr
         ctx.branch("empty-needle");
         return Ok(Value::Text(s));
     }
-    let v = Value::Text(s.replace(&from, &to));
-    ctx.charge(&v)?;
-    Ok(v)
+    // Charge the result before building it: one replacement per match can
+    // grow it far past the budget. A needle longer than the text cannot
+    // match, and only a match that changes the length needs counting.
+    if from.len() > s.len() {
+        ctx.charge_text(s.len())?;
+        return Ok(Value::Text(s));
+    }
+    if from.len() == to.len() {
+        ctx.charge_text(s.len())?;
+        return Ok(Value::Text(s.replace(&from, &to)));
+    }
+    let matches = s.matches(from.as_str()).count();
+    let len = (s.len() - matches * from.len()).saturating_add(matches.saturating_mul(to.len()));
+    ctx.charge_text(len)?;
+    let mut out = String::with_capacity(len);
+    let mut last = 0;
+    for (at, _) in s.match_indices(from.as_str()) {
+        out.push_str(&s[last..at]);
+        out.push_str(&to);
+        last = at + from.len();
+    }
+    out.push_str(&s[last..]);
+    Ok(Value::Text(out))
 }
 
 fn f_repeat(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -365,24 +433,42 @@ fn f_repeat(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErro
 
 fn f_reverse(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
     let s = some_or_null!(want_text(ctx, args, 0)?);
-    Ok(Value::Text(s.chars().rev().collect()))
+    if s.is_ascii() {
+        // Reversing ASCII bytes reverses its characters, in place.
+        let mut bytes = s.into_bytes();
+        bytes.reverse();
+        return Ok(Value::Text(
+            String::from_utf8(bytes).expect("reversed ASCII is UTF-8"),
+        ));
+    }
+    let mut out = String::with_capacity(s.len());
+    out.extend(s.chars().rev());
+    Ok(Value::Text(out))
 }
 
+/// The 1-based character position of the first `needle` in `hay` at or
+/// after character `from` (1-based).
+///
+/// A byte-level match of UTF-8 text starts and ends on character
+/// boundaries, so `str::find` finds the same leftmost match a character
+/// comparison would; only the prefix before the match is counted in
+/// characters.
 fn find_sub(hay: &str, needle: &str, from: usize) -> Option<usize> {
-    // Character-based search returning 1-based position.
-    let hay_chars: Vec<char> = hay.chars().collect();
-    let needle_chars: Vec<char> = needle.chars().collect();
-    if needle_chars.is_empty() {
+    if needle.is_empty() {
         return Some(from.max(1));
     }
-    let mut i = from.saturating_sub(1);
-    while i + needle_chars.len() <= hay_chars.len() {
-        if hay_chars[i..i + needle_chars.len()] == needle_chars[..] {
-            return Some(i + 1);
-        }
-        i += 1;
+    let skip = from.saturating_sub(1);
+    let begin = char_offset(hay, skip)?;
+    let rest = &hay[begin..];
+    if needle.len() > rest.len() {
+        return None;
     }
-    None
+    let mut one = needle.chars();
+    let at = match (one.next(), one.next()) {
+        (Some(c), None) => rest.find(c),
+        _ => rest.find(needle),
+    }?;
+    Some(skip + rest[..at].chars().count() + 1)
 }
 
 fn f_position(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -594,17 +680,25 @@ fn f_insert(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErro
     let pos = some_or_null!(want_int(ctx, args, 1)?);
     let len = some_or_null!(want_int(ctx, args, 2)?);
     let newstr = some_or_null!(want_text(ctx, args, 3)?);
-    let chars: Vec<char> = s.chars().collect();
-    let n = chars.len() as i64;
-    if pos < 1 || pos > n {
+    let start = if pos >= 1 {
+        char_offset(&s, usize::try_from(pos - 1).unwrap_or(usize::MAX))
+    } else {
+        None
+    };
+    let Some(start) = start else {
         ctx.branch("pos-out-of-range");
         return Ok(Value::Text(s));
-    }
-    let start = (pos - 1) as usize;
-    let take = if len < 0 { n - pos + 1 } else { len.min(n - pos + 1) } as usize;
-    let mut out: String = chars[..start].iter().collect();
+    };
+    let rest = &s[start..];
+    let end = if len < 0 {
+        s.len()
+    } else {
+        start + take_chars(rest, usize::try_from(len).unwrap_or(usize::MAX)).len()
+    };
+    let mut out = String::with_capacity(start + newstr.len() + (s.len() - end));
+    out.push_str(&s[..start]);
     out.push_str(&newstr);
-    out.extend(&chars[start + take..]);
+    out.push_str(&s[end..]);
     Ok(Value::Text(out))
 }
 
@@ -662,17 +756,28 @@ fn f_export_set(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engine
     } else {
         64
     };
-    let mut parts = Vec::with_capacity(width as usize);
-    for i in 0..width {
+    // Charged before building: up to 64 copies of `on`/`off` and 63 of
+    // the separator.
+    let part = |i: i64| {
         if (bits >> i) & 1 == 1 {
-            parts.push(on.clone());
+            on.as_str()
         } else {
-            parts.push(off.clone());
+            off.as_str()
         }
+    };
+    let seps = (width.max(1) - 1) as usize;
+    let len = (0..width).fold(seps.saturating_mul(sep.len()), |acc, i| {
+        acc.saturating_add(part(i).len())
+    });
+    ctx.charge_text(len)?;
+    let mut out = String::with_capacity(len);
+    for i in 0..width {
+        if i > 0 {
+            out.push_str(&sep);
+        }
+        out.push_str(part(i));
     }
-    let v = Value::Text(parts.join(&sep));
-    ctx.charge(&v)?;
-    Ok(v)
+    Ok(Value::Text(out))
 }
 
 fn f_quote(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -796,31 +901,48 @@ fn f_split_part(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engine
         ctx.branch("zero-index");
         return runtime_err("SPLIT_PART(): field position must not be zero");
     }
-    let parts: Vec<&str> = s.split(&sep).collect();
     let idx = if n > 0 {
         n as usize - 1
     } else {
-        // Negative counts from the end (PostgreSQL 14+).
+        // Negative counts from the end (PostgreSQL 14+). `split` yields one
+        // field more than there are separator matches.
         ctx.branch("negative-index");
-        match parts.len().checked_sub(n.unsigned_abs() as usize) {
+        let fields = s.matches(sep.as_str()).count() + 1;
+        match fields.checked_sub(n.unsigned_abs() as usize) {
             Some(i) => i,
             None => return Ok(Value::Text(String::new())),
         }
     };
-    Ok(Value::Text(parts.get(idx).copied().unwrap_or("").to_string()))
+    Ok(Value::Text(
+        s.split(sep.as_str()).nth(idx).unwrap_or("").to_string(),
+    ))
 }
 
 fn f_translate(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
     let s = some_or_null!(want_text(ctx, args, 0)?);
-    let from: Vec<char> = some_or_null!(want_text(ctx, args, 1)?).chars().collect();
-    let to: Vec<char> = some_or_null!(want_text(ctx, args, 2)?).chars().collect();
-    let out: String = s
-        .chars()
-        .filter_map(|c| match from.iter().position(|&f| f == c) {
+    let from = some_or_null!(want_text(ctx, args, 1)?);
+    let to = some_or_null!(want_text(ctx, args, 2)?);
+    // Character `c` maps through its first position `i` in `from` to the
+    // `i`-th character of `to`, or is dropped when `to` is shorter. ASCII
+    // characters look their mapping up in a table built in one pass over
+    // both; any other character searches `from`.
+    let mut ascii: [Option<Option<char>>; 128] = [None; 128];
+    let mut to_chars = to.chars();
+    for f in from.chars() {
+        let mapped = to_chars.next();
+        if let Some(slot) = ascii.get_mut(f as usize) {
+            slot.get_or_insert(mapped);
+        }
+    }
+    let mapped = |c: char| match ascii.get(c as usize) {
+        Some(slot) => slot.unwrap_or(Some(c)),
+        None => match from.chars().position(|f| f == c) {
             None => Some(c),
-            Some(i) => to.get(i).copied(),
-        })
-        .collect();
+            Some(i) => to.chars().nth(i),
+        },
+    };
+    let mut out = String::with_capacity(s.len());
+    out.extend(s.chars().filter_map(mapped));
     Ok(Value::Text(out))
 }
 
@@ -901,4 +1023,502 @@ fn f_strcmp(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErro
         std::cmp::Ordering::Equal => 0,
         std::cmp::Ordering::Greater => 1,
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::functions::testkit::call;
+    use soft_rng::Rng;
+
+    /// The string kernels before they read positions as byte offsets: each
+    /// collected its text into a `Vec<char>`, and the constructors charged
+    /// the budget after building.
+    mod reference {
+        use crate::error::EngineError;
+        use crate::eval::Evaluated;
+        use crate::registry::*;
+        use soft_types::value::Value;
+
+        pub fn f_substr(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            let start = some_or_null!(want_int(ctx, args, 1)?);
+            let len = if args.len() > 2 {
+                match want_int(ctx, args, 2)? {
+                    None => return Ok(Value::Null),
+                    Some(l) => Some(l),
+                }
+            } else {
+                None
+            };
+            let chars: Vec<char> = s.chars().collect();
+            let n = chars.len() as i64;
+            let begin = if start > 0 {
+                ctx.branch("positive-start");
+                start - 1
+            } else if start < 0 {
+                ctx.branch("negative-start");
+                n + start
+            } else {
+                ctx.branch("zero-start");
+                return Ok(Value::Text(String::new()));
+            };
+            if begin < 0 || begin >= n {
+                ctx.branch("out-of-range");
+                return Ok(Value::Text(String::new()));
+            }
+            let take = match len {
+                None => n - begin,
+                Some(l) if l <= 0 => {
+                    ctx.branch("non-positive-length");
+                    0
+                }
+                Some(l) => l.min(n - begin),
+            };
+            Ok(Value::Text(
+                chars[begin as usize..(begin + take) as usize]
+                    .iter()
+                    .collect(),
+            ))
+        }
+
+        pub fn f_left(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            let n = some_or_null!(want_int(ctx, args, 1)?);
+            if n <= 0 {
+                ctx.branch("non-positive");
+                return Ok(Value::Text(String::new()));
+            }
+            Ok(Value::Text(s.chars().take(n as usize).collect()))
+        }
+
+        pub fn f_right(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            let n = some_or_null!(want_int(ctx, args, 1)?);
+            if n <= 0 {
+                ctx.branch("non-positive");
+                return Ok(Value::Text(String::new()));
+            }
+            let chars: Vec<char> = s.chars().collect();
+            let skip = chars.len().saturating_sub(n as usize);
+            Ok(Value::Text(chars[skip..].iter().collect()))
+        }
+
+        pub fn pad(
+            ctx: &mut FnCtx<'_>,
+            args: &[Evaluated],
+            left_side: bool,
+        ) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            let n = some_or_null!(want_int(ctx, args, 1)?);
+            let pad = if args.len() > 2 {
+                some_or_null!(want_text(ctx, args, 2)?)
+            } else {
+                " ".to_string()
+            };
+            if n < 0 {
+                ctx.branch("negative-length");
+                return Ok(Value::Null);
+            }
+            let n = ctx.repeat_count(n)?;
+            let cur: Vec<char> = s.chars().collect();
+            if cur.len() >= n {
+                ctx.branch("truncate");
+                return Ok(Value::Text(cur[..n].iter().collect()));
+            }
+            if pad.is_empty() {
+                ctx.branch("empty-pad");
+                return Ok(Value::Null);
+            }
+            let missing = n - cur.len();
+            let padding: String = pad.chars().cycle().take(missing).collect();
+            let out = if left_side {
+                format!("{padding}{s}")
+            } else {
+                format!("{s}{padding}")
+            };
+            let v = Value::Text(out);
+            ctx.charge(&v)?;
+            Ok(v)
+        }
+
+        pub fn f_lpad(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            pad(ctx, args, true)
+        }
+
+        pub fn f_rpad(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            pad(ctx, args, false)
+        }
+
+        pub fn f_reverse(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            Ok(Value::Text(s.chars().rev().collect()))
+        }
+
+        fn find_sub(hay: &str, needle: &str, from: usize) -> Option<usize> {
+            let hay_chars: Vec<char> = hay.chars().collect();
+            let needle_chars: Vec<char> = needle.chars().collect();
+            if needle_chars.is_empty() {
+                return Some(from.max(1));
+            }
+            let mut i = from.saturating_sub(1);
+            while i + needle_chars.len() <= hay_chars.len() {
+                if hay_chars[i..i + needle_chars.len()] == needle_chars[..] {
+                    return Some(i + 1);
+                }
+                i += 1;
+            }
+            None
+        }
+
+        pub fn f_position(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let needle = some_or_null!(want_text(ctx, args, 0)?);
+            let hay = some_or_null!(want_text(ctx, args, 1)?);
+            Ok(Value::Integer(
+                find_sub(&hay, &needle, 1).unwrap_or(0) as i64
+            ))
+        }
+
+        pub fn f_instr(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let hay = some_or_null!(want_text(ctx, args, 0)?);
+            let needle = some_or_null!(want_text(ctx, args, 1)?);
+            Ok(Value::Integer(
+                find_sub(&hay, &needle, 1).unwrap_or(0) as i64
+            ))
+        }
+
+        pub fn f_locate(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let needle = some_or_null!(want_text(ctx, args, 0)?);
+            let hay = some_or_null!(want_text(ctx, args, 1)?);
+            let from = if args.len() > 2 {
+                some_or_null!(want_int(ctx, args, 2)?)
+            } else {
+                1
+            };
+            if from < 1 {
+                ctx.branch("non-positive-start");
+                return Ok(Value::Integer(0));
+            }
+            Ok(Value::Integer(
+                find_sub(&hay, &needle, from as usize).unwrap_or(0) as i64,
+            ))
+        }
+
+        pub fn f_split_part(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            let sep = some_or_null!(want_text(ctx, args, 1)?);
+            let n = some_or_null!(want_int(ctx, args, 2)?);
+            if sep.is_empty() {
+                ctx.branch("empty-separator");
+                return runtime_err("SPLIT_PART(): empty separator");
+            }
+            if n == 0 {
+                ctx.branch("zero-index");
+                return runtime_err("SPLIT_PART(): field position must not be zero");
+            }
+            let parts: Vec<&str> = s.split(&sep).collect();
+            let idx = if n > 0 {
+                n as usize - 1
+            } else {
+                ctx.branch("negative-index");
+                match parts.len().checked_sub(n.unsigned_abs() as usize) {
+                    Some(i) => i,
+                    None => return Ok(Value::Text(String::new())),
+                }
+            };
+            Ok(Value::Text(
+                parts.get(idx).copied().unwrap_or("").to_string(),
+            ))
+        }
+
+        pub fn f_translate(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            let from: Vec<char> = some_or_null!(want_text(ctx, args, 1)?).chars().collect();
+            let to: Vec<char> = some_or_null!(want_text(ctx, args, 2)?).chars().collect();
+            let out: String = s
+                .chars()
+                .filter_map(|c| match from.iter().position(|&f| f == c) {
+                    None => Some(c),
+                    Some(i) => to.get(i).copied(),
+                })
+                .collect();
+            Ok(Value::Text(out))
+        }
+
+        pub fn f_insert(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            let pos = some_or_null!(want_int(ctx, args, 1)?);
+            let len = some_or_null!(want_int(ctx, args, 2)?);
+            let newstr = some_or_null!(want_text(ctx, args, 3)?);
+            let chars: Vec<char> = s.chars().collect();
+            let n = chars.len() as i64;
+            if pos < 1 || pos > n {
+                ctx.branch("pos-out-of-range");
+                return Ok(Value::Text(s));
+            }
+            let start = (pos - 1) as usize;
+            let take = if len < 0 {
+                n - pos + 1
+            } else {
+                len.min(n - pos + 1)
+            } as usize;
+            let mut out: String = chars[..start].iter().collect();
+            out.push_str(&newstr);
+            out.extend(&chars[start + take..]);
+            Ok(Value::Text(out))
+        }
+
+        pub fn f_replace(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let s = some_or_null!(want_text(ctx, args, 0)?);
+            let from = some_or_null!(want_text(ctx, args, 1)?);
+            let to = some_or_null!(want_text(ctx, args, 2)?);
+            if from.is_empty() {
+                ctx.branch("empty-needle");
+                return Ok(Value::Text(s));
+            }
+            let v = Value::Text(s.replace(&from, &to));
+            ctx.charge(&v)?;
+            Ok(v)
+        }
+
+        pub fn f_concat_ws(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let sep = some_or_null!(want_text(ctx, args, 0)?);
+            let mut parts = Vec::new();
+            for i in 1..args.len() {
+                if let Some(s) = want_text(ctx, args, i)? {
+                    parts.push(s);
+                } else {
+                    ctx.branch("skip-null");
+                }
+            }
+            let v = Value::Text(parts.join(&sep));
+            ctx.charge(&v)?;
+            Ok(v)
+        }
+
+        pub fn f_export_set(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
+            let bits = some_or_null!(want_int(ctx, args, 0)?);
+            let on = some_or_null!(want_text(ctx, args, 1)?);
+            let off = some_or_null!(want_text(ctx, args, 2)?);
+            let sep = if args.len() > 3 {
+                some_or_null!(want_text(ctx, args, 3)?)
+            } else {
+                ",".to_string()
+            };
+            let width = if args.len() > 4 {
+                some_or_null!(want_int(ctx, args, 4)?).clamp(0, 64)
+            } else {
+                64
+            };
+            let mut parts = Vec::with_capacity(width as usize);
+            for i in 0..width {
+                if (bits >> i) & 1 == 1 {
+                    parts.push(on.clone());
+                } else {
+                    parts.push(off.clone());
+                }
+            }
+            let v = Value::Text(parts.join(&sep));
+            ctx.charge(&v)?;
+            Ok(v)
+        }
+    }
+
+    /// Text over a small alphabet of one- to four-byte characters and
+    /// separators, empty about one time in eight.
+    fn text(rng: &mut Rng, max: usize) -> String {
+        const ALPHABET: [&str; 11] = ["a", "b", "ab", "é", "日", "😀", ",", " ", "a,", "Q9", "É"];
+        let n = if rng.gen_bool(0.125) {
+            0
+        } else {
+            rng.gen_range(1..max + 1)
+        };
+        (0..n)
+            .map(|_| *rng.choose(&ALPHABET).expect("alphabet"))
+            .collect()
+    }
+
+    /// A position or count near the ends of a `len`-character text: at and
+    /// past both ends, zero, and the extremes.
+    fn position(rng: &mut Rng, len: usize) -> i64 {
+        let len = len as i64;
+        match rng.gen_range(0..8u32) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => 0,
+            3 => len,
+            4 => len + 1,
+            5 => -len,
+            6 => -len - 1,
+            _ => rng.gen_range(-len - 3..len + 4),
+        }
+    }
+
+    type Kernel = (&'static str, ScalarImpl, ScalarImpl);
+
+    #[test]
+    fn string_kernels_match_the_reference() {
+        let kernels: [Kernel; 14] = [
+            ("substr", f_substr, reference::f_substr),
+            ("left", f_left, reference::f_left),
+            ("right", f_right, reference::f_right),
+            ("lpad", f_lpad, reference::f_lpad),
+            ("rpad", f_rpad, reference::f_rpad),
+            ("reverse", f_reverse, reference::f_reverse),
+            ("position", f_position, reference::f_position),
+            ("instr", f_instr, reference::f_instr),
+            ("locate", f_locate, reference::f_locate),
+            ("split_part", f_split_part, reference::f_split_part),
+            ("translate", f_translate, reference::f_translate),
+            ("insert", f_insert, reference::f_insert),
+            ("replace", f_replace, reference::f_replace),
+            ("concat_ws", f_concat_ws, reference::f_concat_ws),
+        ];
+        let mut rng = Rng::seed_from_u64(0x5354_5249);
+        for _ in 0..3000 {
+            // A tight budget one time in four, so results past it compare
+            // their errors and charges too.
+            let limits = Limits {
+                max_memory_bytes: if rng.gen_bool(0.25) {
+                    rng.gen_range(0..200usize)
+                } else {
+                    64 << 20
+                },
+                ..Limits::default()
+            };
+            let s = text(&mut rng, 24);
+            let n = s.chars().count();
+            for (name, new, old) in kernels {
+                let t = Value::Text(text(&mut rng, 3));
+                let u = Value::Text(text(&mut rng, 3));
+                let args: Vec<Value> = match name {
+                    "substr" | "left" | "right" if rng.gen_bool(0.5) || name != "substr" => {
+                        vec![
+                            Value::Text(s.clone()),
+                            Value::Integer(position(&mut rng, n)),
+                        ]
+                    }
+                    "substr" => vec![
+                        Value::Text(s.clone()),
+                        Value::Integer(position(&mut rng, n)),
+                        Value::Integer(position(&mut rng, n)),
+                    ],
+                    "lpad" | "rpad" => {
+                        let count = Value::Integer(rng.gen_range(-2..n as i64 + 30));
+                        if rng.gen_bool(0.3) {
+                            vec![Value::Text(s.clone()), count]
+                        } else {
+                            vec![Value::Text(s.clone()), count, t]
+                        }
+                    }
+                    "reverse" => vec![Value::Text(s.clone())],
+                    "position" => vec![t, Value::Text(s.clone())],
+                    "instr" => vec![Value::Text(s.clone()), t],
+                    "locate" => vec![
+                        t,
+                        Value::Text(s.clone()),
+                        Value::Integer(position(&mut rng, n)),
+                    ],
+                    "split_part" | "replace" if name == "split_part" => {
+                        vec![
+                            Value::Text(s.clone()),
+                            t,
+                            Value::Integer(position(&mut rng, n)),
+                        ]
+                    }
+                    "translate" | "replace" => vec![Value::Text(s.clone()), t, u],
+                    "insert" => vec![
+                        Value::Text(s.clone()),
+                        Value::Integer(position(&mut rng, n)),
+                        Value::Integer(position(&mut rng, n)),
+                        t,
+                    ],
+                    _ => vec![t, Value::Text(s.clone()), Value::Null, u],
+                };
+                assert_eq!(
+                    call(name, new, &args, &limits),
+                    call(name, old, &args, &limits),
+                    "{name}{args:?} under {} bytes",
+                    limits.max_memory_bytes
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn export_set_matches_the_reference() {
+        let mut rng = Rng::seed_from_u64(0x4558_5054);
+        for _ in 0..2000 {
+            let limits = Limits {
+                max_memory_bytes: if rng.gen_bool(0.3) {
+                    rng.gen_range(0..400usize)
+                } else {
+                    64 << 20
+                },
+                ..Limits::default()
+            };
+            let mut args = vec![
+                Value::Integer(rng.next_u64() as i64),
+                Value::Text(text(&mut rng, 3)),
+                Value::Text(text(&mut rng, 3)),
+            ];
+            if rng.gen_bool(0.7) {
+                args.push(Value::Text(text(&mut rng, 2)));
+                if rng.gen_bool(0.7) {
+                    args.push(Value::Integer(rng.gen_range(-3..70i64)));
+                }
+            }
+            assert_eq!(
+                call("export_set", f_export_set, &args, &limits),
+                call("export_set", reference::f_export_set, &args, &limits),
+                "{args:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_constructors_fail_before_building() {
+        // Each result would be hundreds of megabytes; the budget error
+        // comes first, with the same text and the same charge as before.
+        let limits = Limits::default();
+        let big = |c: &str, n: usize| Value::Text(c.repeat(n));
+        let cases: [(&str, ScalarImpl, ScalarImpl, Vec<Value>); 3] = [
+            (
+                "export_set",
+                f_export_set,
+                reference::f_export_set,
+                vec![
+                    Value::Integer(-1),
+                    big("Y", 100_000),
+                    Value::Text("N".into()),
+                    big(",", 1_000_000),
+                ],
+            ),
+            (
+                "replace",
+                f_replace,
+                reference::f_replace,
+                vec![big("a", 100_000), Value::Text("a".into()), big("b", 1_000)],
+            ),
+            (
+                "concat_ws",
+                f_concat_ws,
+                reference::f_concat_ws,
+                std::iter::once(big(",", 1_000_000))
+                    .chain((0..70).map(|_| big("x", 1)))
+                    .collect(),
+            ),
+        ];
+        for (name, new, old, args) in cases {
+            let got = call(name, new, &args, &limits);
+            assert!(
+                matches!(
+                    got.result,
+                    Err(EngineError::Sql(crate::error::SqlError::ResourceLimit(_)))
+                ),
+                "{name}"
+            );
+            assert_eq!(got, call(name, old, &args, &limits), "{name}");
+        }
+    }
 }

@@ -11,6 +11,16 @@
 //! character classes `[a-z]` / `[^...]`, alternation `|`, groups `(...)`,
 //! anchors `^`/`$`, and the escapes `\d \D \w \W \s \S` plus escaped
 //! metacharacters.
+//!
+//! The matcher reads the text in place, at byte offsets that always sit on
+//! character boundaries, and allocates nothing per step: what follows the
+//! node being matched is a chain of pattern slices on the Rust stack
+//! (`Cont`), and every repetition keeps its end positions on one stack
+//! the matcher owns. Pattern 3.1 hands `REGEXP_LIKE` 300 KB texts, and a
+//! match attempt starts at every character, so per-step allocation would
+//! dominate the matcher's cost. The step count is part of the contract:
+//! each call of `match_seq` and each repetition attempt is one step, and
+//! the 200,000-step budget decides which texts fail.
 
 use std::fmt;
 
@@ -100,71 +110,48 @@ impl Regex {
     /// True if the pattern matches anywhere in `text` (SQL `REGEXP`
     /// semantics).
     pub fn is_match(&self, text: &str) -> Result<bool, RegexError> {
-        Ok(self.find(text)?.is_some())
+        Ok(Matcher::new(text).find_from(&self.root, 0)?.is_some())
     }
 
     /// Finds the leftmost match, returning `(start, end)` char indices.
     pub fn find(&self, text: &str) -> Result<Option<(usize, usize)>, RegexError> {
-        let chars: Vec<char> = text.chars().collect();
-        let mut steps = 0usize;
-        for start in 0..=chars.len() {
-            let mut m = Matcher { chars: &chars, steps: &mut steps };
-            if let Some(end) = m.match_node(&self.root, start, start == 0)? {
-                return Ok(Some((start, end)));
-            }
-        }
-        Ok(None)
+        Ok(Matcher::new(text).find_from(&self.root, 0)?.map(|(s, e)| {
+            let start = text[..s].chars().count();
+            (start, start + text[s..e].chars().count())
+        }))
     }
 
     /// Replaces every non-overlapping match with `replacement`.
     pub fn replace_all(&self, text: &str, replacement: &str) -> Result<String, RegexError> {
-        let chars: Vec<char> = text.chars().collect();
-        let mut out = String::new();
+        let mut m = Matcher::new(text);
+        let mut out = String::with_capacity(text.len());
         let mut i = 0usize;
-        let mut steps = 0usize;
-        while i <= chars.len() {
-            let mut found = None;
-            for start in i..=chars.len() {
-                let mut m = Matcher { chars: &chars, steps: &mut steps };
-                if let Some(end) = m.match_node(&self.root, start, start == 0)? {
-                    found = Some((start, end));
-                    break;
-                }
+        loop {
+            let Some((s, e)) = m.find_from(&self.root, i)? else {
+                out.push_str(&text[i..]);
+                break;
+            };
+            out.push_str(&text[i..s]);
+            out.push_str(replacement);
+            if e > s {
+                i = e;
+                continue;
             }
-            match found {
-                None => {
-                    out.extend(&chars[i..]);
-                    break;
-                }
-                Some((s, e)) => {
-                    out.extend(&chars[i..s]);
-                    out.push_str(replacement);
-                    if e == s {
-                        // Empty match: emit one char and continue to avoid
-                        // an infinite loop.
-                        if s < chars.len() {
-                            out.push(chars[s]);
-                        }
-                        i = s + 1;
-                    } else {
-                        i = e;
-                    }
-                    if i > chars.len() {
-                        break;
-                    }
-                }
-            }
+            // Empty match: emit one char and continue to avoid an
+            // infinite loop.
+            let Some(c) = text[s..].chars().next() else {
+                break;
+            };
+            out.push(c);
+            i = s + c.len_utf8();
         }
         Ok(out)
     }
 
     /// Returns the first matched substring, if any.
     pub fn first_match(&self, text: &str) -> Result<Option<String>, RegexError> {
-        let chars: Vec<char> = text.chars().collect();
-        match self.find(text)? {
-            None => Ok(None),
-            Some((s, e)) => Ok(Some(chars[s..e].iter().collect())),
-        }
+        let found = Matcher::new(text).find_from(&self.root, 0)?;
+        Ok(found.map(|(s, e)| text[s..e].to_string()))
     }
 }
 
@@ -413,95 +400,137 @@ impl RxParser {
     }
 }
 
-struct Matcher<'a> {
-    chars: &'a [char],
-    steps: &'a mut usize,
+/// What follows the node being matched: the rest of its sequence, then
+/// what follows that sequence.
+#[derive(Clone, Copy)]
+struct Cont<'a> {
+    seq: &'a [Node],
+    next: Option<&'a Cont<'a>>,
 }
 
-impl<'a> Matcher<'a> {
-    /// Attempts to match `node` at `pos`; returns the end position on
-    /// success. `at_start` is true when `pos` 0 corresponds to text start.
-    fn match_node(
+struct Matcher<'t> {
+    text: &'t str,
+    steps: usize,
+    /// The end positions of every repetition in progress, innermost last;
+    /// each `match_repeat` truncates it back to where it found it. Every
+    /// entry costs a step, so the step budget, not the text's length,
+    /// bounds how often it grows.
+    ends: Vec<usize>,
+}
+
+impl<'t> Matcher<'t> {
+    fn new(text: &'t str) -> Matcher<'t> {
+        Matcher {
+            text,
+            steps: 0,
+            ends: Vec::new(),
+        }
+    }
+
+    /// The leftmost match starting at or after byte `from` (a character
+    /// boundary), as byte offsets. Start positions are tried one character
+    /// apart, and all of them share one step budget.
+    fn find_from(
         &mut self,
-        node: &Node,
-        pos: usize,
-        _at_start: bool,
-    ) -> Result<Option<usize>, RegexError> {
-        self.match_seq(std::slice::from_ref(node), pos)
+        root: &Node,
+        from: usize,
+    ) -> Result<Option<(usize, usize)>, RegexError> {
+        let mut start = from;
+        loop {
+            if let Some(end) = self.match_seq(std::slice::from_ref(root), None, start)? {
+                return Ok(Some((start, end)));
+            }
+            match self.text[start..].chars().next() {
+                Some(c) => start += c.len_utf8(),
+                None => return Ok(None),
+            }
+        }
     }
 
     fn bump(&mut self) -> Result<(), RegexError> {
-        *self.steps += 1;
-        if *self.steps > STEP_BUDGET {
+        self.steps += 1;
+        if self.steps > STEP_BUDGET {
             return Err(RegexError::Budget);
         }
         Ok(())
     }
 
-    /// Matches a sequence of nodes starting at `pos`.
-    fn match_seq(&mut self, seq: &[Node], pos: usize) -> Result<Option<usize>, RegexError> {
+    /// The character at byte `pos` and its byte length.
+    fn char_at(&self, pos: usize) -> Option<(char, usize)> {
+        let c = self.text[pos..].chars().next()?;
+        Some((c, c.len_utf8()))
+    }
+
+    /// Matches `seq` and then `k` starting at `pos`; returns the end
+    /// position on success.
+    fn match_seq(
+        &mut self,
+        seq: &[Node],
+        k: Option<&Cont<'_>>,
+        pos: usize,
+    ) -> Result<Option<usize>, RegexError> {
         self.bump()?;
-        let Some((first, rest)) = seq.split_first() else {
-            return Ok(Some(pos));
+        let (mut seq, mut k) = (seq, k);
+        // An exhausted sequence goes on with what follows it, in the same
+        // step: the continuation is the tail of one flat sequence.
+        let (first, rest) = loop {
+            if let Some(split) = seq.split_first() {
+                break split;
+            }
+            match k {
+                Some(c) => (seq, k) = (c.seq, c.next),
+                None => return Ok(Some(pos)),
+            }
         };
         match first {
-            Node::Empty => self.match_seq(rest, pos),
-            Node::Char(c) => {
-                if self.chars.get(pos) == Some(c) {
-                    self.match_seq(rest, pos + 1)
-                } else {
-                    Ok(None)
-                }
-            }
-            Node::Any => {
-                if pos < self.chars.len() {
-                    self.match_seq(rest, pos + 1)
-                } else {
-                    Ok(None)
-                }
-            }
-            Node::Class { negated, items } => match self.chars.get(pos) {
-                Some(&c) if items.iter().any(|i| i.matches(c)) != *negated => {
-                    self.match_seq(rest, pos + 1)
+            Node::Empty => self.match_seq(rest, k, pos),
+            Node::Char(c) => match self.char_at(pos) {
+                Some((x, len)) if x == *c => self.match_seq(rest, k, pos + len),
+                _ => Ok(None),
+            },
+            Node::Any => match self.char_at(pos) {
+                Some((_, len)) => self.match_seq(rest, k, pos + len),
+                None => Ok(None),
+            },
+            Node::Class { negated, items } => match self.char_at(pos) {
+                Some((c, len)) if items.iter().any(|i| i.matches(c)) != *negated => {
+                    self.match_seq(rest, k, pos + len)
                 }
                 _ => Ok(None),
             },
             Node::Start => {
                 if pos == 0 {
-                    self.match_seq(rest, pos)
+                    self.match_seq(rest, k, pos)
                 } else {
                     Ok(None)
                 }
             }
             Node::End => {
-                if pos == self.chars.len() {
-                    self.match_seq(rest, pos)
+                if pos == self.text.len() {
+                    self.match_seq(rest, k, pos)
                 } else {
                     Ok(None)
                 }
             }
             Node::Group(inner) => {
-                let mut seq2 = vec![(**inner).clone()];
-                seq2.extend_from_slice(rest);
-                self.match_seq(&seq2, pos)
+                let then = Cont { seq: rest, next: k };
+                self.match_seq(std::slice::from_ref(&**inner), Some(&then), pos)
             }
             Node::Concat(items) => {
-                let mut seq2 = items.clone();
-                seq2.extend_from_slice(rest);
-                self.match_seq(&seq2, pos)
+                let then = Cont { seq: rest, next: k };
+                self.match_seq(items, Some(&then), pos)
             }
             Node::Alt(branches) => {
+                let then = Cont { seq: rest, next: k };
                 for b in branches {
-                    let mut seq2 = vec![b.clone()];
-                    seq2.extend_from_slice(rest);
-                    if let Some(end) = self.match_seq(&seq2, pos)? {
+                    if let Some(end) = self.match_seq(std::slice::from_ref(b), Some(&then), pos)? {
                         return Ok(Some(end));
                     }
                 }
                 Ok(None)
             }
             Node::Repeat { node, min, max, greedy } => {
-                self.match_repeat(node, *min, *max, *greedy, rest, pos)
+                self.match_repeat(node, *min, *max, *greedy, Cont { seq: rest, next: k }, pos)
             }
         }
     }
@@ -512,49 +541,342 @@ impl<'a> Matcher<'a> {
         min: u32,
         max: Option<u32>,
         greedy: bool,
-        rest: &[Node],
+        then: Cont<'_>,
         pos: usize,
     ) -> Result<Option<usize>, RegexError> {
         // Collect the chain of end positions for 0..=max repetitions.
-        let mut ends = vec![pos];
+        let base = self.ends.len();
+        self.ends.push(pos);
         let mut cur = pos;
         let cap = max.unwrap_or(u32::MAX);
-        while (ends.len() as u32 - 1) < cap {
+        while ((self.ends.len() - base) as u32 - 1) < cap {
             self.bump()?;
-            let next = {
-                let single = std::slice::from_ref(node);
-                self.match_seq(single, cur)?
-            };
-            match next {
+            match self.match_seq(std::slice::from_ref(node), None, cur)? {
                 Some(end) if end > cur => {
-                    ends.push(end);
+                    self.ends.push(end);
                     cur = end;
                 }
-                Some(_) => break, // Zero-width repetition: stop.
-                None => break,
+                // No match, or a zero-width repetition: stop.
+                _ => break,
             }
         }
-        if (ends.len() as u32 - 1) < min {
-            return Ok(None);
-        }
-        let valid = &ends[min as usize..];
-        let order: Vec<usize> = if greedy {
-            valid.iter().rev().copied().collect()
-        } else {
-            valid.to_vec()
-        };
-        for end in order {
-            if let Some(done) = self.match_seq(rest, end)? {
-                return Ok(Some(done));
+        let count = self.ends.len() - base;
+        let mut found = None;
+        if (count as u32 - 1) >= min {
+            let valid = base + min as usize..base + count;
+            let try_end = |m: &mut Self, i: usize| {
+                let end = m.ends[i];
+                m.match_seq(then.seq, then.next, end)
+            };
+            if greedy {
+                for i in valid.rev() {
+                    found = try_end(self, i)?;
+                    if found.is_some() {
+                        break;
+                    }
+                }
+            } else {
+                for i in valid {
+                    found = try_end(self, i)?;
+                    if found.is_some() {
+                        break;
+                    }
+                }
             }
         }
-        Ok(None)
+        self.ends.truncate(base);
+        Ok(found)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soft_rng::Rng;
+
+    /// The matcher before it read text in place: a `Vec<char>` of the text,
+    /// a fresh sequence (a clone of the rest of the pattern) per group,
+    /// concatenation or alternative step, and an `ends` vector per
+    /// repetition attempt.
+    mod reference {
+        use super::super::{Node, Regex, RegexError, STEP_BUDGET};
+
+        pub struct Matcher<'a> {
+            pub chars: &'a [char],
+            pub steps: &'a mut usize,
+        }
+
+        impl Matcher<'_> {
+            fn bump(&mut self) -> Result<(), RegexError> {
+                *self.steps += 1;
+                if *self.steps > STEP_BUDGET {
+                    return Err(RegexError::Budget);
+                }
+                Ok(())
+            }
+
+            pub fn match_seq(
+                &mut self,
+                seq: &[Node],
+                pos: usize,
+            ) -> Result<Option<usize>, RegexError> {
+                self.bump()?;
+                let Some((first, rest)) = seq.split_first() else {
+                    return Ok(Some(pos));
+                };
+                match first {
+                    Node::Empty => self.match_seq(rest, pos),
+                    Node::Char(c) => {
+                        if self.chars.get(pos) == Some(c) {
+                            self.match_seq(rest, pos + 1)
+                        } else {
+                            Ok(None)
+                        }
+                    }
+                    Node::Any => {
+                        if pos < self.chars.len() {
+                            self.match_seq(rest, pos + 1)
+                        } else {
+                            Ok(None)
+                        }
+                    }
+                    Node::Class { negated, items } => match self.chars.get(pos) {
+                        Some(&c) if items.iter().any(|i| i.matches(c)) != *negated => {
+                            self.match_seq(rest, pos + 1)
+                        }
+                        _ => Ok(None),
+                    },
+                    Node::Start => {
+                        if pos == 0 {
+                            self.match_seq(rest, pos)
+                        } else {
+                            Ok(None)
+                        }
+                    }
+                    Node::End => {
+                        if pos == self.chars.len() {
+                            self.match_seq(rest, pos)
+                        } else {
+                            Ok(None)
+                        }
+                    }
+                    Node::Group(inner) => {
+                        let mut seq2 = vec![(**inner).clone()];
+                        seq2.extend_from_slice(rest);
+                        self.match_seq(&seq2, pos)
+                    }
+                    Node::Concat(items) => {
+                        let mut seq2 = items.clone();
+                        seq2.extend_from_slice(rest);
+                        self.match_seq(&seq2, pos)
+                    }
+                    Node::Alt(branches) => {
+                        for b in branches {
+                            let mut seq2 = vec![b.clone()];
+                            seq2.extend_from_slice(rest);
+                            if let Some(end) = self.match_seq(&seq2, pos)? {
+                                return Ok(Some(end));
+                            }
+                        }
+                        Ok(None)
+                    }
+                    Node::Repeat {
+                        node,
+                        min,
+                        max,
+                        greedy,
+                    } => self.match_repeat(node, *min, *max, *greedy, rest, pos),
+                }
+            }
+
+            fn match_repeat(
+                &mut self,
+                node: &Node,
+                min: u32,
+                max: Option<u32>,
+                greedy: bool,
+                rest: &[Node],
+                pos: usize,
+            ) -> Result<Option<usize>, RegexError> {
+                let mut ends = vec![pos];
+                let mut cur = pos;
+                let cap = max.unwrap_or(u32::MAX);
+                while (ends.len() as u32 - 1) < cap {
+                    self.bump()?;
+                    let next = self.match_seq(std::slice::from_ref(node), cur)?;
+                    match next {
+                        Some(end) if end > cur => {
+                            ends.push(end);
+                            cur = end;
+                        }
+                        _ => break,
+                    }
+                }
+                if (ends.len() as u32 - 1) < min {
+                    return Ok(None);
+                }
+                let valid = &ends[min as usize..];
+                let order: Vec<usize> = if greedy {
+                    valid.iter().rev().copied().collect()
+                } else {
+                    valid.to_vec()
+                };
+                for end in order {
+                    if let Some(done) = self.match_seq(rest, end)? {
+                        return Ok(Some(done));
+                    }
+                }
+                Ok(None)
+            }
+        }
+
+        /// `Regex::find` as it was, with the steps it took.
+        pub fn find(re: &Regex, text: &str) -> (Result<Option<(usize, usize)>, RegexError>, usize) {
+            let chars: Vec<char> = text.chars().collect();
+            let mut steps = 0usize;
+            for start in 0..=chars.len() {
+                let mut m = Matcher {
+                    chars: &chars,
+                    steps: &mut steps,
+                };
+                match m.match_seq(std::slice::from_ref(&re.root), start) {
+                    Ok(Some(end)) => return (Ok(Some((start, end))), steps),
+                    Ok(None) => {}
+                    Err(e) => return (Err(e), steps),
+                }
+            }
+            (Ok(None), steps)
+        }
+
+        /// `Regex::replace_all` as it was.
+        pub fn replace_all(
+            re: &Regex,
+            text: &str,
+            replacement: &str,
+        ) -> Result<String, RegexError> {
+            let chars: Vec<char> = text.chars().collect();
+            let mut out = String::new();
+            let mut i = 0usize;
+            let mut steps = 0usize;
+            while i <= chars.len() {
+                let mut found = None;
+                for start in i..=chars.len() {
+                    let mut m = Matcher {
+                        chars: &chars,
+                        steps: &mut steps,
+                    };
+                    if let Some(end) = m.match_seq(std::slice::from_ref(&re.root), start)? {
+                        found = Some((start, end));
+                        break;
+                    }
+                }
+                match found {
+                    None => {
+                        out.extend(&chars[i..]);
+                        break;
+                    }
+                    Some((s, e)) => {
+                        out.extend(&chars[i..s]);
+                        out.push_str(replacement);
+                        if e == s {
+                            if s < chars.len() {
+                                out.push(chars[s]);
+                            }
+                            i = s + 1;
+                        } else {
+                            i = e;
+                        }
+                        if i > chars.len() {
+                            break;
+                        }
+                    }
+                }
+            }
+            Ok(out)
+        }
+    }
+
+    /// A pattern from the supported grammar over a two-letter alphabet
+    /// plus multi-byte characters, nested up to `depth`.
+    fn random_pattern(rng: &mut Rng, depth: usize) -> String {
+        const ATOMS: [&str; 12] = [
+            "a", "b", "é", "日", ".", "[ab]", "[^a]", "\\d", "\\w", "^", "$", "(?:a|b)",
+        ];
+        const QUANTIFIERS: [&str; 9] = ["", "", "", "*", "+", "?", "{2}", "{1,3}", "*?"];
+        let mut p = String::new();
+        for _ in 0..rng.gen_range(1..4usize) {
+            let atom = if depth > 0 && rng.gen_bool(0.3) {
+                let mut alts: Vec<String> = (0..rng.gen_range(1..3usize))
+                    .map(|_| random_pattern(rng, depth - 1))
+                    .collect();
+                if rng.gen_bool(0.2) {
+                    alts.push(String::new());
+                }
+                format!("({})", alts.join("|"))
+            } else {
+                (*rng.choose(&ATOMS).expect("atoms")).to_string()
+            };
+            let q = *rng.choose(&QUANTIFIERS).expect("quantifiers");
+            if (atom == "^" || atom == "$") && !q.is_empty() {
+                p.push_str(&atom);
+            } else {
+                p.push_str(&atom);
+                p.push_str(q);
+            }
+        }
+        p
+    }
+
+    fn random_text(rng: &mut Rng, max: usize) -> String {
+        const ALPHABET: [&str; 6] = ["a", "a", "b", "é", "日", "1"];
+        let n = if rng.gen_bool(0.1) {
+            0
+        } else {
+            rng.gen_range(1..max + 1)
+        };
+        (0..n)
+            .map(|_| *rng.choose(&ALPHABET).expect("alphabet"))
+            .collect()
+    }
+
+    #[test]
+    fn matcher_matches_the_reference_step_for_step() {
+        let mut rng = Rng::seed_from_u64(0x5245_4745);
+        let mut budget_hits = 0;
+        let mut cases: Vec<(String, String)> = (0..3000)
+            .map(|_| (random_pattern(&mut rng, 2), random_text(&mut rng, 30)))
+            .collect();
+        // Backtracking blow-ups and long texts that run the budget out.
+        for n in [20, 40, 200, 5_000, 150_000] {
+            cases.push(("(a+)+b".into(), "a".repeat(n)));
+            cases.push(("(a|b|ab)*c".into(), "ab".repeat(n / 2)));
+            cases.push(("^(日|é)*$".into(), "日é".repeat(n / 2)));
+        }
+        for (pattern, text) in cases {
+            let Ok(re) = Regex::compile(&pattern) else {
+                continue;
+            };
+            let mut m = Matcher::new(&text);
+            let found = m.find_from(&re.root, 0);
+            let (old, old_steps) = reference::find(&re, &text);
+            let new = found
+                .clone()
+                .map(|f| f.map(|(s, e)| (text[..s].chars().count(), text[..e].chars().count())));
+            assert_eq!(new, old, "{pattern:?} on {text:?}");
+            assert_eq!(m.steps, old_steps, "{pattern:?} on {text:?}");
+            assert_eq!(re.find(&text), old, "{pattern:?} on {text:?}");
+            budget_hits += usize::from(old == Err(RegexError::Budget));
+            assert_eq!(
+                re.replace_all(&text, "<>"),
+                reference::replace_all(&re, &text, "<>"),
+                "{pattern:?} on {text:?}"
+            );
+        }
+        assert!(
+            budget_hits >= 5,
+            "only {budget_hits} texts ran out of steps"
+        );
+    }
 
     fn m(pattern: &str, text: &str) -> bool {
         Regex::compile(pattern).unwrap().is_match(text).unwrap()

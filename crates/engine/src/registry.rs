@@ -308,7 +308,18 @@ impl<'a> FnCtx<'a> {
 
     /// Charges a produced value against the statement memory budget.
     pub fn charge(&mut self, v: &Value) -> Result<(), EngineError> {
-        *self.memory_used += v.size_estimate();
+        self.charge_bytes(v.size_estimate())
+    }
+
+    /// Charges a text result of `len` bytes before it is built: the amount
+    /// [`FnCtx::charge`] charges for the built text, so a result past the
+    /// budget is never allocated.
+    pub fn charge_text(&mut self, len: usize) -> Result<(), EngineError> {
+        self.charge_bytes(len.saturating_add(24))
+    }
+
+    fn charge_bytes(&mut self, bytes: usize) -> Result<(), EngineError> {
+        *self.memory_used = self.memory_used.saturating_add(bytes);
         if *self.memory_used > self.limits.max_memory_bytes {
             return Err(EngineError::Sql(SqlError::ResourceLimit(format!(
                 "statement memory budget ({} bytes) exceeded",

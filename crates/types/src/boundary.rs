@@ -147,12 +147,45 @@ pub fn looks_structured(s: &str) -> bool {
     if b.len() >= 8 && b[..4].iter().all(u8::is_ascii_digit) && b[4] == b'-' {
         return true;
     }
-    // The byte test runs first: it stops at the first byte that is neither,
-    // where the dot count would read a long string to its end.
-    if t.bytes().all(|c| c.is_ascii_digit() || c == b'.') && t.splitn(4, '.').count() == 4 {
-        return true;
+    // Address-like: nothing but digits and dots, at least three dots.
+    dotted_digits(t)
+}
+
+/// True if `t` holds at least three dots and nothing but ASCII digits and
+/// dots. One pass over 64-byte blocks, each tested and its dots counted
+/// without a branch per byte; the first block holding any other byte ends
+/// the pass, so ordinary text is rejected at once and an all-digit text
+/// (`REPEAT('202', 100000)`) costs one branch-free scan.
+fn dotted_digits(t: &str) -> bool {
+    let mut dots = 0usize;
+    for block in t.as_bytes().chunks(64) {
+        // Byte-wide lanes: a block holds at most 64 dots.
+        let (mut other, mut n) = (0u8, 0u8);
+        for &c in block {
+            let dot = u8::from(c == b'.');
+            other |= u8::from(!c.is_ascii_digit()) & (dot ^ 1);
+            n += dot;
+        }
+        if other != 0 {
+            return false;
+        }
+        dots += usize::from(n);
     }
-    false
+    dots >= 3
+}
+
+/// True if `s` contains at least `n` ASCII digits. Digits are counted a
+/// 256-byte block at a time, without a branch per byte, and counting stops
+/// once `n` is reached.
+pub fn has_digits_at_least(s: &str, n: usize) -> bool {
+    let mut count = 0;
+    for block in s.as_bytes().chunks(256) {
+        if count >= n {
+            return true;
+        }
+        count += block.iter().filter(|c| c.is_ascii_digit()).count();
+    }
+    count >= n
 }
 
 /// The class universe in bit order: bit `i` of [`class_bits`] is
@@ -393,6 +426,28 @@ mod tests {
         assert!(looks_structured("2024-01-01"));
         assert!(looks_structured("255.255.255.255"));
         assert!(!looks_structured("hello world"));
+    }
+
+    #[test]
+    fn digit_text_tests_match_the_per_byte_versions() {
+        // The per-byte forms these replaced.
+        let structured_digits = |t: &str| {
+            t.bytes().all(|c| c.is_ascii_digit() || c == b'.') && t.splitn(4, '.').count() == 4
+        };
+        let digits = |s: &str| s.chars().filter(|c| c.is_ascii_digit()).count();
+        let mut rng = soft_rng::Rng::seed_from_u64(0x4449_4749);
+        const PIECES: [&str; 6] = ["1", "22", ".", "a", "é", "9.9"];
+        for _ in 0..5000 {
+            let max = if rng.gen_bool(0.05) { 300 } else { 12usize };
+            let n = rng.gen_range(0..max);
+            let t: String = (0..n)
+                .map(|_| *rng.choose(&PIECES).expect("pieces"))
+                .collect();
+            assert_eq!(dotted_digits(&t), structured_digits(&t), "{t:?}");
+            for k in [0, 1, 3, 10, 60, 400] {
+                assert_eq!(has_digits_at_least(&t, k), digits(&t) >= k, "{t:?} {k}");
+            }
+        }
     }
 
     #[test]

@@ -147,7 +147,9 @@ pub fn cast(
             }
         },
         DataType::Date => match value {
-            Value::Text(s) => Date::parse(s).map(Value::Date).map_err(|e| err(&e.to_string())),
+            Value::Text(s) => Date::parse_text(s)
+                .map(Value::Date)
+                .map_err(|e| CastError::new(from, to, e.message())),
             Value::DateTime(dt) => Ok(Value::Date(dt.date)),
             Value::Integer(i) => {
                 // YYYYMMDD numeric form, as MySQL accepts.
@@ -163,14 +165,16 @@ pub fn cast(
             _ => Err(err("unsupported source for DATE")),
         },
         DataType::Time => match value {
-            Value::Text(s) => Time::parse(s).map(Value::Time).map_err(|e| err(&e.to_string())),
+            Value::Text(s) => Time::parse_text(s)
+                .map(Value::Time)
+                .map_err(|e| CastError::new(from, to, e.message())),
             Value::DateTime(dt) => Ok(Value::Time(dt.time)),
             _ => Err(err("unsupported source for TIME")),
         },
         DataType::DateTime => match value {
-            Value::Text(s) => {
-                DateTime::parse(s).map(Value::DateTime).map_err(|e| err(&e.to_string()))
-            }
+            Value::Text(s) => DateTime::parse_text(s)
+                .map(Value::DateTime)
+                .map_err(|e| CastError::new(from, to, e.message())),
             Value::Date(d) => {
                 Ok(Value::DateTime(DateTime::new(*d, crate::datetime::Time::MIDNIGHT)))
             }

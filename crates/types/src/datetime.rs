@@ -17,16 +17,98 @@ pub enum DateError {
     OutOfRange(String),
 }
 
+/// The prefix of a [`DateError::Syntax`] message.
+const SYNTAX_PREFIX: &str = "invalid date/time literal: ";
+
 impl fmt::Display for DateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DateError::Syntax(s) => write!(f, "invalid date/time literal: {s}"),
+            DateError::Syntax(s) => write!(f, "{SYNTAX_PREFIX}{s}"),
             DateError::OutOfRange(s) => write!(f, "date/time out of range: {s}"),
         }
     }
 }
 
 impl std::error::Error for DateError {}
+
+/// A failed text parse that borrows the text it rejected, so the caster
+/// copies a long rejected argument once, straight into its own message,
+/// instead of into a [`DateError`] first.
+#[derive(Debug)]
+pub(crate) enum ParseError<'a> {
+    /// The (trimmed) text matched no supported format.
+    Syntax(&'a str),
+    /// The components were out of range.
+    Range(DateError),
+}
+
+impl ParseError<'_> {
+    fn into_error(self) -> DateError {
+        match self {
+            ParseError::Syntax(s) => DateError::Syntax(s.to_string()),
+            ParseError::Range(e) => e,
+        }
+    }
+
+    /// The message the matching [`DateError`] displays, allocated once.
+    pub(crate) fn message(&self) -> String {
+        match self {
+            ParseError::Syntax(s) => [SYNTAX_PREFIX, s].concat(),
+            ParseError::Range(e) => e.to_string(),
+        }
+    }
+}
+
+/// Where the `-`/`/` separators of a date's text are: the first two
+/// positions and how many there are (counting stops at 3, one too many).
+#[derive(Default)]
+struct DateSeparators {
+    at: [usize; 2],
+    count: usize,
+}
+
+impl DateSeparators {
+    fn push(&mut self, i: usize) {
+        if self.count < 2 {
+            self.at[self.count] = i;
+        }
+        self.count = (self.count + 1).min(3);
+    }
+}
+
+/// Reads one date's text in one pass: its separators and, when
+/// `split_time` holds, the position of the first `' '`/`'T'`, which ends
+/// the date. Without a time split the pass stops at the third separator.
+///
+/// The text is read in 64-byte blocks; a block holding none of the bytes
+/// looked for (every block of `REPEAT('202', 100000)`) is tested without a
+/// branch per byte and skipped.
+fn scan_date(s: &str, split_time: bool) -> (DateSeparators, Option<usize>) {
+    let mut seps = DateSeparators::default();
+    for (block_no, block) in s.as_bytes().chunks(64).enumerate() {
+        let mut hits = 0u8;
+        for &b in block {
+            let split = (b == b' ') | (b == b'T');
+            hits |= u8::from((b == b'-') | (b == b'/') | (split_time & split));
+        }
+        if hits == 0 {
+            continue;
+        }
+        for (i, &b) in block.iter().enumerate() {
+            match b {
+                b'-' | b'/' => {
+                    seps.push(block_no * 64 + i);
+                    if seps.count == 3 && !split_time {
+                        return (seps, None);
+                    }
+                }
+                b' ' | b'T' if split_time => return (seps, Some(block_no * 64 + i)),
+                _ => {}
+            }
+        }
+    }
+    (seps, None)
+}
 
 /// A calendar date in the proleptic Gregorian calendar.
 ///
@@ -248,15 +330,25 @@ impl Date {
     /// Parses `YYYY-MM-DD` (also accepting `/` separators and 1-2 digit
     /// month/day, as MySQL does).
     pub fn parse(s: &str) -> Result<Date, DateError> {
+        Date::parse_text(s).map_err(ParseError::into_error)
+    }
+
+    pub(crate) fn parse_text(s: &str) -> Result<Date, ParseError<'_>> {
         let s = s.trim();
-        let parts: Vec<&str> = s.split(['-', '/']).collect();
-        if parts.len() != 3 {
-            return Err(DateError::Syntax(s.to_string()));
+        Date::from_fields(s, &scan_date(s, false).0)
+    }
+
+    /// The date whose trimmed text is `s`, with `s`'s separators.
+    fn from_fields<'a>(s: &'a str, seps: &DateSeparators) -> Result<Date, ParseError<'a>> {
+        if seps.count != 2 {
+            return Err(ParseError::Syntax(s));
         }
-        let year: i32 = parts[0].parse().map_err(|_| DateError::Syntax(s.to_string()))?;
-        let month: u8 = parts[1].parse().map_err(|_| DateError::Syntax(s.to_string()))?;
-        let day: u8 = parts[2].parse().map_err(|_| DateError::Syntax(s.to_string()))?;
-        Date::new(year, month, day)
+        let [a, b] = seps.at;
+        let fields = (s[..a].parse(), s[a + 1..b].parse(), s[b + 1..].parse());
+        let (Ok(year), Ok(month), Ok(day)) = fields else {
+            return Err(ParseError::Syntax(s));
+        };
+        Date::new(year, month, day).map_err(ParseError::Range)
     }
 }
 
@@ -321,36 +413,43 @@ impl Time {
 
     /// Parses `HH:MM:SS[.ffffff]` (also `HH:MM`).
     pub fn parse(s: &str) -> Result<Time, DateError> {
+        Time::parse_text(s).map_err(ParseError::into_error)
+    }
+
+    pub(crate) fn parse_text(s: &str) -> Result<Time, ParseError<'_>> {
         let s = s.trim();
+        let syntax = || ParseError::Syntax(s);
         let (main, frac) = match s.split_once('.') {
             Some((m, f)) => (m, Some(f)),
             None => (s, None),
         };
-        let parts: Vec<&str> = main.split(':').collect();
-        if parts.len() != 2 && parts.len() != 3 {
-            return Err(DateError::Syntax(s.to_string()));
-        }
-        let hour: u8 = parts[0].parse().map_err(|_| DateError::Syntax(s.to_string()))?;
-        let minute: u8 = parts[1].parse().map_err(|_| DateError::Syntax(s.to_string()))?;
-        let second: u8 = if parts.len() == 3 {
-            parts[2].parse().map_err(|_| DateError::Syntax(s.to_string()))?
-        } else {
-            0
+        // Two or three `:`-separated fields: at most two colons.
+        let (hour, rest) = main.split_once(':').ok_or_else(syntax)?;
+        let (minute, second) = match rest.split_once(':') {
+            Some((_, third)) if third.contains(':') => return Err(syntax()),
+            Some((minute, second)) => (minute, Some(second)),
+            None => (rest, None),
+        };
+        let hour: u8 = hour.parse().map_err(|_| syntax())?;
+        let minute: u8 = minute.parse().map_err(|_| syntax())?;
+        let second: u8 = match second {
+            Some(sec) => sec.parse().map_err(|_| syntax())?,
+            None => 0,
         };
         let micros = match frac {
             None => 0,
             Some(f) => {
                 if f.is_empty() || f.len() > 6 || !f.bytes().all(|b| b.is_ascii_digit()) {
-                    return Err(DateError::Syntax(s.to_string()));
+                    return Err(syntax());
                 }
-                let mut v: u32 = f.parse().map_err(|_| DateError::Syntax(s.to_string()))?;
+                let mut v: u32 = f.parse().map_err(|_| syntax())?;
                 for _ in f.len()..6 {
                     v *= 10;
                 }
                 v
             }
         };
-        Time::new(hour, minute, second, micros)
+        Time::new(hour, minute, second, micros).map_err(ParseError::Range)
     }
 }
 
@@ -399,16 +498,22 @@ impl DateTime {
 
     /// Parses `YYYY-MM-DD[ HH:MM:SS[.ffffff]]` (also `T` separator).
     pub fn parse(s: &str) -> Result<DateTime, DateError> {
+        DateTime::parse_text(s).map_err(ParseError::into_error)
+    }
+
+    /// [`DateTime::parse`] in one pass over the date: the same scan finds
+    /// the date's separators and the `' '`/`'T'` that ends it.
+    pub(crate) fn parse_text(s: &str) -> Result<DateTime, ParseError<'_>> {
         let s = s.trim();
-        let split_at = s.find([' ', 'T']);
-        match split_at {
-            None => Ok(DateTime { date: Date::parse(s)?, time: Time::MIDNIGHT }),
-            Some(i) => {
-                let date = Date::parse(&s[..i])?;
-                let time = Time::parse(&s[i + 1..])?;
-                Ok(DateTime { date, time })
-            }
-        }
+        let (seps, split) = scan_date(s, true);
+        // `s` starts on a non-space, and a trailing space holds no
+        // separator, so trimming the date moves none of them.
+        let date = Date::from_fields(s[..split.unwrap_or(s.len())].trim(), &seps)?;
+        let time = match split {
+            None => Time::MIDNIGHT,
+            Some(i) => Time::parse_text(&s[i + 1..])?,
+        };
+        Ok(DateTime { date, time })
     }
 }
 
@@ -467,6 +572,157 @@ impl fmt::Display for Interval {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soft_rng::Rng;
+
+    /// Date/time text parsing before it scanned once: `DateTime::parse`
+    /// searched for the time split and then split the date into a `Vec`.
+    mod reference {
+        use super::super::{Date, DateError, DateTime, Time};
+
+        pub fn date(s: &str) -> Result<Date, DateError> {
+            let s = s.trim();
+            let parts: Vec<&str> = s.split(['-', '/']).collect();
+            if parts.len() != 3 {
+                return Err(DateError::Syntax(s.to_string()));
+            }
+            let year: i32 = parts[0]
+                .parse()
+                .map_err(|_| DateError::Syntax(s.to_string()))?;
+            let month: u8 = parts[1]
+                .parse()
+                .map_err(|_| DateError::Syntax(s.to_string()))?;
+            let day: u8 = parts[2]
+                .parse()
+                .map_err(|_| DateError::Syntax(s.to_string()))?;
+            Date::new(year, month, day)
+        }
+
+        pub fn time(s: &str) -> Result<Time, DateError> {
+            let s = s.trim();
+            let (main, frac) = match s.split_once('.') {
+                Some((m, f)) => (m, Some(f)),
+                None => (s, None),
+            };
+            let parts: Vec<&str> = main.split(':').collect();
+            if parts.len() != 2 && parts.len() != 3 {
+                return Err(DateError::Syntax(s.to_string()));
+            }
+            let hour: u8 = parts[0]
+                .parse()
+                .map_err(|_| DateError::Syntax(s.to_string()))?;
+            let minute: u8 = parts[1]
+                .parse()
+                .map_err(|_| DateError::Syntax(s.to_string()))?;
+            let second: u8 = if parts.len() == 3 {
+                parts[2]
+                    .parse()
+                    .map_err(|_| DateError::Syntax(s.to_string()))?
+            } else {
+                0
+            };
+            let micros = match frac {
+                None => 0,
+                Some(f) => {
+                    if f.is_empty() || f.len() > 6 || !f.bytes().all(|b| b.is_ascii_digit()) {
+                        return Err(DateError::Syntax(s.to_string()));
+                    }
+                    let mut v: u32 = f.parse().map_err(|_| DateError::Syntax(s.to_string()))?;
+                    for _ in f.len()..6 {
+                        v *= 10;
+                    }
+                    v
+                }
+            };
+            Time::new(hour, minute, second, micros)
+        }
+
+        pub fn datetime(s: &str) -> Result<DateTime, DateError> {
+            let s = s.trim();
+            match s.find([' ', 'T']) {
+                None => Ok(DateTime {
+                    date: date(s)?,
+                    time: Time::MIDNIGHT,
+                }),
+                Some(i) => Ok(DateTime {
+                    date: date(&s[..i])?,
+                    time: time(&s[i + 1..])?,
+                }),
+            }
+        }
+    }
+
+    /// Date-ish text: half of it dates and datetimes built field by field
+    /// (with out-of-range fields), the rest digits, every separator the
+    /// parsers split on, spaces, signs and a multi-byte space in random
+    /// order.
+    fn random_text(rng: &mut Rng) -> String {
+        const PIECES: [&str; 16] = [
+            "2024", "1", "12", "31", "0", "-", "/", " ", "T", ":", ".", "5", "+", "\u{3000}", "x",
+            "99999",
+        ];
+        let mut pick = |options: &[&'static str]| *rng.choose(options).expect("options");
+        if !pick(&["field", "noise"]).starts_with('f') {
+            let n = rng.gen_range(0..12usize);
+            return (0..n)
+                .map(|_| *rng.choose(&PIECES).expect("pieces"))
+                .collect();
+        }
+        let mut t = String::new();
+        for part in [
+            pick(&[" ", "", "", "+"]),
+            pick(&["2024", "1", "9999", "10000", "0"]),
+            pick(&["-", "/", "-"]),
+            pick(&["2", "02", "12", "13"]),
+            pick(&["-", "/", "-", ":"]),
+            pick(&["29", "30", "1", "32", "31"]),
+        ] {
+            t.push_str(part);
+        }
+        if pick(&["time", "", ""]) == "time" {
+            for part in [
+                pick(&[" ", "T", "  "]),
+                pick(&["12", "23", "24", "7"]),
+                pick(&[":"]),
+                pick(&["34", "59", "60"]),
+                pick(&["", ":56", ":61", ":1:2"]),
+                pick(&["", "", ".5", ".123456", ".1234567", "."]),
+            ] {
+                t.push_str(part);
+            }
+        }
+        t.push_str(pick(&["", "", " ", "\u{3000}"]));
+        t
+    }
+
+    #[test]
+    fn one_scan_parsers_match_the_reference() {
+        let mut rng = Rng::seed_from_u64(0x4441_5445);
+        let mut texts: Vec<String> = (0..20_000).map(|_| random_text(&mut rng)).collect();
+        texts.extend(
+            [
+                "2024-03-05",
+                " 2024/3/5 12:34:56.5 ",
+                "2024-02-30",
+                "12:60",
+                "2024-01-01T00:00",
+            ]
+            .map(String::from),
+        );
+        texts.push("202".repeat(100_000));
+        texts.push("-1-".repeat(1_000));
+        let mut parsed = 0;
+        for t in &texts {
+            assert_eq!(Date::parse(t), reference::date(t), "{t:?}");
+            assert_eq!(Time::parse(t), reference::time(t), "{t:?}");
+            let new = DateTime::parse(t);
+            assert_eq!(new, reference::datetime(t), "{t:?}");
+            // The caster's message is the error's display, built once.
+            let message = DateTime::parse_text(t).map_err(|e| e.message());
+            assert_eq!(message, new.clone().map_err(|e| e.to_string()), "{t:?}");
+            parsed += usize::from(new.is_ok());
+        }
+        assert!(parsed > 50, "only {parsed} texts parsed");
+    }
 
     #[test]
     fn leap_years() {

@@ -23,10 +23,15 @@ const fn table(digits: &[u8; 16]) -> [[u8; 2]; 256] {
 
 fn push(out: &mut String, bytes: &[u8], table: &[[u8; 2]; 256]) {
     out.reserve(bytes.len() * 2);
-    for &b in bytes {
-        let [hi, lo] = table[usize::from(b)];
-        out.push(char::from(hi));
-        out.push(char::from(lo));
+    // The digits are copied into a stack buffer and appended a chunk at a
+    // time: pushing them as `char`s costs a UTF-8 encoding per digit.
+    let mut buf = [0u8; 128];
+    for chunk in bytes.chunks(buf.len() / 2) {
+        for (pair, &b) in buf.chunks_exact_mut(2).zip(chunk) {
+            pair.copy_from_slice(&table[usize::from(b)]);
+        }
+        let digits = &buf[..chunk.len() * 2];
+        out.push_str(std::str::from_utf8(digits).expect("hex digits are ASCII"));
     }
 }
 

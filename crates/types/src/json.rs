@@ -124,16 +124,39 @@ impl JsonValue {
         }
     }
 
-    /// Evaluates a parsed path against this value.
-    pub fn eval_path(&self, path: &JsonPath) -> Option<&JsonValue> {
+    /// Evaluates a parsed path against this value, stopping at the first
+    /// leg the value lacks.
+    pub fn eval_path(&self, path: &JsonPath<'_>) -> Option<&JsonValue> {
         let mut cur = self;
-        for leg in &path.legs {
+        for leg in path.legs() {
             cur = match leg {
                 PathLeg::Key(k) => cur.get_key(k)?,
-                PathLeg::Index(i) => cur.get_index(*i)?,
+                PathLeg::Index(i) => cur.get_index(i)?,
             };
         }
         Some(cur)
+    }
+
+    /// The length in bytes of [`JsonValue::to_json_string`], counted
+    /// without building the text.
+    pub fn serialized_len(&self) -> usize {
+        match self {
+            JsonValue::Null | JsonValue::Bool(true) => 4,
+            JsonValue::Bool(false) => 5,
+            JsonValue::Number(n) => n.len(),
+            JsonValue::String(s) => escaped_len(s),
+            JsonValue::Array(items) => {
+                2 + items.len().saturating_sub(1)
+                    + items.iter().map(JsonValue::serialized_len).sum::<usize>()
+            }
+            JsonValue::Object(fields) => {
+                2 + fields.len().saturating_sub(1)
+                    + fields
+                        .iter()
+                        .map(|(k, v)| escaped_len(k) + 1 + v.serialized_len())
+                        .sum::<usize>()
+            }
+        }
     }
 
     /// Serialises to compact JSON text.
@@ -174,6 +197,32 @@ impl JsonValue {
             }
         }
     }
+}
+
+/// How many bytes [`write_escaped`] adds to each byte beyond the byte
+/// itself: 1 for a two-byte escape, 5 for a `\u00XX` one. The bytes of a
+/// multi-byte character are all at least 0x80 and add nothing.
+const ESCAPE_EXTRA: [u8; 256] = {
+    let mut extra = [0u8; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        extra[b] = 5;
+        b += 1;
+    }
+    extra[b'"' as usize] = 1;
+    extra[b'\\' as usize] = 1;
+    extra[b'\n' as usize] = 1;
+    extra[b'\r' as usize] = 1;
+    extra[b'\t' as usize] = 1;
+    extra
+};
+
+/// The length of `s` as [`write_escaped`] writes it, quotes included.
+fn escaped_len(s: &str) -> usize {
+    2 + s.len()
+        + s.bytes()
+            .map(|b| ESCAPE_EXTRA[b as usize] as usize)
+            .sum::<usize>()
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -422,66 +471,92 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// One leg of a JSON path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PathLeg {
+/// One leg of a JSON path, borrowed from the path's text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathLeg<'a> {
     /// `.key` member access.
-    Key(String),
+    Key(&'a str),
     /// `[n]` array element access.
     Index(usize),
 }
 
-/// A parsed JSON path in the MySQL `$`-rooted dialect, e.g. `$.a[2].b`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonPath {
-    /// Access legs, applied left to right.
-    pub legs: Vec<PathLeg>,
+/// A validated JSON path in the MySQL `$`-rooted dialect, e.g. `$.a[2].b`.
+///
+/// Pattern 3.1 hands functions paths such as `REPEAT('$.a', 100000)`:
+/// 100,000 legs in 300 KB of text. [`JsonPath::parse`] therefore only
+/// validates, in one pass and without allocating, and keeps the text; the
+/// legs are read from it lazily ([`JsonPath::legs`]), so a walk that stops
+/// at the first leg the document lacks never reads the rest of the path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JsonPath<'a> {
+    /// The legs' text: the trimmed path after its `$`.
+    legs: &'a str,
 }
 
-impl JsonPath {
-    /// Parses a `$`-rooted path such as `$[2][1]` or `$.key.sub[0]`.
-    pub fn parse(text: &str) -> Result<JsonPath, JsonError> {
-        let bytes = text.trim().as_bytes();
-        if bytes.first() != Some(&b'$') {
-            return Err(JsonError::BadPath(text.to_string()));
-        }
-        let mut legs = Vec::new();
-        let mut i = 1;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'.' => {
-                    i += 1;
-                    let start = i;
-                    while i < bytes.len() && bytes[i] != b'.' && bytes[i] != b'[' {
-                        i += 1;
-                    }
-                    if start == i {
-                        return Err(JsonError::BadPath(text.to_string()));
-                    }
-                    let key = std::str::from_utf8(&bytes[start..i])
-                        .map_err(|_| JsonError::BadPath(text.to_string()))?;
-                    legs.push(PathLeg::Key(key.to_string()));
-                }
-                b'[' => {
-                    i += 1;
-                    let start = i;
-                    while i < bytes.len() && bytes[i] != b']' {
-                        i += 1;
-                    }
-                    if i == bytes.len() {
-                        return Err(JsonError::BadPath(text.to_string()));
-                    }
-                    let idx = std::str::from_utf8(&bytes[start..i])
-                        .ok()
-                        .and_then(|s| s.trim().parse::<usize>().ok())
-                        .ok_or_else(|| JsonError::BadPath(text.to_string()))?;
-                    legs.push(PathLeg::Index(idx));
-                    i += 1; // consume ']'
-                }
-                _ => return Err(JsonError::BadPath(text.to_string())),
+impl<'a> JsonPath<'a> {
+    /// Validates a `$`-rooted path such as `$[2][1]` or `$.key.sub[0]`.
+    pub fn parse(text: &'a str) -> Result<JsonPath<'a>, JsonError> {
+        let bad = || JsonError::BadPath(text.to_string());
+        let legs = text.trim().strip_prefix('$').ok_or_else(bad)?;
+        let mut rest = legs;
+        while !rest.is_empty() {
+            match next_leg(rest) {
+                Some((_, tail)) => rest = tail,
+                None => return Err(bad()),
             }
         }
         Ok(JsonPath { legs })
+    }
+
+    /// The access legs, left to right.
+    pub fn legs(&self) -> Legs<'a> {
+        Legs { rest: self.legs }
+    }
+}
+
+/// The legs of a [`JsonPath`], read from its text one at a time.
+#[derive(Debug, Clone)]
+pub struct Legs<'a> {
+    rest: &'a str,
+}
+
+impl Legs<'_> {
+    /// True when no leg is left.
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+}
+
+impl<'a> Iterator for Legs<'a> {
+    type Item = PathLeg<'a>;
+
+    fn next(&mut self) -> Option<PathLeg<'a>> {
+        // The path was validated, so every leg parses until the text ends.
+        let (leg, tail) = next_leg(self.rest)?;
+        self.rest = tail;
+        Some(leg)
+    }
+}
+
+/// Reads the leg at the start of `rest`: the leg and the text after it, or
+/// `None` when `rest` is empty or its first leg is malformed.
+fn next_leg(rest: &str) -> Option<(PathLeg<'_>, &str)> {
+    let bytes = rest.as_bytes();
+    match *bytes.first()? {
+        b'.' => {
+            let end = bytes[1..]
+                .iter()
+                .position(|&b| b == b'.' || b == b'[')
+                .map_or(bytes.len(), |i| i + 1);
+            // Both ends sit on ASCII bytes, so the key is valid UTF-8.
+            (end > 1).then(|| (PathLeg::Key(&rest[1..end]), &rest[end..]))
+        }
+        b'[' => {
+            let close = bytes.iter().position(|&b| b == b']')?;
+            let idx = rest[1..close].trim().parse::<usize>().ok()?;
+            Some((PathLeg::Index(idx), &rest[close + 1..]))
+        }
+        _ => None,
     }
 }
 
@@ -551,12 +626,13 @@ mod tests {
 
     #[test]
     fn json_path() {
-        let p = JsonPath::parse("$[2][1]").unwrap();
-        assert_eq!(p.legs, vec![PathLeg::Index(2), PathLeg::Index(1)]);
-        let p = JsonPath::parse("$.a.b[0]").unwrap();
+        fn legs(p: &str) -> Vec<PathLeg<'_>> {
+            JsonPath::parse(p).unwrap().legs().collect()
+        }
+        assert_eq!(legs("$[2][1]"), vec![PathLeg::Index(2), PathLeg::Index(1)]);
         assert_eq!(
-            p.legs,
-            vec![PathLeg::Key("a".into()), PathLeg::Key("b".into()), PathLeg::Index(0)]
+            legs("$.a.b[0]"),
+            vec![PathLeg::Key("a"), PathLeg::Key("b"), PathLeg::Index(0)]
         );
         assert!(JsonPath::parse("a.b").is_err());
         assert!(JsonPath::parse("$[x]").is_err());
@@ -570,6 +646,45 @@ mod tests {
         assert_eq!(v.eval_path(&p), Some(&JsonValue::Number("20".into())));
         let missing = JsonPath::parse("$.a[9]").unwrap();
         assert_eq!(v.eval_path(&missing), None);
+    }
+
+    fn random_json(rng: &mut soft_rng::Rng, depth: usize) -> JsonValue {
+        const TEXTS: [&str; 8] = ["", "a", "\"", "\\", "\n\r\t", "\u{1}\u{1f}", "é日😀", " x "];
+        let text = |rng: &mut soft_rng::Rng| {
+            (*rng.choose(&TEXTS).expect("texts")).repeat(rng.gen_range(0..3usize))
+        };
+        match rng.gen_range(0..if depth == 0 { 5 } else { 7 }) {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.gen_bool(0.5)),
+            2 => JsonValue::Number(rng.gen_range(-1000..1000i64).to_string()),
+            3 | 4 => JsonValue::String(text(rng)),
+            5 => JsonValue::Array(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| random_json(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => JsonValue::Object(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| (text(rng), random_json(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn serialized_len_counts_the_serialisation() {
+        let mut rng = soft_rng::Rng::seed_from_u64(0x4a53_4f4e);
+        for _ in 0..5000 {
+            let v = random_json(&mut rng, 3);
+            assert_eq!(v.serialized_len(), v.to_json_string().len(), "{v:?}");
+        }
+        // Every byte value a string can hold.
+        let all: String = (0..=0x7f_u8)
+            .map(char::from)
+            .chain(['é', '\u{ffff}'])
+            .collect();
+        let v = JsonValue::Object(vec![(all.clone(), JsonValue::String(all))]);
+        assert_eq!(v.serialized_len(), v.to_json_string().len());
     }
 
     #[test]

@@ -412,8 +412,8 @@ impl Value {
         match self {
             Value::Text(s) => s.len() + 24,
             Value::Binary(b) => b.len() + 24,
-            Value::Json(j) => j.to_json_string().len() + 24,
-            Value::Xml(x) => x.to_xml_string().len() + 24,
+            Value::Json(j) => j.serialized_len() + 24,
+            Value::Xml(x) => x.serialized_len() + 24,
             Value::Array(items) => 24 + items.iter().map(Value::size_estimate).sum::<usize>(),
             Value::Map(entries) => {
                 24 + entries

@@ -91,6 +91,44 @@ impl XmlNode {
         }
     }
 
+    /// The length in bytes of [`XmlNode::to_xml_string`], counted without
+    /// building the text.
+    pub fn serialized_len(&self) -> usize {
+        // Each escape replaces one byte: `&lt;`/`&gt;` add 3, `&amp;` 4 and
+        // `&quot;` 5.
+        let escaped = |s: &str, quote: bool| {
+            s.len()
+                + s.bytes()
+                    .map(|b| match b {
+                        b'<' => 3,
+                        b'>' if !quote => 3,
+                        b'&' => 4,
+                        b'"' if quote => 5,
+                        _ => 0,
+                    })
+                    .sum::<usize>()
+        };
+        match self {
+            XmlNode::Text(t) => escaped(t, false),
+            XmlNode::Element {
+                name,
+                attributes,
+                children,
+            } => {
+                let attrs: usize = attributes
+                    .iter()
+                    .map(|(k, v)| 4 + k.len() + escaped(v, true))
+                    .sum();
+                let body = if children.is_empty() {
+                    2
+                } else {
+                    4 + name.len() + children.iter().map(XmlNode::serialized_len).sum::<usize>()
+                };
+                1 + name.len() + attrs + body
+            }
+        }
+    }
+
     /// Serialises the node back to XML text.
     pub fn to_xml_string(&self) -> String {
         let mut out = String::new();
@@ -172,6 +210,12 @@ impl XmlDocument {
             roots.push(p.node(0)?);
         }
         Ok(XmlDocument { roots })
+    }
+
+    /// The length in bytes of [`XmlDocument::to_xml_string`], counted
+    /// without building the text.
+    pub fn serialized_len(&self) -> usize {
+        self.roots.iter().map(XmlNode::serialized_len).sum()
     }
 
     /// Serialises the document.
@@ -442,6 +486,40 @@ impl XPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn random_node(rng: &mut soft_rng::Rng, depth: usize) -> XmlNode {
+        const TEXTS: [&str; 7] = ["", "a", "<", ">", "&", "\"", "é日"];
+        let text = |rng: &mut soft_rng::Rng| {
+            (0..rng.gen_range(0..4usize))
+                .map(|_| *rng.choose(&TEXTS).expect("texts"))
+                .collect::<String>()
+        };
+        if depth == 0 || rng.gen_bool(0.3) {
+            return XmlNode::Text(text(rng));
+        }
+        XmlNode::Element {
+            name: ["a", "bb", "é"][rng.gen_range(0..3usize)].to_string(),
+            attributes: (0..rng.gen_range(0..3usize))
+                .map(|_| ("k".to_string(), text(rng)))
+                .collect(),
+            children: (0..rng.gen_range(0..4usize))
+                .map(|_| random_node(rng, depth - 1))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn serialized_len_counts_the_serialisation() {
+        let mut rng = soft_rng::Rng::seed_from_u64(0x584d_4c00);
+        for _ in 0..5000 {
+            let doc = XmlDocument {
+                roots: (0..rng.gen_range(0..3usize))
+                    .map(|_| random_node(&mut rng, 3))
+                    .collect(),
+            };
+            assert_eq!(doc.serialized_len(), doc.to_xml_string().len(), "{doc:?}");
+        }
+    }
 
     #[test]
     fn parse_simple_fragment() {
