@@ -501,15 +501,10 @@ pub fn run_soft_parallel_live(
     if let Some(repo) = &repo {
         repo.extend_pool(&mut ctx);
     }
-    let prep: Vec<String> = collection.preparation.iter().map(|s| s.to_string()).collect();
-
     // The shard template: a fresh engine with preparation replayed. Cloning
     // it (or restoring from it after a crash) is exactly the state the
     // serial runner used to re-create by replaying preparation.
-    let mut template = profile.engine();
-    for sql in &prep {
-        let _ = template.execute(sql);
-    }
+    let template = collect::prepared_template(profile.engine());
 
     // Resolve the live registry: the caller's, or a private one when only
     // the watchdog is configured (heartbeats still need somewhere to live).

@@ -8,7 +8,8 @@
 //! de-duplicated set of collected function expressions that feed the
 //! cross-function patterns (P2.3, P3.2, P3.3).
 
-use soft_dialects::DialectProfile;
+use soft_dialects::{seeds, DialectProfile};
+use soft_engine::Engine;
 use soft_parser::ast::{FunctionExpr, Statement};
 use soft_parser::visit;
 use std::collections::HashSet;
@@ -24,6 +25,18 @@ pub struct Collection {
     pub expressions: Vec<FunctionExpr>,
     /// Names of collected unary-call functions (used as P3.2 wrappers).
     pub wrappers: Vec<String>,
+}
+
+/// The state every campaign statement, PoC replay and oracle query runs
+/// against: `engine` with the preparation statements replayed. Every
+/// dialect's collection yields the shared preparation suite
+/// ([`seeds::SHARED_PREP`]) as its [`Collection::preparation`] (a test
+/// below pins that), so the template is built without running collection.
+pub fn prepared_template(mut engine: Engine) -> Engine {
+    for sql in seeds::SHARED_PREP {
+        let _ = engine.execute(sql);
+    }
+    engine
 }
 
 /// Runs collection against a dialect profile.
@@ -88,6 +101,18 @@ mod tests {
         assert!(c.seeds.len() >= profile.documentation.len() / 2);
         assert!(c.expressions.len() >= 100, "got {}", c.expressions.len());
         assert!(c.wrappers.len() >= 20);
+    }
+
+    #[test]
+    fn every_dialect_prepares_the_shared_suite() {
+        let shared: Vec<Statement> = seeds::SHARED_PREP
+            .iter()
+            .map(|sql| soft_parser::parse_statement(sql).expect("shared prep parses"))
+            .collect();
+        for id in DialectId::ALL {
+            let c = collect(&DialectProfile::build(id));
+            assert_eq!(c.preparation, shared, "{id:?}");
+        }
     }
 
     #[test]

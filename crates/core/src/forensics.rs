@@ -19,27 +19,16 @@ use soft_obs::forensics::bucket_key;
 use soft_obs::Bundle;
 use std::path::{Path, PathBuf};
 
-/// Builds an engine with the profile's preparation statements replayed —
-/// the state every campaign statement (and therefore every PoC) executes
-/// against.
-fn prepared_engine(profile: &DialectProfile) -> Engine {
-    let mut engine = profile.engine();
-    for sql in &collect::collect(profile).preparation {
-        let _ = engine.execute(&sql.to_string());
-    }
-    engine
-}
-
 /// Converts one campaign finding into a forensics [`Bundle`]: the finding's
-/// provenance flattened to its stable labels, the PoC minimized against a
-/// prepared engine, and a copy-pasteable replay command pointing into
-/// `findings_root`.
+/// provenance flattened to its stable labels, the PoC minimized against
+/// `template` (the profile's engine from [`collect::prepared_template`]),
+/// and a copy-pasteable replay command pointing into `findings_root`.
 pub fn bundle_finding(
     profile: &DialectProfile,
+    template: &Engine,
     finding: &BugFinding,
     findings_root: &str,
 ) -> Bundle {
-    let template = prepared_engine(profile);
     // Crash PoCs minimise under the crash signature; multi-form PoCs under
     // the oracle's verdict. Pivot and differential findings carry fixed
     // probe/corpus queries — already minimal, shipped verbatim.
@@ -88,10 +77,11 @@ pub fn write_campaign_bundles(
     root: &Path,
 ) -> std::io::Result<Vec<PathBuf>> {
     let root_label = root.display().to_string();
+    let template = collect::prepared_template(profile.engine());
     report
         .findings
         .iter()
-        .map(|f| bundle_finding(profile, f, &root_label).write(root))
+        .map(|f| bundle_finding(profile, &template, f, &root_label).write(root))
         .collect()
 }
 
@@ -108,7 +98,7 @@ pub fn replay_bundle(bundle: &Bundle) -> Result<(), String> {
     if bundle.kind == "LOGIC" {
         return replay_logic(&profile, bundle);
     }
-    let mut engine = prepared_engine(&profile);
+    let mut engine = collect::prepared_template(profile.engine());
     match engine.execute(&bundle.poc) {
         ExecOutcome::Crash(c) if c.fault_id == bundle.fault_id => Ok(()),
         ExecOutcome::Crash(c) => Err(format!(
@@ -127,7 +117,7 @@ fn replay_logic(profile: &DialectProfile, bundle: &Bundle) -> Result<(), String>
     let kind = OracleKind::from_label(oracle_label).ok_or_else(|| {
         format!("{}: unknown oracle {oracle_label:?}", bundle.fault_id)
     })?;
-    let template = prepared_engine(profile);
+    let template = collect::prepared_template(profile.engine());
     match kind {
         OracleKind::MultiForm => {
             let stmt = soft_parser::parse_statement(&bundle.poc)
@@ -199,7 +189,8 @@ mod tests {
         let report = small_report(&profile);
         assert!(!report.findings.is_empty(), "need at least one finding to bundle");
         let finding = &report.findings[0];
-        let bundle = bundle_finding(&profile, finding, "findings");
+        let template = collect::prepared_template(profile.engine());
+        let bundle = bundle_finding(&profile, &template, finding, "findings");
         assert_eq!(bundle.fault_id, finding.fault_id);
         assert_eq!(bundle.dialect, "ClickHouse");
         assert!(bundle.poc.len() <= bundle.original.len(), "minimization grew the PoC");
@@ -222,7 +213,7 @@ mod tests {
         use soft_types::category::FunctionCategory;
 
         let profile = DialectProfile::build(DialectId::Clickhouse);
-        let template = prepared_engine(&profile);
+        let template = collect::prepared_template(profile.engine());
         let poc = "SELECT toString(42), 'decoy' LIMIT 3";
         let stmt = soft_parser::parse_statement(poc).expect("parse");
         let bug = oracle::multi_form_check(&template, poc, &stmt)
@@ -241,7 +232,7 @@ mod tests {
             statements_until_found: 1,
             fixed: false,
         };
-        let bundle = bundle_finding(&profile, &finding, "findings");
+        let bundle = bundle_finding(&profile, &template, &finding, "findings");
         assert_eq!(bundle.kind, "LOGIC");
         assert_eq!(bundle.oracle.as_deref(), Some("multi-form"));
         assert!(bundle.expected.is_some() && bundle.actual.is_some());
@@ -257,10 +248,12 @@ mod tests {
     fn replay_rejects_a_tampered_bundle() {
         let profile = DialectProfile::build(DialectId::Clickhouse);
         let report = small_report(&profile);
-        let mut bundle = bundle_finding(&profile, &report.findings[0], "findings");
+        let template = collect::prepared_template(profile.engine());
+        let mut bundle = bundle_finding(&profile, &template, &report.findings[0], "findings");
         bundle.poc = "SELECT 1".into();
         assert!(replay_bundle(&bundle).is_err(), "harmless PoC must fail replay");
-        let mut wrong_dialect = bundle_finding(&profile, &report.findings[0], "findings");
+        let mut wrong_dialect =
+            bundle_finding(&profile, &template, &report.findings[0], "findings");
         wrong_dialect.dialect = "NoSuchDB".into();
         assert!(replay_bundle(&wrong_dialect).is_err());
     }

@@ -27,10 +27,7 @@ use soft_parser::visit;
 /// Returns the fault id the statement crashes with, if any.
 fn crash_id(engine: &mut Engine, sql: &str) -> Option<String> {
     match engine.execute(sql) {
-        ExecOutcome::Crash(c) => {
-            engine.reset_database();
-            Some(c.fault_id)
-        }
+        ExecOutcome::Crash(c) => Some(c.fault_id),
         _ => None,
     }
 }
@@ -47,10 +44,37 @@ fn crash_id_parsed(engine: &mut Engine, stmt: &Statement) -> Option<String> {
     }
 }
 
+/// The reducer's fixpoint loop: at most 8 rounds over the one-step
+/// simplifications of the best statement so far. A candidate whose
+/// rendering is not shorter is skipped; one that `keeps` accepts (given the
+/// candidate and its rendering) becomes the new best.
+fn reduce(stmt: Statement, mut keeps: impl FnMut(&Statement, &str) -> bool) -> String {
+    let mut best = stmt;
+    let mut best_len = best.to_string().len();
+    let mut changed = true;
+    let mut rounds = 0;
+    while changed && rounds < 8 {
+        changed = false;
+        rounds += 1;
+        for candidate in simplifications(&best) {
+            let rendered = candidate.to_string();
+            if rendered.len() >= best_len {
+                continue;
+            }
+            if keeps(&candidate, &rendered) {
+                best_len = rendered.len();
+                best = candidate;
+                changed = true;
+            }
+        }
+    }
+    best.to_string()
+}
+
 /// Minimises `poc` against a fresh-engine factory, preserving its fault id.
 ///
 /// `make_engine` must produce an engine with any prerequisite state already
-/// loaded (the reducer resets/rebuilds via the factory between attempts).
+/// loaded (the reducer rebuilds via the factory between attempts).
 ///
 /// # Examples
 ///
@@ -65,38 +89,16 @@ pub fn minimize(poc: &str, mut make_engine: impl FnMut() -> Engine) -> String {
     let Ok(stmt) = soft_parser::parse_statement(poc) else {
         return poc.to_string();
     };
-    let mut engine = make_engine();
-    let Some(target) = crash_id(&mut engine, poc) else {
+    let Some(target) = crash_id(&mut make_engine(), poc) else {
         return poc.to_string();
     };
-    let mut best = stmt;
-    let mut best_len = best.to_string().len();
-    let mut changed = true;
-    let mut rounds = 0;
-    while changed && rounds < 8 {
-        changed = false;
-        rounds += 1;
-        for candidate in simplifications(&best) {
-            let rendered = candidate.to_string();
-            if rendered.len() >= best_len {
-                continue;
-            }
-            // Fast path first: execute the mutated AST directly. Only if
-            // the AST still crashes right do we pay the render → re-lex
-            // round trip that proves the *shipped text* crashes right too.
-            let mut engine = make_engine();
-            if crash_id_parsed(&mut engine, &candidate).as_deref() != Some(&target) {
-                continue;
-            }
-            let mut engine = make_engine();
-            if crash_id(&mut engine, &rendered).as_deref() == Some(&target) {
-                best_len = rendered.len();
-                best = candidate;
-                changed = true;
-            }
-        }
-    }
-    best.to_string()
+    reduce(stmt, |candidate, rendered| {
+        // Fast path first: execute the mutated AST directly. Only if the
+        // AST still crashes right do we pay the render → re-lex round trip
+        // that proves the *shipped text* crashes right too.
+        crash_id_parsed(&mut make_engine(), candidate).as_deref() == Some(&target)
+            && crash_id(&mut make_engine(), rendered).as_deref() == Some(&target)
+    })
 }
 
 /// Minimises a wrong-result PoC flagged by the multi-form oracle,
@@ -118,31 +120,11 @@ pub fn minimize_logic(poc: &str, mut make_engine: impl FnMut() -> Engine) -> Str
     if !flags(&stmt) {
         return poc.to_string();
     }
-    let mut best = stmt;
-    let mut best_len = best.to_string().len();
-    let mut changed = true;
-    let mut rounds = 0;
-    while changed && rounds < 8 {
-        changed = false;
-        rounds += 1;
-        for candidate in simplifications(&best) {
-            let rendered = candidate.to_string();
-            if rendered.len() >= best_len {
-                continue;
-            }
-            // Judge the rendering re-parsed — the statement `repro replay`
-            // will feed the oracle.
-            let Ok(reparsed) = soft_parser::parse_statement(&rendered) else {
-                continue;
-            };
-            if flags(&reparsed) {
-                best_len = rendered.len();
-                best = candidate;
-                changed = true;
-            }
-        }
-    }
-    best.to_string()
+    // Judge the rendering re-parsed — the statement `repro replay` will
+    // feed the oracle.
+    reduce(stmt, |_, rendered| {
+        soft_parser::parse_statement(rendered).is_ok_and(|reparsed| flags(&reparsed))
+    })
 }
 
 /// One-step syntactic simplifications of a statement.

@@ -27,6 +27,7 @@
 //! or peer crashes, the oracle returns nothing — the crash pipeline already
 //! owns that statement.
 
+use crate::collect;
 use soft_dialects::{seeds, DialectId, DialectProfile};
 use soft_engine::{Engine, ExecOutcome, SqlError};
 use soft_parser::ast::{BinaryOp, Expr, Literal, Statement};
@@ -435,7 +436,7 @@ pub fn differential_check_with_allowlist(
     profile: &DialectProfile,
     allowlist: &[KnownDivergence],
 ) -> Vec<(String, LogicBug, String)> {
-    let mut ours = prepared_engine(profile.engine());
+    let mut ours = collect::prepared_template(profile.engine());
     let mine: Vec<Option<String>> = seeds::SHARED_QUERIES
         .iter()
         .map(|sql| match ours.execute(sql) {
@@ -452,7 +453,7 @@ pub fn differential_check_with_allowlist(
             continue;
         }
         let peer_profile = DialectProfile::build(peer_id);
-        let mut peer = prepared_engine(peer_profile.engine_without_faults());
+        let mut peer = collect::prepared_template(peer_profile.engine_without_faults());
         for (qi, sql) in seeds::SHARED_QUERIES.iter().enumerate() {
             if allowlist.contains(&(profile.id, peer_id, qi)) {
                 continue;
@@ -481,17 +482,6 @@ pub fn differential_check_with_allowlist(
     out
 }
 
-/// Replays the shared preparation suite on a fresh engine. The shared prep
-/// is crash-free on every dialect (pinned by `tests/differential.rs`), so
-/// failures here would be caught by the seed replay long before an oracle
-/// runs.
-fn prepared_engine(mut engine: Engine) -> Engine {
-    for sql in seeds::SHARED_PREP {
-        engine.execute(sql);
-    }
-    engine
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,7 +492,7 @@ mod tests {
     }
 
     fn template(p: &DialectProfile) -> Engine {
-        prepared_engine(p.engine())
+        collect::prepared_template(p.engine())
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Statements can be executed in one shot ([`Engine::execute`]) or split
 //! into [`Engine::prepare`] + [`Engine::execute_prepared`], the prepared-
 //! statement discipline real DBMSs use to amortise frontend cost: parsing
-//! and function-name resolution happen exactly once, and every subsequent
-//! execution walks the owned AST with allocation-free dispatch. That is the
-//! engine's one execution path; [`Engine::shape_key`] tells which prepared
-//! statements are state-independent.
+//! happens once, and every execution walks the owned AST. Each function
+//! call resolves its name at the call through the registry, whose
+//! case-folding lookup allocates nothing. That is the engine's one
+//! execution path; [`Engine::shape_key`] tells which prepared statements
+//! are state-independent.
 
 use std::sync::Arc;
 
@@ -59,31 +60,15 @@ impl BatchArena {
     }
 }
 
-/// One entry of a [`Prepared`] statement's dispatch table: a function name
-/// as written in the statement, resolved once at prepare time to the
-/// registry's interned lowercase key and definition index.
-#[derive(Debug, Clone)]
-pub(crate) struct DispatchEntry {
-    /// The spelling used in the statement (`UPPER`, `uCaSe`, ...).
-    pub(crate) spelling: Box<str>,
-    /// The registry's stored lowercase key for that spelling — what
-    /// coverage records as the "called" name.
-    pub(crate) lower: Box<str>,
-    /// Index into the registry's definition table.
-    pub(crate) index: u32,
-}
-
-/// A statement prepared for execution: parsed once, with every resolvable
-/// function name case-folded and bound to its registry index up front, so
-/// [`Engine::execute_prepared`] does zero heap allocation per function
-/// dispatch. Produced by [`Engine::prepare`]; reusable any number of times
-/// on any engine that shares the preparing engine's backend — the engine
-/// itself or any clone of it (shard engines execute statements prepared by
-/// their template).
+/// A statement prepared for execution: parsed once, then executable any
+/// number of times with [`Engine::execute_prepared`]. Function names
+/// resolve at each call through the registry's allocation-free lookup.
+/// Produced by [`Engine::prepare`]; executable on the preparing engine or
+/// any engine that shares its backend — the engine itself or any clone of
+/// it (shard engines execute statements prepared by their template).
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub(crate) stmt: Statement,
-    pub(crate) dispatch: Vec<DispatchEntry>,
 }
 
 impl Prepared {
@@ -204,10 +189,9 @@ impl Engine {
     }
 
     /// Prepares one SQL statement: the length gate and the parse — stage 1
-    /// of the pipeline — plus one-time case-insensitive resolution of every
-    /// function name to its registry index. The returned [`Prepared`] can
-    /// be executed repeatedly via [`Engine::execute_prepared`] without ever
-    /// touching the lexer or allocating during dispatch.
+    /// of the pipeline. The returned [`Prepared`] can be executed
+    /// repeatedly via [`Engine::execute_prepared`] without touching the
+    /// lexer again.
     ///
     /// Errors are exactly the outcomes [`Engine::execute`] would report
     /// before reaching the executor: `ResourceLimit` for over-long
@@ -230,30 +214,16 @@ impl Engine {
     /// which mutates statement trees directly and should not pay a render →
     /// re-lex round trip per reduction step.
     pub fn prepare_parsed(&self, stmt: Statement) -> Prepared {
-        let mut dispatch: Vec<DispatchEntry> = Vec::new();
-        soft_parser::visit::for_each_function_name(&stmt, |name| {
-            if dispatch.iter().any(|e| &*e.spelling == name) {
-                return;
-            }
-            if let Some((key, idx, _)) = self.backend.registry.resolve_entry(name) {
-                dispatch.push(DispatchEntry {
-                    spelling: name.into(),
-                    lower: key.into(),
-                    index: idx as u32,
-                });
-            }
-        });
-        Prepared { stmt, dispatch }
+        Prepared { stmt }
     }
 
     /// Executes a prepared statement — stages 2-3 of the pipeline: the
     /// executor folds optimization (constant handling, union alignment)
     /// into evaluation; fault specs carry the stage their original bug
-    /// crashed in. Function calls dispatch through the statement's prepared
-    /// table (falling back to the registry's allocation-free lookup), so
-    /// the per-call hot path does no heap allocation.
+    /// crashed in. Function names resolve at each call through the
+    /// registry's allocation-free lookup.
     pub fn execute_prepared(&mut self, prepared: &Prepared) -> ExecOutcome {
-        match self.exec(&prepared.dispatch).exec_statement(&prepared.stmt) {
+        match self.exec().exec_statement(&prepared.stmt) {
             Ok(outcome) => outcome,
             Err(EngineError::Sql(e)) => ExecOutcome::Error(e),
             Err(EngineError::Crash(c)) => {
@@ -284,7 +254,7 @@ impl Engine {
 
     /// The executor for one statement: the shared backend read-only, the
     /// session mutably.
-    fn exec<'e>(&'e mut self, dispatch: &'e [DispatchEntry]) -> Exec<'e> {
+    fn exec(&mut self) -> Exec<'_> {
         let backend = &*self.backend;
         Exec {
             registry: &backend.registry,
@@ -296,7 +266,6 @@ impl Engine {
             limits: backend.config.limits,
             memory_used: 0,
             subquery_depth: 0,
-            dispatch,
         }
     }
 

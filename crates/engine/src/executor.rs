@@ -2,16 +2,22 @@
 //! in-memory catalog, with provenance-carrying expression evaluation,
 //! aggregate machinery, UNION type alignment, coverage recording and fault
 //! checking.
+//!
+//! A built-in call does each of its steps once: its name resolves at the
+//! call through the registry's allocation-free lookup, its arguments are
+//! evaluated and recorded as coverage, its fault predicates are checked,
+//! and its body runs, coercing each argument through the registry's one
+//! coercion function (`registry::coerce`). The result carries a flat,
+//! `Copy` provenance tag naming the function.
 
 use crate::catalog::{Catalog, Column};
 use crate::coverage::{self, Coverage, Feature};
-use crate::engine::DispatchEntry;
 use crate::error::{EngineError, ResultSet, SqlError};
 use crate::eval::{Evaluated, Provenance};
 use crate::fault::FaultSet;
 use crate::regex::Regex;
 use crate::registry::{
-    perform_cast, FnCtx, FunctionDef, FunctionImpl, FunctionRegistry, Limits, SessionState,
+    perform_cast, FnCtx, FunctionImpl, FunctionRegistry, Limits, SessionState,
 };
 use soft_parser::ast::*;
 use soft_types::boundary;
@@ -29,12 +35,6 @@ type BoundRows = (Vec<(String, usize)>, Vec<Vec<Evaluated>>);
 /// The executor borrows the engine's parts for one statement.
 pub(crate) struct Exec<'e> {
     pub registry: &'e FunctionRegistry,
-    /// Per-statement function-dispatch table built at prepare time: one
-    /// entry per distinct as-written spelling, carrying the interned
-    /// lowercase key and registry index so per-call lookup allocates
-    /// nothing. Empty for statements executed outside the prepared path
-    /// (the registry fallback still resolves every call).
-    pub dispatch: &'e [DispatchEntry],
     pub faults: &'e FaultSet,
     pub coverage: &'e mut Coverage,
     pub catalog: &'e mut Catalog,
@@ -143,15 +143,7 @@ impl<'e> Exec<'e> {
             for (expr, &idx) in row.iter().zip(&col_indices) {
                 let v = self.eval(expr, RowCtx::EMPTY)?;
                 let (ty, not_null) = col_types[idx];
-                let cast = perform_cast(
-                    &v,
-                    ty,
-                    false,
-                    self.strictness,
-                    &self.cast_limits(),
-                    self.coverage,
-                    self.faults,
-                )?;
+                let cast = self.cast(&v, ty, false)?;
                 if not_null && cast.value.is_null() {
                     return Err(EngineError::Sql(SqlError::Semantic(
                         "NULL value in NOT NULL column".into(),
@@ -296,15 +288,7 @@ impl<'e> Exec<'e> {
                         {
                             aligned.push(cell);
                         } else {
-                            aligned.push(perform_cast(
-                                &cell,
-                                target[i],
-                                false,
-                                self.strictness,
-                                &self.cast_limits(),
-                                self.coverage,
-                                self.faults,
-                            )?);
+                            aligned.push(self.cast(&cell, target[i], false)?);
                         }
                     }
                     out.push(aligned);
@@ -534,7 +518,7 @@ impl<'e> Exec<'e> {
     pub(crate) fn eval(&mut self, expr: &Expr, ctx: RowCtx<'_>) -> Result<Evaluated, EngineError> {
         match expr {
             Expr::Literal(l) => Ok(self.eval_literal(l)),
-            Expr::Star => Ok(Evaluated { value: Value::Star, provenance: Provenance::Star }),
+            Expr::Star => Ok(Evaluated { value: Value::Star, provenance: Provenance::LITERAL }),
             Expr::Column(name) => self.eval_column(name, ctx),
             Expr::Function(fx) => self.eval_function(fx, ctx),
             Expr::Cast { expr, type_name, .. } => {
@@ -542,15 +526,7 @@ impl<'e> Exec<'e> {
                 let Some(ty) = resolve_type_name(type_name) else {
                     return self.sem(format!("unknown type {type_name}"));
                 };
-                perform_cast(
-                    &inner,
-                    ty,
-                    true,
-                    self.strictness,
-                    &self.cast_limits(),
-                    self.coverage,
-                    self.faults,
-                )
+                self.cast(&inner, ty, true)
             }
             Expr::Unary { op, expr } => self.eval_unary(*op, expr, ctx),
             Expr::Binary { left, op, right } => self.eval_binary(left, *op, right, ctx),
@@ -558,7 +534,7 @@ impl<'e> Exec<'e> {
                 let v = self.eval(expr, ctx)?;
                 Ok(Evaluated {
                     value: is_null_result(&v.value, *negated),
-                    provenance: Provenance::Operator,
+                    provenance: Provenance::OTHER,
                 })
             }
             Expr::InList { expr, list, negated } => {
@@ -583,14 +559,14 @@ impl<'e> Exec<'e> {
                 } else {
                     Value::Boolean(*negated)
                 };
-                Ok(Evaluated { value, provenance: Provenance::Operator })
+                Ok(Evaluated { value, provenance: Provenance::OTHER })
             }
             Expr::Between { expr, low, high, negated } => {
                 let v = self.eval(expr, ctx)?;
                 let lo = self.eval(low, ctx)?;
                 let hi = self.eval(high, ctx)?;
                 let value = between_result(&v.value, &lo.value, &hi.value, *negated);
-                Ok(Evaluated { value, provenance: Provenance::Operator })
+                Ok(Evaluated { value, provenance: Provenance::OTHER })
             }
             Expr::Case { operand, branches, else_expr } => {
                 let op_v = match operand {
@@ -614,7 +590,7 @@ impl<'e> Exec<'e> {
                     Some(e) => self.eval(e, ctx),
                     None => Ok(Evaluated {
                         value: Value::Null,
-                        provenance: Provenance::Operator,
+                        provenance: Provenance::OTHER,
                     }),
                 }
             }
@@ -623,7 +599,7 @@ impl<'e> Exec<'e> {
                 for i in items {
                     vals.push(self.eval(i, ctx)?.value);
                 }
-                Ok(Evaluated { value: Value::Row(vals), provenance: Provenance::Constructor })
+                Ok(Evaluated { value: Value::Row(vals), provenance: Provenance::OTHER })
             }
             Expr::ArrayLiteral(items) => {
                 let mut vals = Vec::with_capacity(items.len());
@@ -632,7 +608,7 @@ impl<'e> Exec<'e> {
                 }
                 Ok(Evaluated {
                     value: Value::Array(vals),
-                    provenance: Provenance::Constructor,
+                    provenance: Provenance::OTHER,
                 })
             }
             Expr::Subquery(q) => {
@@ -646,9 +622,7 @@ impl<'e> Exec<'e> {
                 match rows.len() {
                     0 => Ok(Evaluated {
                         value: Value::Null,
-                        provenance: Provenance::Subquery {
-                            inner: Box::new(Provenance::Literal),
-                        },
+                        provenance: Provenance::LITERAL.subquery(),
                     }),
                     1 => {
                         let row = &rows[0];
@@ -657,9 +631,7 @@ impl<'e> Exec<'e> {
                         }
                         Ok(Evaluated {
                             value: row[0].value.clone(),
-                            provenance: Provenance::Subquery {
-                                inner: Box::new(row[0].provenance.clone()),
-                            },
+                            provenance: row[0].provenance.subquery(),
                         })
                     }
                     _ => self.sem("scalar subquery returned more than one row"),
@@ -675,30 +647,22 @@ impl<'e> Exec<'e> {
                 let (_, rows) = result?;
                 Ok(Evaluated {
                     value: Value::Boolean(!rows.is_empty()),
-                    provenance: Provenance::Operator,
+                    provenance: Provenance::OTHER,
                 })
             }
             Expr::IntervalLiteral { quantity, unit } => {
                 let qv = self.eval(quantity, ctx)?;
                 if qv.value.is_null() {
-                    return Ok(Evaluated { value: Value::Null, provenance: Provenance::Operator });
+                    return Ok(Evaluated { value: Value::Null, provenance: Provenance::OTHER });
                 }
-                let n = perform_cast(
-                    &qv,
-                    DataType::Integer,
-                    false,
-                    self.strictness,
-                    &self.cast_limits(),
-                    self.coverage,
-                    self.faults,
-                )?;
+                let n = self.cast(&qv, DataType::Integer, false)?;
                 let Value::Integer(n) = n.value else {
                     return self.sem("INTERVAL quantity must be an integer");
                 };
                 match soft_types::datetime::Interval::parse(n, unit) {
                     Ok(iv) => Ok(Evaluated {
                         value: Value::Interval(iv),
-                        provenance: Provenance::Literal,
+                        provenance: Provenance::LITERAL,
                     }),
                     Err(e) => Err(EngineError::Sql(SqlError::Semantic(e.to_string()))),
                 }
@@ -707,7 +671,7 @@ impl<'e> Exec<'e> {
     }
 
     fn eval_literal(&mut self, l: &Literal) -> Evaluated {
-        Evaluated { value: literal_value(l), provenance: Provenance::Literal }
+        Evaluated { value: literal_value(l), provenance: Provenance::LITERAL }
     }
 
     fn eval_column(&mut self, name: &str, ctx: RowCtx<'_>) -> Result<Evaluated, EngineError> {
@@ -750,13 +714,13 @@ impl<'e> Exec<'e> {
             if op == BinaryOp::And && l == Some(false) {
                 return Ok(Evaluated {
                     value: Value::Boolean(false),
-                    provenance: Provenance::Operator,
+                    provenance: Provenance::OTHER,
                 });
             }
             if op == BinaryOp::Or && l == Some(true) {
                 return Ok(Evaluated {
                     value: Value::Boolean(true),
-                    provenance: Provenance::Operator,
+                    provenance: Provenance::OTHER,
                 });
             }
             let r = self.eval(right, ctx)?.value.truthiness();
@@ -767,12 +731,12 @@ impl<'e> Exec<'e> {
                 (BinaryOp::Or, _, Some(true)) => Value::Boolean(true),
                 _ => Value::Null,
             };
-            return Ok(Evaluated { value, provenance: Provenance::Operator });
+            return Ok(Evaluated { value, provenance: Provenance::OTHER });
         }
         let l = self.eval(left, ctx)?;
         let r = self.eval(right, ctx)?;
         let value = self.binary_op_value(op, &l.value, &r.value)?;
-        Ok(Evaluated { value, provenance: Provenance::Operator })
+        Ok(Evaluated { value, provenance: Provenance::OTHER })
     }
 
     /// Combines two already-evaluated operand values for every binary
@@ -979,23 +943,15 @@ impl<'e> Exec<'e> {
         fx: &FunctionExpr,
         ctx: RowCtx<'_>,
     ) -> Result<Evaluated, EngineError> {
-        // Copy the shared-reference fields out of `self` so the resolved
-        // `&'e` borrows don't pin `self` (the old code cloned the def to
-        // work around exactly this; the dispatch table makes the whole
-        // lookup allocation-free instead).
+        // The name resolves at the call: the registry folds case in a stack
+        // buffer and allocates nothing. `called` is the registry's stored
+        // lowercase key for the spelling, what coverage records as called.
+        // Copying the registry reference out of `self` keeps the `&'e`
+        // borrows from pinning `self`.
         let registry = self.registry;
-        let dispatch = self.dispatch;
-        // Fast path: the prepare-time dispatch table, keyed by as-written
-        // spelling. Fallback: the registry's allocation-free case-folded
-        // lookup (non-prepared execution, or names synthesised mid-plan).
-        let (called, def): (&'e str, &'e FunctionDef) =
-            match dispatch.iter().find(|e| &*e.spelling == fx.name.as_str()) {
-                Some(e) => (&e.lower, registry.def_at(e.index as usize)),
-                None => match registry.resolve_entry(&fx.name) {
-                    Some((key, _, def)) => (key, def),
-                    None => return self.sem(format!("unknown function {}", fx.name)),
-                },
-            };
+        let Some((called, def)) = registry.resolve_entry(&fx.name) else {
+            return self.sem(format!("unknown function {}", fx.name));
+        };
         let canonical = def.name;
         // Arity check (COUNT(*) arrives as one Star argument).
         let argc = fx.args.len();
@@ -1016,7 +972,18 @@ impl<'e> Exec<'e> {
                 for a in &fx.args {
                     args.push(self.eval(a, ctx)?);
                 }
-                self.invoke_scalar(called, canonical, def, imp, &args)
+                self.record_call(canonical, &args);
+                self.check_faults(called, canonical, std::slice::from_ref(&args))?;
+                let value = self.run_body(called, canonical, |fn_ctx| imp(fn_ctx, &args))?;
+                // Wrong-result quirks corrupt the return value *after* the
+                // real implementation ran — the crash plane above is
+                // untouched, and the logic-bug oracles are what notice the
+                // corruption.
+                let value = match self.faults.check_quirk(canonical, &args) {
+                    Some(quirk) => quirk.apply(value),
+                    None => value,
+                };
+                Ok(Evaluated { value, provenance: Provenance::function_return(canonical) })
             }
             FunctionImpl::Aggregate(imp) => {
                 let Some(group) = ctx.group else {
@@ -1045,42 +1012,16 @@ impl<'e> Exec<'e> {
                         args.push(self.eval(a, no_row)?);
                     }
                     self.record_call(canonical, &args);
-                    if let Some(fault) = self.faults.check_function(canonical, &args) {
-                        self.coverage.record_function(called);
-                        return Err(EngineError::Crash(fault.crash(Some(canonical))));
-                    }
+                    self.check_faults(called, canonical, std::slice::from_ref(&args))?;
                 } else {
                     for args in per_row.iter().take(8) {
                         self.record_call(canonical, args);
                     }
-                    for args in &per_row {
-                        if let Some(fault) = self.faults.check_function(canonical, args) {
-                            self.coverage.record_function(called);
-                            return Err(EngineError::Crash(fault.crash(Some(canonical))));
-                        }
-                    }
+                    self.check_faults(called, canonical, &per_row)?;
                 }
-                let mut mem = self.memory_used;
-                let mut fn_ctx = FnCtx {
-                    name: canonical,
-                    strictness: self.strictness,
-                    limits: &self.limits,
-                    coverage: self.coverage,
-                    faults: self.faults,
-                    session: self.session,
-                    memory_used: &mut mem,
-                };
-                let result = imp(&mut fn_ctx, &per_row, fx.distinct);
-                self.memory_used = mem;
-                match &result {
-                    Err(EngineError::Sql(SqlError::TypeError(_))) => {}
-                    _ => self.coverage.record_function(called),
-                }
-                let value = result?;
-                Ok(Evaluated {
-                    value,
-                    provenance: Provenance::AggregateReturn { name: canonical.to_string() },
-                })
+                let value = self
+                    .run_body(called, canonical, |fn_ctx| imp(fn_ctx, &per_row, fx.distinct))?;
+                Ok(Evaluated { value, provenance: Provenance::function_return(canonical) })
             }
         }
     }
@@ -1107,51 +1048,58 @@ impl<'e> Exec<'e> {
         }
     }
 
-    fn invoke_scalar(
+    /// Checks the function-site faults against each evaluated argument
+    /// list (one per call, or one per group row for an aggregate). A fault
+    /// that fires means the function was reached: it counts as triggered.
+    fn check_faults(
         &mut self,
         called: &str,
         canonical: &'static str,
-        _def: &FunctionDef,
-        imp: fn(&mut FnCtx<'_>, &[Evaluated]) -> Result<Value, EngineError>,
-        args: &[Evaluated],
-    ) -> Result<Evaluated, EngineError> {
-        self.record_call(canonical, args);
-        if let Some(fault) = self.faults.check_function(canonical, args) {
-            // The function was genuinely reached — it counts as triggered.
-            self.coverage.record_function(called);
-            return Err(EngineError::Crash(fault.crash(Some(canonical))));
+        calls: &[Vec<Evaluated>],
+    ) -> Result<(), EngineError> {
+        for args in calls {
+            if let Some(fault) = self.faults.check_function(canonical, args) {
+                self.coverage.record_function(called);
+                return Err(EngineError::Crash(fault.crash(Some(canonical))));
+            }
         }
-        let mut mem = self.memory_used;
-        let mut fn_ctx = FnCtx {
+        Ok(())
+    }
+
+    /// Runs a built-in's body with the per-call context. Table 5
+    /// semantics: a function is *triggered* when its body actually
+    /// executed — an argument-coercion (type) failure means the call never
+    /// entered the function's own logic.
+    fn run_body(
+        &mut self,
+        called: &str,
+        canonical: &'static str,
+        body: impl FnOnce(&mut FnCtx<'_>) -> Result<Value, EngineError>,
+    ) -> Result<Value, EngineError> {
+        let result = body(&mut FnCtx {
             name: canonical,
             strictness: self.strictness,
             limits: &self.limits,
             coverage: self.coverage,
             faults: self.faults,
             session: self.session,
-            memory_used: &mut mem,
-        };
-        let result = imp(&mut fn_ctx, args);
-        self.memory_used = mem;
-        // Table 5 semantics: a function is *triggered* when its body
-        // actually executed — an argument-coercion (type) failure means the
-        // call never entered the function's own logic.
-        match &result {
-            Err(EngineError::Sql(SqlError::TypeError(_))) => {}
-            _ => self.coverage.record_function(called),
+            memory_used: &mut self.memory_used,
+        });
+        if !matches!(result, Err(EngineError::Sql(SqlError::TypeError(_)))) {
+            self.coverage.record_function(called);
         }
-        let value = result?;
-        // Wrong-result quirks corrupt the return value *after* the real
-        // implementation ran — the crash plane above is untouched, and the
-        // logic-bug oracles are what notice the corruption.
-        let value = match self.faults.check_quirk(canonical, args) {
-            Some(quirk) => quirk.apply(value),
-            None => value,
-        };
-        Ok(Evaluated {
-            value,
-            provenance: Provenance::FunctionReturn { name: canonical.to_string() },
-        })
+        result
+    }
+
+    /// Casts through the engine's one cast site ([`perform_cast`]).
+    fn cast(
+        &mut self,
+        operand: &Evaluated,
+        to: DataType,
+        explicit: bool,
+    ) -> Result<Evaluated, EngineError> {
+        let limits = self.cast_limits();
+        perform_cast(operand, to, explicit, self.strictness, &limits, self.coverage, self.faults)
     }
 }
 
@@ -1179,9 +1127,9 @@ pub(crate) fn unary_op_result(op: UnaryOp, inner: Evaluated) -> Evaluated {
                 // A negated literal is still a boundary *literal*
                 // (P1.1's -0.99999 must count as literal provenance).
                 provenance: if keep_literal {
-                    Provenance::Literal
+                    Provenance::LITERAL
                 } else {
-                    Provenance::Operator
+                    Provenance::OTHER
                 },
             }
         }
@@ -1190,7 +1138,7 @@ pub(crate) fn unary_op_result(op: UnaryOp, inner: Evaluated) -> Evaluated {
                 None => Value::Null,
                 Some(b) => Value::Boolean(!b),
             };
-            Evaluated { value, provenance: Provenance::Operator }
+            Evaluated { value, provenance: Provenance::OTHER }
         }
     }
 }

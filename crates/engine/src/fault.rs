@@ -520,11 +520,7 @@ mod tests {
         assert!(!ProvPred::IsLiteral.matches(&from_fn));
         let via_cast = Evaluated {
             value: Value::Integer(1),
-            provenance: Provenance::Cast {
-                from: DataType::Text,
-                explicit: true,
-                inner: Box::new(Provenance::Literal),
-            },
+            provenance: Provenance::LITERAL.cast(true),
         };
         assert!(ProvPred::ViaExplicitCast.matches(&via_cast));
         assert!(!ProvPred::ViaImplicitCast.matches(&via_cast));

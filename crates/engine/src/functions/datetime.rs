@@ -281,7 +281,7 @@ fn f_date_format(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engin
     let fmt = some_or_null!(want_text(ctx, args, 1)?);
     let mut out = String::with_capacity(fmt.len());
     let mut fields = FormatFields::new(&dt);
-    let mut rest = fmt.as_str();
+    let mut rest: &str = &fmt;
     while let Some(at) = rest.find('%') {
         out.push_str(&rest[..at]);
         let mut spec = rest[at + 1..].chars();

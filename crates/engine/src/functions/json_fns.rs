@@ -200,7 +200,7 @@ fn f_json_object(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engin
 
 fn f_json_quote(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
     let s = some_or_null!(want_text(ctx, args, 0)?);
-    Ok(Value::Text(JsonValue::String(s).to_json_string()))
+    Ok(Value::Text(JsonValue::String(s.into_owned()).to_json_string()))
 }
 
 fn f_json_unquote(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -212,7 +212,7 @@ fn f_json_unquote(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engi
                 Ok(JsonValue::String(inner)) => Ok(Value::Text(inner)),
                 _ => {
                     ctx.branch("not-a-json-string");
-                    Ok(Value::Text(s))
+                    Ok(Value::Text(s.into_owned()))
                 }
             }
         }

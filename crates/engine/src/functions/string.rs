@@ -7,11 +7,12 @@
 
 use crate::error::EngineError;
 use crate::eval::Evaluated;
-use crate::regex::Regex;
+use crate::regex::{self, Regex};
 use crate::registry::*;
 use soft_types::category::FunctionCategory as C;
 use soft_types::hex;
 use soft_types::value::Value;
+use std::borrow::Cow;
 
 fn def(
     name: &'static str,
@@ -290,7 +291,7 @@ fn pad(
     let pad = if args.len() > 2 {
         some_or_null!(want_text(ctx, args, 2)?)
     } else {
-        " ".to_string()
+        Cow::Borrowed(" ")
     };
     if n < 0 {
         ctx.branch("negative-length");
@@ -347,20 +348,20 @@ fn trim_impl(
     let pat = if args.len() > 1 {
         some_or_null!(want_text(ctx, args, 1)?)
     } else {
-        " ".to_string()
+        Cow::Borrowed(" ")
     };
     if pat.is_empty() {
         ctx.branch("empty-pattern");
-        return Ok(Value::Text(s));
+        return Ok(Value::Text(s.into_owned()));
     }
-    let mut out = s.as_str();
+    let mut out: &str = &s;
     if left {
-        while let Some(rest) = out.strip_prefix(&pat) {
+        while let Some(rest) = out.strip_prefix(&*pat) {
             out = rest;
         }
     }
     if right {
-        while let Some(rest) = out.strip_suffix(&pat) {
+        while let Some(rest) = out.strip_suffix(&*pat) {
             out = rest;
         }
     }
@@ -385,25 +386,25 @@ fn f_replace(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErr
     let to = some_or_null!(want_text(ctx, args, 2)?);
     if from.is_empty() {
         ctx.branch("empty-needle");
-        return Ok(Value::Text(s));
+        return Ok(Value::Text(s.into_owned()));
     }
     // Charge the result before building it: one replacement per match can
     // grow it far past the budget. A needle longer than the text cannot
     // match, and only a match that changes the length needs counting.
     if from.len() > s.len() {
         ctx.charge_text(s.len())?;
-        return Ok(Value::Text(s));
+        return Ok(Value::Text(s.into_owned()));
     }
     if from.len() == to.len() {
         ctx.charge_text(s.len())?;
-        return Ok(Value::Text(s.replace(&from, &to)));
+        return Ok(Value::Text(s.replace(&*from, &to)));
     }
-    let matches = s.matches(from.as_str()).count();
+    let matches = s.matches(&*from).count();
     let len = (s.len() - matches * from.len()).saturating_add(matches.saturating_mul(to.len()));
     ctx.charge_text(len)?;
     let mut out = String::with_capacity(len);
     let mut last = 0;
-    for (at, _) in s.match_indices(from.as_str()) {
+    for (at, _) in s.match_indices(&*from) {
         out.push_str(&s[last..at]);
         out.push_str(&to);
         last = at + from.len();
@@ -435,7 +436,7 @@ fn f_reverse(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErr
     let s = some_or_null!(want_text(ctx, args, 0)?);
     if s.is_ascii() {
         // Reversing ASCII bytes reverses its characters, in place.
-        let mut bytes = s.into_bytes();
+        let mut bytes = s.into_owned().into_bytes();
         bytes.reverse();
         return Ok(Value::Text(
             String::from_utf8(bytes).expect("reversed ASCII is UTF-8"),
@@ -687,7 +688,7 @@ fn f_insert(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErro
     };
     let Some(start) = start else {
         ctx.branch("pos-out-of-range");
-        return Ok(Value::Text(s));
+        return Ok(Value::Text(s.into_owned()));
     };
     let rest = &s[start..];
     let end = if len < 0 {
@@ -709,7 +710,7 @@ fn f_elt(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> 
         return Ok(Value::Null);
     }
     match want_text(ctx, args, n as usize)? {
-        Some(s) => Ok(Value::Text(s)),
+        Some(s) => Ok(Value::Text(s.into_owned())),
         None => Ok(Value::Null),
     }
 }
@@ -720,7 +721,7 @@ fn f_field(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError
         Some(s) => s,
     };
     for i in 1..args.len() {
-        if want_text(ctx, args, i)? == Some(target.clone()) {
+        if want_text(ctx, args, i)?.as_deref() == Some(&*target) {
             return Ok(Value::Integer(i as i64));
         }
     }
@@ -749,7 +750,7 @@ fn f_export_set(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engine
     let sep = if args.len() > 3 {
         some_or_null!(want_text(ctx, args, 3)?)
     } else {
-        ",".to_string()
+        Cow::Borrowed(",")
     };
     let width = if args.len() > 4 {
         some_or_null!(want_int(ctx, args, 4)?).clamp(0, 64)
@@ -760,9 +761,9 @@ fn f_export_set(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engine
     // the separator.
     let part = |i: i64| {
         if (bits >> i) & 1 == 1 {
-            on.as_str()
+            &*on
         } else {
-            off.as_str()
+            &*off
         }
     };
     let seps = (width.max(1) - 1) as usize;
@@ -880,13 +881,13 @@ fn f_from_base64(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engin
 fn f_starts_with(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
     let s = some_or_null!(want_text(ctx, args, 0)?);
     let p = some_or_null!(want_text(ctx, args, 1)?);
-    Ok(Value::Boolean(s.starts_with(&p)))
+    Ok(Value::Boolean(s.starts_with(&*p)))
 }
 
 fn f_ends_with(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
     let s = some_or_null!(want_text(ctx, args, 0)?);
     let p = some_or_null!(want_text(ctx, args, 1)?);
-    Ok(Value::Boolean(s.ends_with(&p)))
+    Ok(Value::Boolean(s.ends_with(&*p)))
 }
 
 fn f_split_part(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -907,14 +908,14 @@ fn f_split_part(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, Engine
         // Negative counts from the end (PostgreSQL 14+). `split` yields one
         // field more than there are separator matches.
         ctx.branch("negative-index");
-        let fields = s.matches(sep.as_str()).count() + 1;
+        let fields = s.matches(&*sep).count() + 1;
         match fields.checked_sub(n.unsigned_abs() as usize) {
             Some(i) => i,
             None => return Ok(Value::Text(String::new())),
         }
     };
     Ok(Value::Text(
-        s.split(sep.as_str()).nth(idx).unwrap_or("").to_string(),
+        s.split(&*sep).nth(idx).unwrap_or("").to_string(),
     ))
 }
 
@@ -970,14 +971,15 @@ fn f_regexp_replace(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, En
     let pat = some_or_null!(want_text(ctx, args, 1)?);
     let rep = some_or_null!(want_text(ctx, args, 2)?);
     let re = compile_pattern(ctx, &pat)?;
-    match re.replace_all(&s, &rep) {
-        Ok(out) => {
-            let v = Value::Text(out);
-            ctx.charge(&v)?;
-            Ok(v)
-        }
-        Err(e) => runtime_err(format!("regex evaluation failed: {e}")),
-    }
+    // Match first, then charge the result before building it: each match
+    // adds one copy of the replacement, and only the step budget bounds
+    // the matches.
+    let spans = match re.match_spans(&s) {
+        Ok(spans) => spans,
+        Err(e) => return runtime_err(format!("regex evaluation failed: {e}")),
+    };
+    ctx.charge_text(regex::replaced_len(&s, &spans, &rep))?;
+    Ok(Value::Text(regex::replace_spans(&s, &spans, &rep)))
 }
 
 fn f_regexp_substr(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -1012,7 +1014,7 @@ fn f_contains(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineEr
         // Options argument must be text too; `*` is rejected here.
         let _opts = some_or_null!(want_text(ctx, args, 2)?);
     }
-    Ok(Value::Boolean(hay.contains(&needle)))
+    Ok(Value::Boolean(hay.contains(&*needle)))
 }
 
 fn f_strcmp(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
@@ -1039,6 +1041,15 @@ mod tests {
         use crate::eval::Evaluated;
         use crate::registry::*;
         use soft_types::value::Value;
+
+        /// Argument text as these kernels received it: always an owned copy.
+        fn want_text(
+            ctx: &mut FnCtx<'_>,
+            args: &[Evaluated],
+            i: usize,
+        ) -> Result<Option<String>, EngineError> {
+            Ok(crate::registry::want_text(ctx, args, i)?.map(std::borrow::Cow::into_owned))
+        }
 
         pub fn f_substr(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
             let s = some_or_null!(want_text(ctx, args, 0)?);

@@ -123,29 +123,29 @@ impl Regex {
 
     /// Replaces every non-overlapping match with `replacement`.
     pub fn replace_all(&self, text: &str, replacement: &str) -> Result<String, RegexError> {
+        Ok(replace_spans(text, &self.match_spans(text)?, replacement))
+    }
+
+    /// The byte spans of every non-overlapping match, left to right: what
+    /// [`Regex::replace_all`] replaces. A caller can size (and refuse) the
+    /// replaced text from the spans before building it.
+    pub(crate) fn match_spans(&self, text: &str) -> Result<Vec<(usize, usize)>, RegexError> {
         let mut m = Matcher::new(text);
-        let mut out = String::with_capacity(text.len());
+        let mut spans = Vec::new();
         let mut i = 0usize;
-        loop {
-            let Some((s, e)) = m.find_from(&self.root, i)? else {
-                out.push_str(&text[i..]);
-                break;
-            };
-            out.push_str(&text[i..s]);
-            out.push_str(replacement);
+        while let Some((s, e)) = m.find_from(&self.root, i)? {
+            spans.push((s, e));
             if e > s {
                 i = e;
                 continue;
             }
-            // Empty match: emit one char and continue to avoid an
-            // infinite loop.
+            // Empty match: step over one char to avoid an infinite loop.
             let Some(c) = text[s..].chars().next() else {
                 break;
             };
-            out.push(c);
             i = s + c.len_utf8();
         }
-        Ok(out)
+        Ok(spans)
     }
 
     /// Returns the first matched substring, if any.
@@ -153,6 +153,26 @@ impl Regex {
         let found = Matcher::new(text).find_from(&self.root, 0)?;
         Ok(found.map(|(s, e)| text[s..e].to_string()))
     }
+}
+
+/// The length of `text` with each of `spans` replaced by `replacement`.
+pub(crate) fn replaced_len(text: &str, spans: &[(usize, usize)], replacement: &str) -> usize {
+    let removed: usize = spans.iter().map(|(s, e)| e - s).sum();
+    (text.len() - removed).saturating_add(spans.len().saturating_mul(replacement.len()))
+}
+
+/// `text` with each of `spans` (from [`Regex::match_spans`]) replaced by
+/// `replacement`.
+pub(crate) fn replace_spans(text: &str, spans: &[(usize, usize)], replacement: &str) -> String {
+    let mut out = String::with_capacity(replaced_len(text, spans, replacement));
+    let mut i = 0usize;
+    for &(s, e) in spans {
+        out.push_str(&text[i..s]);
+        out.push_str(replacement);
+        i = e;
+    }
+    out.push_str(&text[i..]);
+    out
 }
 
 struct RxParser {

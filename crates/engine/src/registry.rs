@@ -2,7 +2,7 @@
 
 use crate::coverage::{name_id, Coverage, Feature};
 use crate::error::{EngineError, SqlError};
-use crate::eval::{Evaluated, Provenance};
+use crate::eval::Evaluated;
 use crate::fault::FaultSet;
 use soft_types::cast::{cast, CastLimits, CastMode, CastStrictness};
 use soft_types::category::FunctionCategory;
@@ -12,6 +12,7 @@ use soft_types::geometry::Geometry;
 use soft_types::json::JsonValue;
 use soft_types::value::{DataType, Value};
 use soft_types::xml::XmlDocument;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
@@ -108,19 +109,17 @@ impl FunctionRegistry {
 
     /// Resolves a (case-insensitive) name to its definition.
     pub fn resolve(&self, name: &str) -> Option<&FunctionDef> {
-        self.resolve_entry(name).map(|(_, _, def)| def)
+        self.resolve_entry(name).map(|(_, def)| def)
     }
 
     /// Resolves a (case-insensitive) name to its interned registry entry:
-    /// the map's stored lowercase key, the definition's index (stable for
-    /// the registry's lifetime — registration is append-only), and the
-    /// definition itself.
+    /// the map's stored lowercase key and the definition itself.
     ///
     /// The case fold happens in a stack buffer, so the lookup allocates
     /// nothing for names up to 64 bytes (every builtin and alias is far
     /// shorter); the returned `&str` is the registry's own key, which lets
     /// callers keep an interned lowercase spelling without re-folding.
-    pub fn resolve_entry(&self, name: &str) -> Option<(&str, usize, &FunctionDef)> {
+    pub fn resolve_entry(&self, name: &str) -> Option<(&str, &FunctionDef)> {
         let mut buf = [0u8; 64];
         if name.len() <= buf.len() {
             let folded = &mut buf[..name.len()];
@@ -135,18 +134,9 @@ impl FunctionRegistry {
         }
     }
 
-    fn entry_for_key(&self, key: &str) -> Option<(&str, usize, &FunctionDef)> {
+    fn entry_for_key(&self, key: &str) -> Option<(&str, &FunctionDef)> {
         let (stored, &idx) = self.by_name.get_key_value(key)?;
-        Some((stored.as_str(), idx, &self.defs[idx]))
-    }
-
-    /// The definition at a [`FunctionRegistry::resolve_entry`] index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` did not come from this registry's `resolve_entry`.
-    pub fn def_at(&self, idx: usize) -> &FunctionDef {
-        &self.defs[idx]
+        Some((stored.as_str(), &self.defs[idx]))
     }
 
     /// Removes a name (canonical or alias) from the registry, so dialects
@@ -354,25 +344,43 @@ pub fn perform_cast(
     coverage: &mut Coverage,
     faults: &FaultSet,
 ) -> Result<Evaluated, EngineError> {
-    let from = operand.value.data_type();
-    coverage.record_feature(name_id("cast"), Feature::Cast(from, to));
-    if let Some(fault) = faults.check_cast(to, !explicit, operand) {
-        return Err(EngineError::Crash(fault.crash(None)));
-    }
+    cast_site(operand, to, explicit, coverage, faults)?;
     let mode = if explicit { CastMode::Explicit } else { CastMode::Implicit };
-    let value = cast(&operand.value, to, mode, strictness, limits)
-        .map_err(|e| EngineError::Sql(SqlError::TypeError(e.to_string())))?;
     Ok(Evaluated {
-        value,
-        provenance: Provenance::Cast {
-            from,
-            explicit,
-            inner: Box::new(operand.provenance.clone()),
-        },
+        value: convert(&operand.value, to, mode, strictness, limits)?,
+        provenance: operand.provenance.cast(explicit),
     })
 }
 
-// ---- argument coercion helpers used by every builtin ----
+/// The cast site's bookkeeping, before any conversion: the
+/// `Feature::Cast(from, to)` coverage record and the cast-site fault check
+/// on the operand as evaluated.
+fn cast_site(
+    operand: &Evaluated,
+    to: DataType,
+    explicit: bool,
+    coverage: &mut Coverage,
+    faults: &FaultSet,
+) -> Result<(), EngineError> {
+    coverage.record_feature(name_id("cast"), Feature::Cast(operand.value.data_type(), to));
+    match faults.check_cast(to, !explicit, operand) {
+        Some(fault) => Err(EngineError::Crash(fault.crash(None))),
+        None => Ok(()),
+    }
+}
+
+fn convert(
+    value: &Value,
+    to: DataType,
+    mode: CastMode,
+    strictness: CastStrictness,
+    limits: &CastLimits,
+) -> Result<Value, EngineError> {
+    cast(value, to, mode, strictness, limits)
+        .map_err(|e| EngineError::Sql(SqlError::TypeError(e.to_string())))
+}
+
+// ---- argument coercion: one function, viewed by every builtin ----
 
 fn arg(args: &[Evaluated], i: usize) -> Result<&Evaluated, EngineError> {
     args.get(i).ok_or_else(|| {
@@ -380,34 +388,74 @@ fn arg(args: &[Evaluated], i: usize) -> Result<&Evaluated, EngineError> {
     })
 }
 
-fn reject_star(ctx: &FnCtx<'_>, e: &Evaluated) -> Result<(), EngineError> {
+/// Coerces argument `i` to `to`: the one argument-coercion path, which
+/// every `want_*` reader views. In order: a missing argument and `*` are
+/// errors and NULL is `None`; then the cast site records
+/// `Feature::Cast(from, to)` and checks the cast-site faults against the
+/// argument as evaluated. An argument that already has type `to` is
+/// returned in place, not copied; any other is converted implicitly, and a
+/// conversion to NULL is `None`.
+pub(crate) fn coerce<'a>(
+    ctx: &mut FnCtx<'_>,
+    args: &'a [Evaluated],
+    i: usize,
+    to: DataType,
+) -> Result<Option<Cow<'a, Value>>, EngineError> {
+    let e = arg(args, i)?;
     if matches!(e.value, Value::Star) {
         return Err(EngineError::Sql(SqlError::TypeError(format!(
             "'*' is not a valid argument to {}",
             ctx.name
         ))));
     }
-    Ok(())
-}
-
-/// Coerces argument `i` to text; NULL propagates as `None`.
-pub fn want_text(
-    ctx: &mut FnCtx<'_>,
-    args: &[Evaluated],
-    i: usize,
-) -> Result<Option<String>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
     if e.value.is_null() {
         return Ok(None);
     }
-    match ctx.cast(e, DataType::Text, false)?.value {
-        Value::Text(s) => Ok(Some(s)),
+    cast_site(e, to, false, ctx.coverage, ctx.faults)?;
+    if e.value.data_type() == to {
+        return Ok(Some(Cow::Borrowed(&e.value)));
+    }
+    match convert(&e.value, to, CastMode::Implicit, ctx.strictness, &ctx.cast_limits())? {
         Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected text, got {}",
-            other.data_type()
-        )))),
+        v => Ok(Some(Cow::Owned(v))),
+    }
+}
+
+fn mismatch(what: &str, got: &Value) -> EngineError {
+    EngineError::Sql(SqlError::TypeError(format!(
+        "expected {what}, got {}",
+        got.data_type()
+    )))
+}
+
+/// [`coerce`] viewed as an owned `T`: `pick` takes the wanted variant and
+/// hands any other value back for the type error naming `what`.
+fn coerce_owned<T>(
+    ctx: &mut FnCtx<'_>,
+    args: &[Evaluated],
+    i: usize,
+    to: DataType,
+    what: &str,
+    pick: fn(Value) -> Result<T, Value>,
+) -> Result<Option<T>, EngineError> {
+    match coerce(ctx, args, i, to)? {
+        None => Ok(None),
+        Some(v) => pick(v.into_owned()).map(Some).map_err(|other| mismatch(what, &other)),
+    }
+}
+
+/// Coerces argument `i` to text; NULL propagates as `None`. A text
+/// argument is borrowed, not copied.
+pub fn want_text<'a>(
+    ctx: &mut FnCtx<'_>,
+    args: &'a [Evaluated],
+    i: usize,
+) -> Result<Option<Cow<'a, str>>, EngineError> {
+    match coerce(ctx, args, i, DataType::Text)? {
+        None => Ok(None),
+        Some(Cow::Borrowed(Value::Text(s))) => Ok(Some(Cow::Borrowed(s))),
+        Some(Cow::Owned(Value::Text(s))) => Ok(Some(Cow::Owned(s))),
+        Some(other) => Err(mismatch("text", &other)),
     }
 }
 
@@ -417,19 +465,10 @@ pub fn want_int(
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<i64>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match ctx.cast(e, DataType::Integer, false)?.value {
-        Value::Integer(v) => Ok(Some(v)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected integer, got {}",
-            other.data_type()
-        )))),
-    }
+    coerce_owned(ctx, args, i, DataType::Integer, "integer", |v| match v {
+        Value::Integer(n) => Ok(n),
+        other => Err(other),
+    })
 }
 
 /// Coerces argument `i` to a float; NULL propagates as `None`.
@@ -438,19 +477,10 @@ pub fn want_f64(
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<f64>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match ctx.cast(e, DataType::Float, false)?.value {
-        Value::Float(v) => Ok(Some(v)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected double, got {}",
-            other.data_type()
-        )))),
-    }
+    coerce_owned(ctx, args, i, DataType::Float, "double", |v| match v {
+        Value::Float(f) => Ok(f),
+        other => Err(other),
+    })
 }
 
 /// Coerces argument `i` to a decimal; NULL propagates as `None`.
@@ -459,19 +489,10 @@ pub fn want_decimal(
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<Decimal>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match ctx.cast(e, DataType::Decimal, false)?.value {
-        Value::Decimal(d) => Ok(Some(d)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected decimal, got {}",
-            other.data_type()
-        )))),
-    }
+    coerce_owned(ctx, args, i, DataType::Decimal, "decimal", |v| match v {
+        Value::Decimal(d) => Ok(d),
+        other => Err(other),
+    })
 }
 
 /// Coerces argument `i` to JSON; NULL propagates as `None`.
@@ -480,19 +501,10 @@ pub fn want_json(
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<JsonValue>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match ctx.cast(e, DataType::Json, false)?.value {
-        Value::Json(j) => Ok(Some(j)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected JSON, got {}",
-            other.data_type()
-        )))),
-    }
+    coerce_owned(ctx, args, i, DataType::Json, "JSON", |v| match v {
+        Value::Json(j) => Ok(j),
+        other => Err(other),
+    })
 }
 
 /// Coerces argument `i` to XML; NULL propagates as `None`.
@@ -501,19 +513,10 @@ pub fn want_xml(
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<XmlDocument>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match ctx.cast(e, DataType::Xml, false)?.value {
-        Value::Xml(x) => Ok(Some(x)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected XML, got {}",
-            other.data_type()
-        )))),
-    }
+    coerce_owned(ctx, args, i, DataType::Xml, "XML", |v| match v {
+        Value::Xml(x) => Ok(x),
+        other => Err(other),
+    })
 }
 
 /// Coerces argument `i` to a geometry; NULL propagates as `None`.
@@ -522,19 +525,10 @@ pub fn want_geometry(
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<Geometry>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match ctx.cast(e, DataType::Geometry, false)?.value {
-        Value::Geometry(g) => Ok(Some(g)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected geometry, got {}",
-            other.data_type()
-        )))),
-    }
+    coerce_owned(ctx, args, i, DataType::Geometry, "geometry", |v| match v {
+        Value::Geometry(g) => Ok(g),
+        other => Err(other),
+    })
 }
 
 /// Coerces argument `i` to binary; NULL propagates as `None`.
@@ -543,44 +537,26 @@ pub fn want_binary(
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<Vec<u8>>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match ctx.cast(e, DataType::Binary, false)?.value {
-        Value::Binary(b) => Ok(Some(b)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected binary, got {}",
-            other.data_type()
-        )))),
-    }
+    coerce_owned(ctx, args, i, DataType::Binary, "binary", |v| match v {
+        Value::Binary(b) => Ok(b),
+        other => Err(other),
+    })
 }
 
-/// Coerces argument `i` to a datetime; NULL propagates as `None`.
+/// Coerces argument `i` to a datetime; NULL propagates as `None`. A date or
+/// datetime argument is read directly, without a cast-site record.
 pub fn want_datetime(
     ctx: &mut FnCtx<'_>,
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<DateTime>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    if e.value.is_null() {
-        return Ok(None);
-    }
-    match &e.value {
-        Value::Date(d) => return Ok(Some(DateTime::new(*d, Time::MIDNIGHT))),
-        Value::DateTime(dt) => return Ok(Some(*dt)),
-        _ => {}
-    }
-    match ctx.cast(e, DataType::DateTime, false)?.value {
-        Value::DateTime(dt) => Ok(Some(dt)),
-        Value::Null => Ok(None),
-        other => Err(EngineError::Sql(SqlError::TypeError(format!(
-            "expected datetime, got {}",
-            other.data_type()
-        )))),
+    match args.get(i).map(|e| &e.value) {
+        Some(Value::Date(d)) => Ok(Some(DateTime::new(*d, Time::MIDNIGHT))),
+        Some(Value::DateTime(dt)) => Ok(Some(*dt)),
+        _ => coerce_owned(ctx, args, i, DataType::DateTime, "datetime", |v| match v {
+            Value::DateTime(dt) => Ok(dt),
+            other => Err(other),
+        }),
     }
 }
 
@@ -590,16 +566,12 @@ pub fn want_interval(
     args: &[Evaluated],
     i: usize,
 ) -> Result<Option<Interval>, EngineError> {
-    let e = arg(args, i)?;
-    reject_star(ctx, e)?;
-    match &e.value {
+    // `*` falls through to `want_int`, which rejects it.
+    match &arg(args, i)?.value {
         Value::Null => Ok(None),
         Value::Interval(iv) => Ok(Some(*iv)),
         Value::Integer(n) => Ok(Some(Interval::days(*n))),
-        _ => match want_int(ctx, args, i)? {
-            Some(n) => Ok(Some(Interval::days(n))),
-            None => Ok(None),
-        },
+        _ => Ok(want_int(ctx, args, i)?.map(Interval::days)),
     }
 }
 
@@ -648,14 +620,13 @@ mod tests {
         let mut r = FunctionRegistry::new();
         r.register(def("upper"));
         r.alias("ucase", "upper");
-        let (key, idx, d) = r.resolve_entry("UpPeR").expect("resolves");
+        let (key, d) = r.resolve_entry("UpPeR").expect("resolves");
         assert_eq!(key, "upper");
         assert_eq!(d.name, "upper");
-        assert!(std::ptr::eq(d, r.def_at(idx)));
-        // Aliases intern their own lowercase spelling but share the index.
-        let (alias_key, alias_idx, _) = r.resolve_entry("UCase").expect("resolves");
+        // Aliases intern their own lowercase spelling but share the definition.
+        let (alias_key, alias_def) = r.resolve_entry("UCase").expect("resolves");
         assert_eq!(alias_key, "ucase");
-        assert_eq!(alias_idx, idx);
+        assert!(std::ptr::eq(alias_def, d));
         // Names beyond the stack buffer take the heap fallback path.
         let long = "X".repeat(200);
         assert!(r.resolve_entry(&long).is_none());
@@ -725,6 +696,44 @@ mod tests {
         assert_eq!(want_int(&mut ctx, &args, 1).unwrap(), None);
         assert!(want_int(&mut ctx, &args, 2).is_err());
         assert_eq!(want_text(&mut ctx, &args, 0).unwrap(), Some("42".into()));
+    }
+
+    #[test]
+    fn same_type_arguments_still_pass_the_cast_site() {
+        use crate::coverage::feature_id;
+        use crate::error::{CrashKind, Stage};
+        use crate::fault::{FaultSite, FaultSpec, PatternId, Trigger, ValuePred};
+
+        // A text argument read as text is borrowed, not converted, but the
+        // cast site still records `Feature::Cast(Text, Text)` and checks the
+        // cast faults against it.
+        let faults = FaultSet::new(vec![FaultSpec {
+            id: "same-type-cast".into(),
+            site: FaultSite::Cast { to: DataType::Text, implicit_only: true },
+            kind: CrashKind::SegmentationViolation,
+            stage: Stage::Execution,
+            trigger: Trigger::Arg { index: Some(0), pred: ValuePred::IsEmptyString },
+            category: FunctionCategory::String,
+            pattern: PatternId::P1_1,
+            fixed: false,
+            description: "test fault".into(),
+        }]);
+        let mut cov = Coverage::new();
+        let mut session = SessionState::default();
+        let limits = Limits::default();
+        let mut mem = 0usize;
+        let mut ctx = mk_ctx(&mut cov, &faults, &mut session, &limits, &mut mem);
+        let args = [
+            Evaluated::literal(Value::Text("abc".into())),
+            Evaluated::literal(Value::Text(String::new())),
+        ];
+        assert!(matches!(want_text(&mut ctx, &args, 0), Ok(Some(Cow::Borrowed("abc")))));
+        match want_text(&mut ctx, &args, 1) {
+            Err(EngineError::Crash(c)) => assert_eq!(c.fault_id, "same-type-cast"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let cast = feature_id(name_id("cast"), Feature::Cast(DataType::Text, DataType::Text));
+        assert!(cov.branch_ids().contains(&cast), "the same-type cast site was not recorded");
     }
 
     #[test]

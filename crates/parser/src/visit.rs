@@ -225,8 +225,8 @@ pub fn collect_function_exprs(stmt: &Statement) -> Vec<FunctionExpr> {
 
 /// Calls `f` with the as-written name of every function expression in the
 /// statement (including inside subqueries), in visit order. Unlike
-/// [`collect_function_exprs`] this clones nothing — it exists so statement
-/// preparation can build its dispatch table without copying argument trees.
+/// [`collect_function_exprs`] this clones nothing, so a caller can scan a
+/// statement's function names without copying argument trees.
 pub fn for_each_function_name(stmt: &Statement, mut f: impl FnMut(&str)) {
     visit_exprs(stmt, &mut |e| {
         if let Expr::Function(fx) = e {

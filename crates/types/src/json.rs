@@ -253,11 +253,11 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
 
 /// Parses JSON text, failing with [`JsonError::TooDeep`] past `max_depth`.
 pub fn parse_with_depth(text: &str, max_depth: usize) -> Result<JsonValue, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0, max_depth };
+    let mut p = Parser { text, pos: 0, max_depth };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
@@ -269,7 +269,7 @@ pub fn is_valid(text: &str) -> bool {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     max_depth: usize,
 }
@@ -280,7 +280,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -312,7 +312,7 @@ impl<'a> Parser<'a> {
     }
 
     fn keyword(&mut self, kw: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(kw.as_bytes()) {
             self.pos += kw.len();
             Ok(value)
         } else {
@@ -355,8 +355,8 @@ impl<'a> Parser<'a> {
                 return Err(self.err("invalid number exponent"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8 in number"))?;
+        let text =
+            self.text.get(start..self.pos).ok_or_else(|| self.err("invalid utf-8 in number"))?;
         Ok(JsonValue::Number(text.to_string()))
     }
 
@@ -383,10 +383,10 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
+                            if self.pos + 4 >= self.text.len() {
                                 return Err(self.err("truncated \\u escape"));
                             }
-                            let hex = &self.bytes[self.pos + 1..self.pos + 5];
+                            let hex = &self.text.as_bytes()[self.pos + 1..self.pos + 5];
                             let hex = std::str::from_utf8(hex)
                                 .map_err(|_| self.err("invalid \\u escape"))?;
                             let cp = u32::from_str_radix(hex, 16)
@@ -399,9 +399,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
+                    // Consume one UTF-8 scalar: decode only the next
+                    // character, so a string parses in linear time.
+                    let rest = self.text.get(self.pos..).ok_or_else(|| self.err("invalid utf-8"))?;
                     let c = rest.chars().next().ok_or_else(|| self.err("unterminated"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -582,6 +582,21 @@ mod tests {
         // object -> array -> object -> null is depth 4.
         assert_eq!(v.depth(), 4);
         assert_eq!(v.get_key("key").unwrap().length(), 3);
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MiB of string content, multi-byte characters included. Decoding
+        // each character by re-validating the rest of the input made a
+        // 300 KB string take 1.7 s in a release build.
+        let text = format!("\"{}\"", "abcé".repeat(1 << 18));
+        let start = std::time::Instant::now();
+        match parse(&text) {
+            Ok(JsonValue::String(s)) => assert_eq!(s.len(), text.len() - 2),
+            other => panic!("unexpected {other:?}"),
+        }
+        let took = start.elapsed();
+        assert!(took < std::time::Duration::from_secs(2), "a 1 MiB JSON string took {took:?}");
     }
 
     #[test]

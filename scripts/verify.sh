@@ -37,17 +37,19 @@ echo "verify: campaign benchmark package tests (perfbench/)"
 # replay's fidelity to the real campaign.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "verify: campaign benchmark smoke (one full-budget smoke, table4 and oracles iteration)"
+echo "verify: campaign benchmark smoke (one full-budget smoke, table4, oracles and schedule iteration)"
 # The package tests check fingerprints at a twentieth of each budget only.
 # One `smoke` iteration (all seven dialects at their full 3,000-statement
 # budget, a few seconds) checks every campaign's report fingerprint at
 # the size the benchmark runs, one `table4` iteration (ClickHouse,
 # MonetDB and MariaDB at 60,000 statements, a few seconds) checks the
-# coverage counts of full-size campaigns, and one `oracles` iteration
-# (the same dialects at 20,000 statements with the oracles armed) checks
-# the logic-bug counts the multi-form oracle reports. Each run's last line
-# is its result object.
-for workload in smoke table4 oracles; do
+# coverage counts of full-size campaigns, one `oracles` iteration (the
+# same dialects at 20,000 statements with the oracles armed) checks the
+# logic-bug counts the multi-form oracle reports, and one `schedule`
+# iteration (table4 with the feedback scheduler, a few seconds) checks
+# the scheduled campaigns' fingerprints. Each run's last line is its
+# result object.
+for workload in smoke table4 oracles schedule; do
     bench_out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 0 --seconds 1 --trace 0)"
     bench_result="$(printf '%s\n' "$bench_out" | tail -n 1)"

@@ -202,12 +202,35 @@ fn character_position_kernels_copy_their_argument_at_most_twice() {
 }
 
 #[test]
+fn text_arguments_are_read_in_place() {
+    let template = template(DialectId::Mysql);
+    let repeats = 100_000u64;
+    let repeat_bytes = 3 * repeats;
+    for call in [
+        "SUBSTR(REPEAT('abc', {n}), -5, 2)",
+        "INSTR(REPEAT('abc', {n}), 'cx')",
+        "LOCATE('cab', REPEAT('abc', {n}), 7)",
+        "POSITION('x', REPEAT('abc', {n}))",
+    ] {
+        let sql = format!("SELECT {}", call.replace("{n}", &repeats.to_string()));
+        let c = cost(&template, &sql);
+        assert_eq!(class(&c.outcome), "rows", "{sql}: {:?}", c.outcome);
+        assert!(
+            c.bytes <= repeat_bytes + (64 << 10),
+            "{sql}: allocated {} bytes for a {repeat_bytes}-byte argument",
+            c.bytes
+        );
+    }
+}
+
+#[test]
 fn over_budget_constructors_fail_before_building() {
     let template = template(DialectId::Mysql);
     let budget = template.config().limits.max_memory_bytes as u64;
     for sql in [
         "SELECT EXPORT_SET(-1, REPEAT(REPEAT('Y', 10), 1000000), 'N', REPEAT(',', 1000000))",
         "SELECT REPLACE(REPEAT('a', 1000000), 'a', REPEAT('b', 200))",
+        "SELECT REGEXP_REPLACE(REPEAT('a', 2000), 'a', REPEAT('b', 100000))",
     ] {
         let c = cost(&template, sql);
         match &c.outcome {

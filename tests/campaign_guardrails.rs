@@ -9,6 +9,9 @@
 //! boundary-argument bookkeeping that pays nothing per byte where the
 //! answer does not depend on the size: integer coverage ids recorded
 //! without formatting, a capped repeated-prefix scan, and one hex encoder.
+//! A built-in call does each step once: its name resolves at the call (no
+//! prepare-time dispatch table), its arguments coerce through one
+//! function, and its values carry a flat, `Copy` provenance tag.
 //! The tests read the source itself, so a removed path cannot quietly come
 //! back.
 
@@ -22,6 +25,7 @@ const COVERAGE: &str = include_str!("../crates/engine/src/coverage.rs");
 const EXECUTOR: &str = include_str!("../crates/engine/src/executor.rs");
 const REGISTRY: &str = include_str!("../crates/engine/src/registry.rs");
 const BOUNDARY: &str = include_str!("../crates/types/src/boundary.rs");
+const EVAL: &str = include_str!("../crates/engine/src/eval.rs");
 
 /// The part of a source file before its `#[cfg(test)]` module.
 fn non_test(src: &'static str) -> &'static str {
@@ -274,4 +278,47 @@ fn boundary_bookkeeping_pays_nothing_per_byte() {
     for (path, code) in &sources {
         assert!(!code.contains("format!(\"{byte:02"), "{path} formats hex per byte again");
     }
+}
+
+#[test]
+fn one_call_path_for_builtins() {
+    // Names resolve at the call, through the registry.
+    for code in [non_test(ENGINE), non_test(EXECUTOR)] {
+        assert!(!mentions(code, "DispatchEntry"), "the prepare-time dispatch table is back");
+        assert!(!mentions(code, "dispatch"), "a dispatch table is back");
+    }
+    let prepared = fn_body(non_test(ENGINE), "prepare_parsed", "    ");
+    assert!(prepared.contains("Prepared { stmt }"), "Prepared holds more than the statement");
+    // One argument-coercion function: every `want_*` reader is a view of
+    // `coerce` (or of another reader), and none casts on its own.
+    let registry = non_test(REGISTRY);
+    let readers: Vec<&str> = registry
+        .match_indices("pub fn want_")
+        .map(|(i, _)| {
+            let name = &registry[i + "pub fn ".len()..];
+            &name[..name.find(['(', '<']).expect("a signature")]
+        })
+        .collect();
+    assert!(readers.len() >= 10, "the want_* readers were not found: {readers:?}");
+    for name in readers {
+        let start = registry.find(&format!("pub fn {name}")).expect("the reader exists");
+        let body = &registry[start..];
+        let body = &body[..body.find("\n}\n").expect("the body closes")];
+        assert!(
+            body.contains("coerce(") || body.contains("coerce_owned(") || body.contains("want_int("),
+            "{name} does not read through coerce"
+        );
+        for banned in ["perform_cast(", ".cast(", "check_cast("] {
+            assert!(!body.contains(banned), "{name} casts on its own ({banned})");
+        }
+    }
+    // A flat provenance tag: nothing boxed, no owned name.
+    let eval = non_test(EVAL);
+    for banned in ["Box", "String", "cast_source"] {
+        assert!(!mentions(eval, banned), "eval.rs's provenance names {banned} again");
+    }
+    assert!(
+        eval.contains("#[derive(Debug, Clone, Copy, PartialEq, Eq)]\npub struct Provenance"),
+        "Provenance is no longer a Copy struct"
+    );
 }
