@@ -62,7 +62,7 @@ use soft_core::{
     TelemetryOptions,
 };
 use soft_dialects::{all_cases, CaseKind, DialectId, DialectProfile};
-use soft_obs::{Bundle, LiveMetrics, MetricsServer, StageLatency, TraceFile, WatchdogConfig};
+use soft_obs::{Bundle, LiveMetrics, MetricsServer, TraceFile, WatchdogConfig};
 use soft_study::{analysis, studied_bugs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -268,7 +268,6 @@ fn campaign(args: &[String], budget: usize) {
             eprintln!("cannot write span trace {}: {e}", path.display());
             std::process::exit(2);
         }
-        println!("{}", spans.render_summary());
         println!("spans: {} ({} spans)", path.display(), spans.spans.len());
     }
     let telemetry = report.telemetry.as_ref().expect("telemetry was on");
@@ -278,9 +277,9 @@ fn campaign(args: &[String], budget: usize) {
     if !telemetry.epochs.is_empty() {
         println!("{}", soft_bench::trace::render_epochs(&telemetry.epochs));
     }
-    // The stage-latency table is a view of the flight recorder's spans.
+    // The stage table is computed from the flight recorder's spans.
     if let Some(spans) = &run.spans {
-        println!("{}", StageLatency::from_spans(spans).render());
+        println!("{}", spans.render_stage_table());
     }
     if let Some(path) = &journal_path {
         println!("journal: {} ({} events)", path.display(), telemetry.journal.events.len());

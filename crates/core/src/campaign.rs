@@ -99,8 +99,8 @@
 //! (generate, epoch, oracle, minimize, campaign), and the join merges
 //! everything into a [`SpanTrace`] on [`CampaignRun::spans`] — exportable
 //! as Chrome trace-event JSON for Perfetto. Spans are the campaign's only
-//! wall-clock stage timer: the stage-latency table
-//! ([`soft_obs::StageLatency::from_spans`]) is a view of them. Spans are
+//! wall-clock stage timer and its only timing record: the stage table
+//! ([`SpanTrace::render_stage_table`]) is computed from them. Spans are
 //! wall-clock and therefore live outside report equality, like every other
 //! surface here.
 //!
@@ -113,7 +113,7 @@
 //! owns the track's span sink.
 
 use crate::collect::{self, Collection};
-use crate::oracle::{self, LogicBug, OracleConfig, OracleKind};
+use crate::oracle::{self, LogicBug, OracleConfig};
 use crate::patterns::{self, GenCtx, GeneratedCase};
 use crate::report::{BugFinding, CampaignReport, FindingKind, ShardStats};
 use crate::schedule::{ArmId, ArmReward, Bandit, ScheduleConfig, ScheduleOptions};
@@ -401,9 +401,9 @@ pub struct CampaignRun {
     pub watchdog: Option<WatchdogReport>,
     /// The flight-recorder trace (hierarchical wall-clock spans, merged
     /// from the per-shard buffers), when [`LivePlane::spans`] was armed —
-    /// the campaign's stage timings; [`soft_obs::StageLatency::from_spans`]
-    /// tabulates them. Wall-clock, so it lives on the run, outside report
-    /// equality.
+    /// the campaign's only timing record;
+    /// [`SpanTrace::render_stage_table`] tabulates them. Wall-clock, so it
+    /// lives on the run, outside report equality.
     pub spans: Option<SpanTrace>,
 }
 
@@ -426,7 +426,8 @@ pub struct LivePlane {
     pub watchdog: Option<WatchdogConfig>,
     /// Arm the flight recorder: every shard records wall-clock spans into
     /// a buffer it owns exclusively (no locks, no cross-thread traffic),
-    /// merged at the join into [`CampaignRun::spans`]. Armed spans also
+    /// merged at the join into [`CampaignRun::spans`], the run's only
+    /// timing record and the source of its stage table. Armed spans also
     /// time the minimisation of every unique finding, which runs for its
     /// `minimize` spans only.
     pub spans: bool,
@@ -642,22 +643,12 @@ pub fn run_soft_parallel_live(
     // The minimize stage, timed over the unique findings (the PoCs the
     // paper's harness would report) only when spans are armed: the
     // reductions are discarded, so their spans are the pass's only output,
-    // and the reducer only reads cloned engines. Crash PoCs reduce under
-    // the crash signature, multi-form PoCs under the oracle verdict;
-    // pivot/differential PoCs are fixed probe queries — already minimal,
-    // but still one span each so the stage keeps one sample per finding.
+    // and the reducer only reads cloned engines. Findings kept verbatim
+    // still get one span each, so the stage has one span per finding.
     if rec.spans.is_some() {
         for f in &findings {
             let start = rec.spans.now();
-            match &f.kind {
-                FindingKind::Crash(_) => {
-                    let _ = crate::minimize::minimize(&f.poc, || template.clone());
-                }
-                FindingKind::Logic(b) if b.oracle == OracleKind::MultiForm => {
-                    let _ = crate::minimize::minimize_logic(&f.poc, || template.clone());
-                }
-                FindingKind::Logic(_) => {}
-            }
+            let _ = crate::minimize::minimize_finding(f, || template.clone());
             rec.spans.close("minimize", start, Some(f.fault_id.clone()));
         }
     }
@@ -1873,20 +1864,21 @@ mod tests {
             .windows(2)
             .all(|w| w[0].branches <= w[1].branches && w[0].statements < w[1].statements));
 
-        // Wall-clock stage histograms come from the flight recorder, never
+        // Wall-clock stage timings come from the flight recorder, never
         // from telemetry: this run armed no spans, so it timed nothing. A
-        // spans-armed rerun has one execute sample per statement, one parse
-        // sample per shard, one minimize sample per unique finding and one
-        // generate sample, and leaves the report as it was.
+        // spans-armed rerun has one execute span per statement, one parse
+        // span per shard, one minimize span per unique finding and one
+        // generate span, and leaves the report as it was.
         assert!(run.spans.is_none(), "telemetry alone recorded spans");
         let plane = LivePlane { spans: true, ..LivePlane::default() };
         let armed = run_soft_parallel_live(&profile, &tcfg, 2, &plane);
         assert_eq!(armed.report, on, "spans changed the telemetry report");
-        let latency = soft_obs::StageLatency::from_spans(&armed.spans.expect("spans armed"));
-        assert_eq!(latency.execute.samples() as usize, on.statements_executed);
-        assert_eq!(latency.parse.samples() as usize, on.shards.len());
-        assert_eq!(latency.minimize.samples() as usize, on.findings.len());
-        assert_eq!(latency.generate.samples(), 1);
+        let spans = armed.spans.expect("spans armed");
+        let count = |name: &str| spans.spans.iter().filter(|s| s.name == name).count();
+        assert_eq!(count("execute"), on.statements_executed);
+        assert_eq!(count("parse"), on.shards.len());
+        assert_eq!(count("minimize"), on.findings.len());
+        assert_eq!(count("generate"), 1);
 
         // Yields reconcile with the report's counters.
         let executed: usize =

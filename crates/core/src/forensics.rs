@@ -10,9 +10,9 @@
 //! checking it still fires the recorded fault.
 
 use crate::collect;
-use crate::minimize::{minimize, minimize_logic};
+use crate::minimize::minimize_finding;
 use crate::oracle::{self, OracleKind};
-use crate::report::{BugFinding, CampaignReport, FindingKind};
+use crate::report::{BugFinding, CampaignReport};
 use soft_dialects::{DialectId, DialectProfile};
 use soft_engine::{Engine, ExecOutcome};
 use soft_obs::forensics::bucket_key;
@@ -29,16 +29,7 @@ pub fn bundle_finding(
     finding: &BugFinding,
     findings_root: &str,
 ) -> Bundle {
-    // Crash PoCs minimise under the crash signature; multi-form PoCs under
-    // the oracle's verdict. Pivot and differential findings carry fixed
-    // probe/corpus queries — already minimal, shipped verbatim.
-    let poc = match &finding.kind {
-        FindingKind::Crash(_) => minimize(&finding.poc, || template.clone()),
-        FindingKind::Logic(bug) if bug.oracle == OracleKind::MultiForm => {
-            minimize_logic(&finding.poc, || template.clone())
-        }
-        FindingKind::Logic(_) => finding.poc.clone(),
-    };
+    let poc = minimize_finding(finding, || template.clone());
     let verdict = finding.kind.logic();
     let mut bundle = Bundle {
         fault_id: finding.fault_id.clone(),
@@ -173,6 +164,7 @@ pub fn replay_all(root: &Path) -> Result<usize, Vec<String>> {
 mod tests {
     use super::*;
     use crate::campaign::{run_soft_parallel, CampaignConfig};
+    use crate::report::FindingKind;
 
     fn small_report(profile: &DialectProfile) -> CampaignReport {
         let cfg = CampaignConfig {

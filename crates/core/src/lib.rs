@@ -53,4 +53,4 @@ pub use report::{render_table4, BugFinding, CampaignReport, FindingKind, ShardSt
 pub use schedule::{ArmId, ArmReward, Bandit, ScheduleConfig, ScheduleOptions};
 // The telemetry vocabulary, re-exported so campaign callers need not name
 // `soft-obs` directly.
-pub use soft_obs::{CampaignTelemetry, StageLatency, TelemetryConfig, TelemetryOptions};
+pub use soft_obs::{CampaignTelemetry, TelemetryConfig, TelemetryOptions};

@@ -19,7 +19,8 @@
 //! (however the renderer evolves) must not be accepted on AST evidence
 //! alone.
 
-use crate::oracle;
+use crate::oracle::{self, OracleKind};
+use crate::report::{BugFinding, FindingKind};
 use soft_engine::{Engine, ExecOutcome};
 use soft_parser::ast::{Expr, Literal, SelectItem, Statement};
 use soft_parser::visit;
@@ -125,6 +126,24 @@ pub fn minimize_logic(poc: &str, mut make_engine: impl FnMut() -> Engine) -> Str
     reduce(stmt, |_, rendered| {
         soft_parser::parse_statement(rendered).is_ok_and(|reparsed| flags(&reparsed))
     })
+}
+
+/// The PoC a finding is reported with, reduced by the reducer its kind
+/// calls for: crash PoCs by [`minimize`], under the crash signature;
+/// multi-form PoCs by [`minimize_logic`], under the oracle's verdict.
+/// Pivot and differential findings carry fixed probe and corpus queries,
+/// already minimal, and come back verbatim.
+///
+/// `make_engine` must produce the campaign's template engine (seed state
+/// loaded).
+pub fn minimize_finding(finding: &BugFinding, make_engine: impl FnMut() -> Engine) -> String {
+    match &finding.kind {
+        FindingKind::Crash(_) => minimize(&finding.poc, make_engine),
+        FindingKind::Logic(bug) if bug.oracle == OracleKind::MultiForm => {
+            minimize_logic(&finding.poc, make_engine)
+        }
+        FindingKind::Logic(_) => finding.poc.clone(),
+    }
 }
 
 /// One-step syntactic simplifications of a statement.

@@ -137,8 +137,8 @@ pub struct CampaignReport {
     /// Deterministic campaign telemetry (event journal, yield metrics,
     /// growth curves) when [`CampaignConfig::telemetry`] is on. Inside the
     /// `PartialEq` surface on purpose: the worker-count-invariance guarantee
-    /// extends to the journal, event for event. Wall-clock telemetry (stage
-    /// latency histograms, shard timings) lives on
+    /// extends to the journal, event for event. Wall-clock telemetry (the
+    /// flight recorder's spans, shard timings) lives on
     /// [`CampaignRun`](crate::campaign::CampaignRun) instead.
     ///
     /// [`CampaignConfig::telemetry`]: crate::campaign::CampaignConfig

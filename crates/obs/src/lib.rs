@@ -13,9 +13,6 @@
 //!   global statement order, plus the JSONL sink and its reader;
 //! * [`metrics`] — per-pattern and per-function-category
 //!   generated/executed/crashing yield counters;
-//! * [`latency`] — fixed-bucket wall-clock histograms per pipeline stage
-//!   (generate, parse, execute, minimize), a view of the flight recorder's
-//!   spans;
 //! * [`curve`] — coverage-vs-statements and unique-bugs-vs-statements
 //!   growth series (the §7.5 analogue);
 //! * [`telemetry`] — the [`TelemetryConfig`] campaign knob, what each
@@ -42,7 +39,8 @@
 //! * [`span`] — the flight recorder: hierarchical wall-clock spans
 //!   (campaign → epoch → shard → statement stage) recorded
 //!   into per-worker buffers, merged into a [`SpanTrace`] on `CampaignRun`,
-//!   and exported as Chrome trace-event JSON for Perfetto.
+//!   exported as Chrome trace-event JSON for Perfetto, and summed into one
+//!   exact per-stage table ([`SpanTrace::render_stage_table`]).
 //!
 //! # Determinism
 //!
@@ -52,9 +50,9 @@
 //! and merged by global statement index, so a telemetry-on parallel run
 //! produces the same journal, yields, and curves event-for-event as the
 //! serial reference. Telemetry reads no clock. Wall-clock stage timings
-//! come only from the flight recorder's spans, and the stage histograms
-//! ([`StageLatency`]) are a view of them, kept off the report so reports
-//! stay byte-comparable.
+//! come only from the flight recorder's spans, whose stage table is
+//! computed from them and kept off the report so reports stay
+//! byte-comparable.
 //!
 //! # Examples
 //!
@@ -79,7 +77,6 @@ pub mod forensics;
 pub mod http;
 pub mod journal;
 pub mod json;
-pub mod latency;
 pub mod live;
 pub mod metrics;
 pub mod schedule;
@@ -92,7 +89,6 @@ pub use event::{OutcomeClass, StatementEvent};
 pub use forensics::Bundle;
 pub use http::MetricsServer;
 pub use journal::{Journal, TraceFile};
-pub use latency::{LatencyHistogram, StageLatency};
 pub use live::{LiveMetrics, LiveSnapshot};
 pub use metrics::{CategoryYield, PatternYield, YieldMetrics};
 pub use schedule::{ArmAlloc, EpochRealloc};

@@ -1,9 +1,9 @@
 //! Span tracing — the campaign **flight recorder**.
 //!
-//! Spans are the campaign's one wall-clock stage timer. They answer "what
-//! was each worker doing *when*", and the per-stage latency table
-//! ([`crate::latency::StageLatency::from_spans`]) is a view of them that
-//! answers "how long did stage X take *in aggregate*". A span is one named
+//! Spans are the campaign's one wall-clock stage timer and its only timing
+//! record. They answer "what was each worker doing *when*", and the stage
+//! table ([`SpanTrace::render_stage_table`]), computed from them, answers
+//! "how long did stage X take *in aggregate*". A span is one named
 //! interval on one track: track 0 is the campaign itself (planning, epochs,
 //! campaign-level oracles, minimisation), track `s + 1` is shard `s` (the
 //! whole shard, the parse of its range, and the per-statement
@@ -24,9 +24,9 @@
 //! [`SpanTrace::to_chrome_json`] renders the Chrome trace-event format
 //! (JSON array of `ph: "X"` duration events plus `ph: "M"` thread-name
 //! metadata), which loads directly in Perfetto or `chrome://tracing`.
-//! Timestamps are microseconds since campaign start. The workspace is
-//! hermetic, so [`validate_json`] provides a std-only syntax check over the
-//! nested output (the flat [`crate::json`] reader cannot parse it).
+//! Timestamps are microseconds since campaign start. [`validate_json`]
+//! reads the export back with the workspace's nested JSON parser
+//! ([`soft_types::json`]; the flat [`crate::json`] reader cannot parse it).
 //!
 //! Journals carry no wall-clock, so [`journal_trace`] builds a *logical*
 //! trace from a parsed [`TraceFile`]: one microsecond per planned statement
@@ -35,6 +35,7 @@
 //! journal, including ones recorded before spans existed.
 
 use crate::journal::TraceFile;
+use soft_types::json::JsonValue;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -183,20 +184,54 @@ impl SpanTrace {
         format!("[\n{}\n]\n", rows.join(",\n"))
     }
 
-    /// One-line per-stage summary (span count and total duration per name,
-    /// alphabetical) for CLI output.
-    pub fn render_summary(&self) -> String {
-        let mut by_name: BTreeMap<&str, (usize, u64)> = BTreeMap::new();
+    /// The stage table: one row per span name, alphabetical, with the
+    /// name's span count, total and mean duration, and its exact p50 and
+    /// p99 by nearest rank (the q-quantile is the duration at rank ⌈q·n⌉
+    /// of the name's n sorted durations).
+    pub fn render_stage_table(&self) -> String {
+        let mut by_name: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
         for s in &self.spans {
-            let e = by_name.entry(s.name).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.dur_ns;
+            by_name.entry(s.name).or_default().push(s.dur_ns);
         }
-        let parts: Vec<String> = by_name
-            .iter()
-            .map(|(name, (n, ns))| format!("{name} x{n} ({:.1}ms)", *ns as f64 / 1e6))
-            .collect();
-        format!("spans: {}", parts.join(", "))
+        let mut out = format!(
+            "{:<10} {:>8} {:>12} {:>12} {:>12} {:>12}\n",
+            "stage", "count", "total", "mean", "p50", "p99"
+        );
+        for (name, mut durations) in by_name {
+            durations.sort_unstable();
+            let total: u64 = durations.iter().sum();
+            let _ = writeln!(
+                out,
+                "{:<10} {:>8} {:>12} {:>12} {:>12} {:>12}",
+                name,
+                durations.len(),
+                fmt_ns(total as f64),
+                fmt_ns(total as f64 / durations.len() as f64),
+                fmt_ns(nearest_rank(&durations, 50) as f64),
+                fmt_ns(nearest_rank(&durations, 99) as f64),
+            );
+        }
+        out
+    }
+}
+
+/// The `pct`-th percentile of `sorted` (ascending, non-empty) by nearest
+/// rank: the value at rank ⌈pct·n / 100⌉, counting from 1.
+fn nearest_rank(sorted: &[u64], pct: usize) -> u64 {
+    sorted[(pct * sorted.len()).div_ceil(100).max(1) - 1]
+}
+
+/// A duration in nanoseconds, in the largest unit that keeps it at or
+/// above 1.
+fn fmt_ns(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.2} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.2} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.2} µs", ns / 1e3)
+    } else {
+        format!("{ns:.0} ns")
     }
 }
 
@@ -260,211 +295,15 @@ pub fn journal_trace(trace: &TraceFile) -> SpanTrace {
     SpanTrace::merge(vec![spans])
 }
 
-/// A std-only syntax validator for *nested* JSON (objects, arrays, strings,
-/// numbers, literals) — the flat [`crate::json`] reader deliberately rejects
-/// nesting, and the trace-event format needs it. Returns the number of
-/// top-level array elements; errors carry a byte offset. This is a syntax
-/// check only (no duplicate-key or schema validation): its job is "Perfetto
-/// will not reject this file as malformed JSON".
+/// Parses a Chrome trace-event export with the workspace's JSON parser
+/// ([`soft_types::json`]) and returns the number of events: the length of
+/// the top-level array Perfetto expects. Syntax errors carry a byte offset.
+/// The check is syntax plus that one shape (no schema validation): its job
+/// is "Perfetto will not reject this file as malformed JSON".
 pub fn validate_json(text: &str) -> Result<usize, String> {
-    let mut p = Validator { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    if p.peek() != Some(b'[') {
-        return Err(format!("byte {}: expected top-level array", p.pos));
-    }
-    p.pos += 1;
-    let mut count = 0usize;
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.value()?;
-            count += 1;
-            p.skip_ws();
-            match p.peek() {
-                Some(b',') => {
-                    p.pos += 1;
-                    p.skip_ws();
-                }
-                Some(b']') => {
-                    p.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("byte {}: expected ',' or ']'", p.pos)),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("byte {}: trailing content after array", p.pos));
-    }
-    Ok(count)
-}
-
-struct Validator<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Validator<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn value(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("byte {}: expected a JSON value", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.pos += 1; // '{'
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(format!("byte {}: expected ':'", self.pos));
-            }
-            self.pos += 1;
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("byte {}: expected ',' or '}}'", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.pos += 1; // '['
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("byte {}: expected ',' or ']'", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        if self.peek() != Some(b'"') {
-            return Err(format!("byte {}: expected a string", self.pos));
-        }
-        self.pos += 1;
-        while let Some(c) = self.peek() {
-            match c {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len()
-                                || !self.bytes[self.pos + 1..self.pos + 5]
-                                    .iter()
-                                    .all(u8::is_ascii_hexdigit)
-                            {
-                                return Err(format!("byte {}: bad \\u escape", self.pos));
-                            }
-                            self.pos += 5;
-                        }
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1
-                        }
-                        _ => return Err(format!("byte {}: bad escape", self.pos)),
-                    }
-                }
-                _ => self.pos += 1,
-            }
-        }
-        Err(format!("byte {}: unterminated string", self.pos))
-    }
-
-    fn literal(&mut self, word: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(())
-        } else {
-            Err(format!("byte {}: expected `{word}`", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut digits = 0;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("byte {start}: bad number"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let mut frac = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(format!("byte {}: bad fraction", self.pos));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let mut exp = 0;
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(format!("byte {}: bad exponent", self.pos));
-            }
-        }
-        Ok(())
+    match soft_types::json::parse(text).map_err(|e| e.to_string())? {
+        JsonValue::Array(events) => Ok(events.len()),
+        _ => Err("expected a top-level array".to_string()),
     }
 }
 
@@ -529,16 +368,129 @@ mod tests {
         assert!(json.contains("needs \\\"escaping\\\"\\n"), "{json}");
     }
 
+    /// The stage table's row for `name`, split into its count, total,
+    /// mean, p50 and p99 cells (each duration is a value and a unit).
+    fn stage_row(trace: &SpanTrace, name: &str) -> Vec<String> {
+        let table = trace.render_stage_table();
+        let row = table
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(name))
+            .unwrap_or_else(|| panic!("no {name} row in:\n{table}"));
+        let cells: Vec<&str> = row.split_whitespace().skip(1).collect();
+        let mut out = vec![cells[0].to_string()];
+        out.extend(cells[1..].chunks(2).map(|c| c.join(" ")));
+        out
+    }
+
     #[test]
-    fn summary_aggregates_per_stage() {
+    fn stage_table_has_one_row_per_name_with_count_and_total() {
+        let span = |name, dur_ns| SpanRecord { name, track: 1, start_ns: 0, dur_ns, detail: None };
         let trace = SpanTrace::merge(vec![vec![
-            SpanRecord { name: "execute", track: 1, start_ns: 0, dur_ns: 1_000_000, detail: None },
-            SpanRecord { name: "execute", track: 1, start_ns: 5, dur_ns: 1_000_000, detail: None },
-            SpanRecord { name: "shard", track: 1, start_ns: 0, dur_ns: 3_000_000, detail: None },
+            span("execute", 1_000_000),
+            span("execute", 3_000_000),
+            span("shard", 3_000_000),
         ]]);
-        let s = trace.render_summary();
-        assert!(s.contains("execute x2 (2.0ms)"), "{s}");
-        assert!(s.contains("shard x1 (3.0ms)"), "{s}");
+        let table = trace.render_stage_table();
+        assert_eq!(table.lines().count(), 3, "a header and one row per name:\n{table}");
+        assert!(table.starts_with("stage "), "{table}");
+        assert_eq!(stage_row(&trace, "execute")[..3], ["2", "4.00 ms", "2.00 ms"]);
+        assert_eq!(stage_row(&trace, "shard")[..2], ["1", "3.00 ms"]);
+    }
+
+    /// The table's quantiles are the recorded durations themselves: a lone
+    /// span prints its own duration as mean, p50 and p99, for 100 spans p50
+    /// and p99 are the 50th and 99th smallest, and for 3 spans the 2nd and
+    /// 3rd (nearest rank ⌈q·n⌉, rounding up).
+    #[test]
+    fn stage_table_quantiles_are_exact_nearest_ranks() {
+        let generate = SpanRecord {
+            name: "generate",
+            track: CAMPAIGN_TRACK,
+            start_ns: 0,
+            dur_ns: 174_103_382,
+            detail: None,
+        };
+        let trace = SpanTrace::merge(vec![vec![generate]]);
+        assert_eq!(
+            stage_row(&trace, "generate"),
+            ["1", "174.10 ms", "174.10 ms", "174.10 ms", "174.10 ms"]
+        );
+
+        // Durations 3, 10, …, 696 ns (the k-th smallest is 7k − 4), recorded
+        // out of order on two tracks.
+        let executes: Vec<SpanRecord> = (0..100u64)
+            .map(|i| (i * 37) % 100)
+            .map(|k| SpanRecord {
+                name: "execute",
+                track: 1 + k % 2,
+                start_ns: 1_000 * ((k * 13) % 100),
+                dur_ns: 7 * k + 3,
+                detail: None,
+            })
+            .collect();
+        let trace = SpanTrace::merge(vec![executes]);
+        let row = stage_row(&trace, "execute");
+        assert_eq!(row[0], "100");
+        assert_eq!(row[3..], ["346 ns", "689 ns"], "p50 = 7·50 − 4, p99 = 7·99 − 4");
+
+        let parses = [30, 10, 20].map(|dur_ns| SpanRecord {
+            name: "parse",
+            track: 1,
+            start_ns: dur_ns,
+            dur_ns,
+            detail: None,
+        });
+        let trace = SpanTrace::merge(vec![parses.to_vec()]);
+        assert_eq!(stage_row(&trace, "parse")[3..], ["20 ns", "30 ns"], "ranks ⌈1.5⌉ and ⌈2.97⌉");
+    }
+
+    /// The export says what was recorded: read back with the workspace's
+    /// JSON parser, every escape class in a detail or the process name
+    /// survives, and each duration event names its span's stage and track.
+    #[test]
+    fn chrome_export_round_trips_every_escape_class() {
+        let nasty = "quote \" backslash \\ newline \n return \r tab \t \u{1} é 𝄞";
+        let spans: Vec<SpanRecord> = [("campaign", 0), ("execute", 1), ("oracle", 2)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(name, track))| SpanRecord {
+                name,
+                track,
+                start_ns: 1_000 * i as u64,
+                dur_ns: 500,
+                detail: Some(format!("{nasty} #{i}")),
+            })
+            .collect();
+        let trace = SpanTrace::merge(vec![spans]);
+        let process = format!("soft-repro {nasty}");
+        let json = trace.to_chrome_json(&process);
+        let parsed = soft_types::json::parse(&json).expect("export parses");
+        let JsonValue::Array(events) = parsed else { panic!("export is not an array") };
+        // The parser tolerates raw control characters inside strings and
+        // the trace-event format does not: every one must be escaped, so
+        // the only raw newlines are the one-event-per-line separators.
+        assert!(json.chars().all(|c| c >= ' ' || c == '\n'), "raw control character:\n{json}");
+        assert_eq!(json.lines().count(), events.len() + 2, "raw newline in a string:\n{json}");
+        fn text(v: Option<&JsonValue>) -> &str {
+            match v {
+                Some(JsonValue::String(s)) => s,
+                other => panic!("expected a string, got {other:?}"),
+            }
+        }
+        fn args(e: &JsonValue) -> &JsonValue {
+            e.get_key("args").expect("event has args")
+        }
+        assert_eq!(text(args(&events[0]).get_key("name")), process);
+        let durations: Vec<&JsonValue> = events
+            .iter()
+            .filter(|e| e.get_key("ph") == Some(&JsonValue::String("X".into())))
+            .collect();
+        assert_eq!(durations.len(), trace.len());
+        for (event, span) in durations.iter().zip(&trace.spans) {
+            assert_eq!(text(event.get_key("name")), span.name);
+            assert_eq!(event.get_key("tid"), Some(&JsonValue::Number(span.track.to_string())));
+            assert_eq!(Some(text(args(event).get_key("detail"))), span.detail.as_deref());
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use soft_repro::soft::campaign::{
     default_workers, run_soft_parallel, run_soft_parallel_live, CampaignConfig, LivePlane,
 };
 use soft_repro::soft::report::render_table4;
-use soft_repro::soft::{StageLatency, TelemetryConfig, TelemetryOptions};
+use soft_repro::soft::{TelemetryConfig, TelemetryOptions};
 
 fn main() {
     let budget: usize = std::env::args()
@@ -50,8 +50,8 @@ fn main() {
     // Telemetry demonstration: rerun one target with the observability
     // ledger and the flight recorder on. The report stays byte-identical to
     // an Off-mode run (the journal, yields, and curves are derived, not
-    // steering), and the wall-clock stage latencies, a view of the spans,
-    // live outside the report's equality.
+    // steering), and the wall-clock stage table, computed from the spans,
+    // lives outside the report's equality.
     let demo_budget = (budget / 10).clamp(2_000, 20_000);
     println!("\ntelemetry demo: ClickHouse, {demo_budget}-statement budget\n");
     let profile = DialectProfile::build(DialectId::Clickhouse);
@@ -70,6 +70,6 @@ fn main() {
     println!("{}", telemetry.yields.render_pattern_table());
     println!("{}", telemetry.curves.render());
     if let Some(spans) = &run.spans {
-        println!("{}", StageLatency::from_spans(spans).render());
+        println!("{}", spans.render_stage_table());
     }
 }

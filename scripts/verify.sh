@@ -221,24 +221,14 @@ if [ "$status" -ne 3 ]; then
 fi
 rm -rf "$findings" "$(dirname "$repodir")"
 
-echo "verify: execute bench smoke (tiny budget, string and prepared arms)"
-# One short measurement window proves the bench builds, runs every arm,
-# and emits its JSON artifact; the real numbers come from a full
-# `cargo bench -p soft-bench --bench execute` (EXPERIMENTS.md, "Prepared
-# execution"). The artifact is left in the repo root (gitignored) so CI
-# can upload it and the perf trajectory stays inspectable per PR.
-# $PWD, not `.`: cargo runs the bench with the package directory as its
-# working directory, and the artifact belongs in the repo root.
-SOFT_BENCH_WARMUP_MS=1 SOFT_BENCH_MEASURE_MS=50 SOFT_BENCH_JSON_DIR="$PWD" \
-    cargo bench --offline -q -p soft-bench --bench execute > /dev/null
-test -s BENCH_execute.json
-
 echo "verify: spans bench + flight-recorder overhead gate (paired arms)"
 # The spans-off and spans-on arms alternate inside one measurement window
 # (bench_pair), so their ratio is drift-robust even in a short smoke run.
 # The recorder is per-shard Vec pushes with no locks; arming it must cost
 # at most 5% statements/sec (measured ~1.5%, EXPERIMENTS.md "Flight
-# recorder overhead").
+# recorder overhead"). The artifact is left in the repo root (gitignored)
+# so CI can upload it. $PWD, not `.`: cargo runs the bench with the
+# package directory as its working directory.
 SOFT_BENCH_WARMUP_MS=1 SOFT_BENCH_MEASURE_MS=50 SOFT_BENCH_JSON_DIR="$PWD" \
     cargo bench --offline -q -p soft-bench --bench spans > /dev/null
 test -s BENCH_spans.json

@@ -12,6 +12,8 @@
 //! A built-in call does each step once: its name resolves at the call (no
 //! prepare-time dispatch table), its arguments coerce through one
 //! function, and its values carry a flat, `Copy` provenance tag.
+//! The flight recorder keeps one timing record, its spans, and reads its
+//! trace exports back with the workspace's one nested JSON parser.
 //! The tests read the source itself, so a removed path cannot quietly come
 //! back.
 
@@ -26,6 +28,8 @@ const EXECUTOR: &str = include_str!("../crates/engine/src/executor.rs");
 const REGISTRY: &str = include_str!("../crates/engine/src/registry.rs");
 const BOUNDARY: &str = include_str!("../crates/types/src/boundary.rs");
 const EVAL: &str = include_str!("../crates/engine/src/eval.rs");
+const OBS_LIB: &str = include_str!("../crates/obs/src/lib.rs");
+const SPAN: &str = include_str!("../crates/obs/src/span.rs");
 
 /// The part of a source file before its `#[cfg(test)]` module.
 fn non_test(src: &'static str) -> &'static str {
@@ -321,4 +325,27 @@ fn one_call_path_for_builtins() {
         eval.contains("#[derive(Debug, Clone, Copy, PartialEq, Eq)]\npub struct Provenance"),
         "Provenance is no longer a Copy struct"
     );
+}
+
+#[test]
+fn spans_are_the_only_timing_record() {
+    // The stage table is computed from the spans; no bucketed sketch of
+    // them is kept beside it.
+    assert!(!OBS_LIB.contains("mod latency"), "soft-obs declares a latency module again");
+    let mut sources = Vec::new();
+    let obs_src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/obs/src");
+    non_test_sources(&obs_src, &mut sources);
+    assert!(sources.len() > 10, "the soft-obs sources were not found");
+    for (path, code) in &sources {
+        assert!(!path.ends_with("latency.rs"), "{path} is back");
+        for removed in ["LatencyHistogram", "StageLatency"] {
+            assert!(!mentions(code, removed), "{path} names {removed} again");
+        }
+    }
+    // One nested JSON parser: the trace-export check reads the export with
+    // `soft_types::json` instead of a second hand-written parser.
+    let span = non_test(SPAN);
+    assert!(!span.contains("struct Validator"), "span.rs has its own JSON parser again");
+    let validate = fn_body(span, "validate_json", "");
+    assert!(validate.contains("soft_types::json::parse("), "validate_json parses on its own");
 }

@@ -143,27 +143,26 @@ fn flight_recorder_preserves_byte_identical_reports() {
     }
 }
 
-/// The stage latency histograms, a view of the flight recorder's spans,
-/// are genuinely disjoint under prepared execution: one parse sample per
-/// shard (its prepare loop, run by the shard itself), one execute sample
-/// per statement (`execute_prepared` only), one minimize sample per unique
-/// finding and one generate sample for the campaign's planning — exactly,
-/// at every worker count, since every statement is prepared exactly once,
-/// whichever worker runs its shard.
+/// The flight recorder's stage spans are genuinely disjoint under
+/// prepared execution: one parse span per shard (its prepare loop, run by
+/// the shard itself), one execute span per statement (`execute_prepared`
+/// only), one minimize span per unique finding and one generate span for
+/// the campaign's planning — exactly, at every worker count, since every
+/// statement is prepared exactly once, whichever worker runs its shard.
 #[test]
 fn stage_latencies_are_disjoint_and_fully_sampled() {
-    use soft_repro::soft::StageLatency;
     let profile = DialectProfile::build(DialectId::Monetdb);
     let cfg = telemetry_config(4_000);
     let plane = LivePlane { spans: true, ..LivePlane::default() };
     for workers in [1usize, 4] {
         let run = run_soft_parallel_live(&profile, &cfg, workers, &plane);
-        let latency = StageLatency::from_spans(run.spans.as_ref().expect("spans were armed"));
+        let spans = run.spans.as_ref().expect("spans were armed");
+        let count = |name: &str| spans.spans.iter().filter(|s| s.name == name).count();
         let report = &run.report;
-        assert_eq!(latency.execute.samples() as usize, report.statements_executed);
-        assert_eq!(latency.parse.samples() as usize, report.shards.len());
-        assert_eq!(latency.minimize.samples() as usize, report.findings.len());
-        assert_eq!(latency.generate.samples(), 1);
+        assert_eq!(count("execute"), report.statements_executed);
+        assert_eq!(count("parse"), report.shards.len());
+        assert_eq!(count("minimize"), report.findings.len());
+        assert_eq!(count("generate"), 1);
     }
 }
 
