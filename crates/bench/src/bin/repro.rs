@@ -438,7 +438,8 @@ fn bundle(args: &[String], budget: usize) {
 
 /// `repro replay <path>` — replays one bundle directory, or every bundle
 /// under a findings root. Exits `1` when any PoC fails to reproduce its
-/// recorded fault.
+/// recorded fault, and `2` when a bundle cannot be read or the root holds
+/// none.
 fn replay(args: &[String]) {
     let Some(path) = args.get(1) else {
         eprintln!("usage: repro replay <bundle-dir | findings-root>");
@@ -461,7 +462,21 @@ fn replay(args: &[String]) {
             }
         }
     } else {
-        match soft_core::replay_all(path) {
+        let bundles = match Bundle::read_all(path) {
+            Ok(b) if b.is_empty() => {
+                eprintln!(
+                    "no bundles under {} (no subdirectory holds a meta.json)",
+                    path.display()
+                );
+                std::process::exit(2);
+            }
+            Ok(b) => b,
+            Err(e) => {
+                eprintln!("cannot read bundles under {}: {e}", path.display());
+                std::process::exit(2);
+            }
+        };
+        match soft_core::replay_all(&bundles) {
             Ok(n) => println!("replayed {n} bundle(s) under {}", path.display()),
             Err(failures) => {
                 for f in &failures {

@@ -12,6 +12,7 @@
 //! Environment knobs: `SOFT_BENCH_WARMUP_MS`, `SOFT_BENCH_MEASURE_MS`,
 //! `SOFT_BENCH_JSON_DIR`, and `SOFT_BENCH_JSON=0` to skip the JSON file.
 
+use soft_obs::json::str_field;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -247,7 +248,7 @@ impl Bench {
     /// Serialises the samples as a `BENCH_<group>.json` document.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str(&format!("  \"group\": \"{}\",\n", soft_obs::json::escape(&self.group)));
+        out.push_str(&format!("  {},\n", str_field("group", &self.group)));
         out.push_str("  \"results\": [\n");
         for (i, s) in self.samples.iter().enumerate() {
             let throughput = match s.items_per_sec() {
@@ -258,9 +259,9 @@ impl Bench {
                 None => String::new(),
             };
             out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"iters\": {}, \"median_ns\": {:.1}, \
+                "    {{{}, \"iters\": {}, \"median_ns\": {:.1}, \
                  \"p95_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}{}}}{}\n",
-                soft_obs::json::escape(&s.label),
+                str_field("label", &s.label),
                 s.iters,
                 s.median_ns,
                 s.p95_ns,

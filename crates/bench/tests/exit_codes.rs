@@ -1,6 +1,7 @@
 //! The `repro` exit-code contract, run against the binary itself: `2` for
 //! usage errors (an unknown artifact, a missing dialect, a malformed
-//! numeric flag, an unparseable journal), `1` for a bundle that no longer
+//! numeric flag, an unparseable journal, a findings root that is missing,
+//! empty or holds an unreadable bundle), `1` for a bundle that no longer
 //! replays, and `repro compare`'s `5` when campaign B lost a bug campaign
 //! A found (`0` otherwise). Every case exits before a campaign runs.
 
@@ -86,25 +87,60 @@ fn compare_exits_5_only_when_b_lost_a_bug() {
     std::fs::remove_dir_all(&dir).expect("remove scratch");
 }
 
+/// The `meta.json` of a ClickHouse bundle `demo-001` whose PoC crashes
+/// nothing.
+const STALE_META: &str = "{\"fault_id\": \"demo-001\", \"dialect\": \"ClickHouse\", \
+     \"kind\": \"CRASH\", \"stage\": \"execute\", \"category\": \"string\", \
+     \"credited_pattern\": \"P1.1\", \"found_by_pattern\": \"P1.1\", \"function\": \"upper\", \
+     \"seed_function\": null, \"bucket\": \"clickhouse/execute/CRASH/upper\", \
+     \"statements_until_found\": 1, \"fixed\": 0, \"oracle\": null, \"expected\": null, \
+     \"actual\": null, \"replay\": \"repro replay demo-001\"}\n";
+
+/// Writes bundle `name` under `root` with `meta` as its `meta.json` and a
+/// PoC that crashes nothing.
+fn write_bundle(root: &std::path::Path, name: &str, meta: &str) -> PathBuf {
+    let bundle = root.join(name);
+    std::fs::create_dir_all(&bundle).expect("bundle directory");
+    std::fs::write(bundle.join("meta.json"), meta).expect("write meta.json");
+    std::fs::write(bundle.join("poc.sql"), "SELECT UPPER('a');\n").expect("write poc.sql");
+    std::fs::write(bundle.join("original.sql"), "SELECT UPPER('a');\n").expect("write original");
+    bundle
+}
+
 #[test]
 fn replay_of_a_poc_that_no_longer_crashes_exits_1() {
     let dir = scratch("replay");
-    let bundle = dir.join("demo-001");
-    std::fs::create_dir_all(&bundle).expect("bundle directory");
-    std::fs::write(
-        bundle.join("meta.json"),
-        "{\"fault_id\": \"demo-001\", \"dialect\": \"ClickHouse\", \"kind\": \"CRASH\", \
-         \"stage\": \"execute\", \"category\": \"string\", \"credited_pattern\": \"P1.1\", \
-         \"found_by_pattern\": \"P1.1\", \"function\": \"upper\", \"seed_function\": null, \
-         \"bucket\": \"clickhouse/execute/CRASH/upper\", \"statements_until_found\": 1, \
-         \"fixed\": 0, \"oracle\": null, \"expected\": null, \"actual\": null, \
-         \"replay\": \"repro replay demo-001\"}\n",
-    )
-    .expect("write meta.json");
-    std::fs::write(bundle.join("poc.sql"), "SELECT UPPER('a');\n").expect("write poc.sql");
-    std::fs::write(bundle.join("original.sql"), "SELECT UPPER('a');\n").expect("write original");
-    let out = assert_exit(&["replay", bundle.to_str().expect("utf-8")], 1);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("demo-001: PoC no longer crashes"), "{stderr}");
+    let bundle = write_bundle(&dir, "demo-001", STALE_META);
+    // Given directly, and under a findings root.
+    for path in [&bundle, &dir] {
+        let out = assert_exit(&["replay", path.to_str().expect("utf-8")], 1);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("demo-001: PoC no longer crashes"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).expect("remove scratch");
+}
+
+/// Exit 1 means a PoC no longer fires; a root that cannot be read, holds a
+/// bundle that cannot be read, or holds no bundle at all is an input error,
+/// so a replay step pointed at the wrong directory fails instead of passing.
+#[test]
+fn replay_of_an_unreadable_or_empty_root_exits_2() {
+    let dir = scratch("replay-roots");
+    let missing = dir.join("no-such-root");
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(empty.join("not-a-bundle")).expect("empty root");
+    let malformed = dir.join("malformed");
+    write_bundle(&malformed, "demo-001", STALE_META);
+    write_bundle(&malformed, "demo-002", &STALE_META.replace("\"fixed\": 0", "\"fixed\": 0.5"));
+    for (root, says) in [
+        (&missing, "cannot read bundles under"),
+        (&empty, "no bundles under"),
+        (&malformed, "demo-002/meta.json: \"fixed\" is not a string, an i64 integer or null"),
+    ] {
+        let out = assert_exit(&["replay", root.to_str().expect("utf-8")], 2);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(says), "{stderr}");
+        assert!(out.stdout.is_empty(), "replay of {} printed before failing", root.display());
+    }
     std::fs::remove_dir_all(&dir).expect("remove scratch");
 }

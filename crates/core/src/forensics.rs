@@ -147,10 +147,10 @@ fn replay_logic(profile: &DialectProfile, bundle: &Bundle) -> Result<(), String>
     }
 }
 
-/// Reads every bundle under `root` and replays each one, collecting
-/// failures. `Ok(n)` = all `n` bundles replayed.
-pub fn replay_all(root: &Path) -> Result<usize, Vec<String>> {
-    let bundles = Bundle::read_all(root).map_err(|e| vec![e])?;
+/// Replays each bundle, collecting failures. `Ok(n)` = all `n` bundles
+/// replayed. Reading them ([`Bundle::read_all`]) is the caller's step, so a
+/// bundle that cannot be read is not mistaken for one that no longer fires.
+pub fn replay_all(bundles: &[Bundle]) -> Result<usize, Vec<String>> {
     let failures: Vec<String> =
         bundles.iter().filter_map(|b| replay_bundle(b).err()).collect();
     if failures.is_empty() {

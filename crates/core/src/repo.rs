@@ -32,7 +32,7 @@
 use crate::collect::Collection;
 use crate::patterns::GenCtx;
 use soft_obs::forensics::{sanitize_dir_name, Bundle};
-use soft_obs::json::{self, JsonValue};
+use soft_obs::json::{self, Record};
 use soft_parser::ast::{Expr, SelectBody, SelectItem, Statement};
 use soft_parser::visit;
 use std::collections::HashSet;
@@ -174,9 +174,7 @@ impl SeedRepository {
         let marker = root.join("repo.json");
         let text = fs::read_to_string(&marker)
             .map_err(|e| format!("{}: {e} (run `repro repo init` first?)", marker.display()))?;
-        let obj = json::parse_object(text.trim())
-            .map_err(|e| format!("{}: {e}", marker.display()))?;
-        match obj.get("format").and_then(JsonValue::as_str) {
+        match Record::parse(text.trim(), marker.display())?.str("format") {
             Some(FORMAT) => {}
             other => {
                 return Err(format!(
@@ -327,16 +325,7 @@ fn read_entry(dir: &Path) -> Result<RepoEntry, String> {
     let meta_path = dir.join("entry.json");
     let meta = fs::read_to_string(&meta_path)
         .map_err(|e| format!("{}: {e}", meta_path.display()))?;
-    let obj =
-        json::parse_object(meta.trim()).map_err(|e| format!("{}: {e}", meta_path.display()))?;
-    let str_key = |key: &str| -> Result<String, String> {
-        obj.get(key)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("{}: missing {key:?}", meta_path.display()))
-    };
-    let opt_key =
-        |key: &str| -> Option<String> { obj.get(key).and_then(JsonValue::as_str).map(str::to_string) };
+    let meta = Record::parse(meta.trim(), meta_path.display())?;
     let poc_path = dir.join("poc.sql");
     let poc = fs::read_to_string(&poc_path)
         .map(|s| s.trim_end().to_string())
@@ -346,18 +335,14 @@ fn read_entry(dir: &Path) -> Result<RepoEntry, String> {
         Err(_) => Vec::new(),
     };
     Ok(RepoEntry {
-        fault_id: str_key("fault_id")?,
-        dialect: str_key("dialect")?,
-        kind: str_key("kind")?,
-        category: str_key("category")?,
-        found_by_pattern: str_key("found_by_pattern")?,
-        function: opt_key("function"),
-        oracle: opt_key("oracle"),
-        statements_until_found: obj
-            .get("statements_until_found")
-            .and_then(JsonValue::as_num)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| format!("{}: missing statement index", meta_path.display()))?,
+        fault_id: meta.string("fault_id")?,
+        dialect: meta.string("dialect")?,
+        kind: meta.string("kind")?,
+        category: meta.string("category")?,
+        found_by_pattern: meta.string("found_by_pattern")?,
+        function: meta.str("function").map(str::to_string),
+        oracle: meta.str("oracle").map(str::to_string),
+        statements_until_found: meta.count("statements_until_found")?,
         poc,
         literals,
     })

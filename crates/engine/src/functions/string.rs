@@ -828,6 +828,7 @@ fn f_soundex(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineErr
 fn f_space(ctx: &mut FnCtx<'_>, args: &[Evaluated]) -> Result<Value, EngineError> {
     let n = some_or_null!(want_int(ctx, args, 0)?);
     let n = ctx.repeat_count(n)?;
+    ctx.charge_text(n)?;
     Ok(Value::Text(" ".repeat(n)))
 }
 

@@ -3,7 +3,7 @@
 //! the *guarded* behaviour — a value, a NULL, or an error, never a panic or
 //! a crash outcome on the fault-free engine.
 
-use soft_engine::{Engine, ExecOutcome, SqlError};
+use soft_engine::{Engine, EngineConfig, ExecOutcome, Limits, SqlError};
 
 fn engine() -> Engine {
     Engine::with_default_functions(Default::default())
@@ -188,6 +188,11 @@ fn pad_and_repeat_boundaries() {
         error(&mut e, "SELECT SPACE(99999999999)"),
         SqlError::ResourceLimit(_)
     ));
+    // SPACE charges the memory budget before it builds, as REPEAT does.
+    let limits = Limits { max_memory_bytes: 1000, ..Limits::default() };
+    let mut tight = Engine::with_default_functions(EngineConfig { limits, ..Default::default() });
+    assert!(matches!(error(&mut tight, "SELECT SPACE(5000)"), SqlError::ResourceLimit(_)));
+    assert_eq!(scalar(&mut tight, "SELECT LENGTH(SPACE(500))"), "500");
 }
 
 #[test]
@@ -255,6 +260,25 @@ fn json_path_boundaries() {
         error(&mut e, "SELECT JSON_OBJECT(NULL, 1)"),
         SqlError::Runtime(_)
     ));
+}
+
+#[test]
+fn json_string_boundaries() {
+    // RFC 8259 strings, as MySQL and PostgreSQL read them: a raw control
+    // character, a lone surrogate and a `\u` escape without four hex digits
+    // are invalid; a surrogate pair is one scalar.
+    let mut e = engine();
+    for invalid in [
+        r#"SELECT JSON_VALID(CONCAT('"a', CHAR(1), 'b"'))"#,
+        r#"SELECT JSON_VALID('"\\ud83e"')"#,
+        r#"SELECT JSON_VALID('"\\udd80"')"#,
+        r#"SELECT JSON_VALID('"\\u+abc"')"#,
+    ] {
+        assert_eq!(scalar(&mut e, invalid), "0", "{invalid}");
+    }
+    assert_eq!(scalar(&mut e, r#"SELECT JSON_VALID('"\\ud83e\\udd80"')"#), "1");
+    assert_eq!(scalar(&mut e, r#"SELECT JSON_UNQUOTE('"\\ud83e\\udd80"')"#), "🦀");
+    assert_eq!(scalar(&mut e, r#"SELECT LENGTH(JSON_UNQUOTE('"\\ud83e\\udd80"'))"#), "4");
 }
 
 #[test]

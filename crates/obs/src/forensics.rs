@@ -14,14 +14,14 @@
 //!   original.sql   # the pre-minimization statement that first fired
 //! ```
 //!
-//! `meta.json` is one flat JSON object in the same hand-rolled idiom as the
-//! journal, so [`crate::json`] round-trips it. This module is deliberately
+//! `meta.json` is one flat JSON record, like a journal line, so
+//! [`crate::json`] writes and reads it. This module is deliberately
 //! **stringly typed**: `soft-obs` sits below `soft-core` and `soft-dialects`
 //! in the crate graph, so kind/stage/pattern/dialect arrive as their stable
 //! labels and the conversion back to rich types happens in
 //! `soft_core::forensics`, which also owns replay.
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, Record};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -124,46 +124,30 @@ impl Bundle {
         let meta_path = dir.join("meta.json");
         let meta = fs::read_to_string(&meta_path)
             .map_err(|e| format!("{}: {e}", meta_path.display()))?;
-        let obj = json::parse_object(meta.trim())
-            .map_err(|e| format!("{}: {e}", meta_path.display()))?;
+        let meta = Record::parse(meta.trim(), meta_path.display())?;
         let read_sql = |file: &str| -> Result<String, String> {
             let path = dir.join(file);
             fs::read_to_string(&path)
                 .map(|s| s.trim_end().to_string())
                 .map_err(|e| format!("{}: {e}", path.display()))
         };
-        let str_key = |key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{}: missing {key:?}", meta_path.display()))
-        };
-        let opt_key = |key: &str| -> Option<String> {
-            obj.get(key).and_then(JsonValue::as_str).map(str::to_string)
-        };
-        let num_key = |key: &str| -> Result<i64, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_num)
-                .ok_or_else(|| format!("{}: missing {key:?}", meta_path.display()))
-        };
         Ok(Bundle {
-            fault_id: str_key("fault_id")?,
-            dialect: str_key("dialect")?,
-            kind: str_key("kind")?,
-            stage: str_key("stage")?,
-            category: str_key("category")?,
-            credited_pattern: str_key("credited_pattern")?,
-            found_by_pattern: str_key("found_by_pattern")?,
-            function: opt_key("function"),
-            seed_function: opt_key("seed_function"),
-            bucket: str_key("bucket")?,
-            statements_until_found: usize::try_from(num_key("statements_until_found")?)
-                .map_err(|_| format!("{}: negative statement index", meta_path.display()))?,
-            fixed: num_key("fixed")? != 0,
-            oracle: opt_key("oracle"),
-            expected: opt_key("expected"),
-            actual: opt_key("actual"),
-            replay: str_key("replay")?,
+            fault_id: meta.string("fault_id")?,
+            dialect: meta.string("dialect")?,
+            kind: meta.string("kind")?,
+            stage: meta.string("stage")?,
+            category: meta.string("category")?,
+            credited_pattern: meta.string("credited_pattern")?,
+            found_by_pattern: meta.string("found_by_pattern")?,
+            function: meta.str("function").map(str::to_string),
+            seed_function: meta.str("seed_function").map(str::to_string),
+            bucket: meta.string("bucket")?,
+            statements_until_found: meta.count("statements_until_found")?,
+            fixed: meta.integer("fixed")? != 0,
+            oracle: meta.str("oracle").map(str::to_string),
+            expected: meta.str("expected").map(str::to_string),
+            actual: meta.str("actual").map(str::to_string),
+            replay: meta.string("replay")?,
             poc: read_sql("poc.sql")?,
             original: read_sql("original.sql")?,
         })
@@ -283,10 +267,10 @@ mod tests {
     fn meta_is_one_flat_json_line() {
         let meta = sample().render_meta();
         assert_eq!(meta.lines().count(), 1);
-        let obj = json::parse_object(meta.trim()).expect("flat json");
-        assert_eq!(obj["fault_id"].as_str(), Some("clickhouse-string-npd-listing1-3"));
-        assert_eq!(obj["fixed"].as_num(), Some(1));
-        assert_eq!(obj["statements_until_found"].as_num(), Some(1234));
+        let rec = Record::parse(meta.trim(), "meta.json").expect("flat json");
+        assert_eq!(rec.str("fault_id"), Some("clickhouse-string-npd-listing1-3"));
+        assert_eq!(rec.int("fixed"), Some(1));
+        assert_eq!(rec.int("statements_until_found"), Some(1234));
     }
 
     #[test]

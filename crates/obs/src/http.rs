@@ -290,8 +290,8 @@ mod tests {
 
         let (head, body) = scrape(addr, "/status");
         assert!(head.contains("application/json"), "{head}");
-        let obj = crate::json::parse_object(body.trim()).expect("status json");
-        assert_eq!(obj["dialect"].as_str(), Some("DuckDB"));
+        let rec = crate::json::Record::parse(body.trim(), "/status").expect("status json");
+        assert_eq!(rec.str("dialect"), Some("DuckDB"));
 
         let (head, _) = scrape(addr, "/curve");
         assert!(head.contains("200 OK"), "{head}");
@@ -352,8 +352,8 @@ mod tests {
         stream.read_to_string(&mut response).expect("response");
         assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         let body = response.split_once("\r\n\r\n").expect("split").1;
-        let obj = crate::json::parse_object(body.trim()).expect("status json");
-        assert_eq!(obj["dialect"].as_str(), Some("DuckDB"));
+        let rec = crate::json::Record::parse(body.trim(), "/status").expect("status json");
+        assert_eq!(rec.str("dialect"), Some("DuckDB"));
     }
 
     #[test]
@@ -469,8 +469,8 @@ mod tests {
         let types: Vec<String> = events
             .lines()
             .map(|l| {
-                let obj = crate::json::parse_object(l).expect("event line is flat JSON");
-                obj["type"].as_str().expect("type").to_string()
+                let rec = crate::json::Record::parse(l, "event").expect("event line is flat JSON");
+                rec.str("type").expect("type").to_string()
             })
             .collect();
         assert_eq!(types, vec!["shard", "finding", "shard", "done"], "{events}");

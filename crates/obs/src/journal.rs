@@ -18,10 +18,9 @@
 
 use crate::curve::CoveragePoint;
 use crate::event::{OutcomeClass, StatementEvent};
-use crate::json::{self, JsonValue};
+use crate::json::{self, Record};
 use crate::schedule::EpochRealloc;
 use soft_engine::PatternId;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A globally ordered event journal.
@@ -72,20 +71,20 @@ impl Journal {
         ];
         match e.seed {
             Some(s) => fields.push(json::num_field("seed", s as i64)),
-            None => fields.push("\"seed\": null".to_string()),
+            None => fields.push(json::null_field("seed")),
         }
         match e.pattern {
             Some(p) => fields.push(json::str_field("pattern", p.label())),
-            None => fields.push("\"pattern\": null".to_string()),
+            None => fields.push(json::null_field("pattern")),
         }
         match &e.function {
             Some(f) => fields.push(json::str_field("function", f)),
-            None => fields.push("\"function\": null".to_string()),
+            None => fields.push(json::null_field("function")),
         }
         fields.push(json::str_field("outcome", e.outcome.label()));
         match &e.fault_id {
             Some(f) => fields.push(json::str_field("fault", f)),
-            None => fields.push("\"fault\": null".to_string()),
+            None => fields.push(json::null_field("fault")),
         }
         format!("{{{}}}", fields.join(", "))
     }
@@ -143,10 +142,8 @@ impl TraceFile {
             if line.trim().is_empty() {
                 continue;
             }
-            let obj = match json::parse_object(line)
-                .map_err(|e| format!("line {}: {e}", lineno + 1))
-            {
-                Ok(obj) => obj,
+            let rec = match Record::parse(line, format_args!("line {}", lineno + 1)) {
+                Ok(rec) => rec,
                 Err(e) if lenient => {
                     skipped += 1;
                     first_err.get_or_insert(e);
@@ -154,28 +151,19 @@ impl TraceFile {
                 }
                 Err(e) => return Err(e),
             };
-            let kind = obj.get("type").and_then(JsonValue::as_str).unwrap_or("");
             let record = (|| -> Result<(), String> {
-                match kind {
+                match rec.str("type").unwrap_or("") {
                     "campaign" => {
-                        out.dialect =
-                            obj.get("dialect").and_then(JsonValue::as_str).map(str::to_string);
-                        out.statements = get_usize(&obj, "statements");
-                        out.snapshot_interval = get_usize(&obj, "snapshot_interval");
+                        out.dialect = rec.str("dialect").map(str::to_string);
+                        out.statements = rec.usize("statements");
+                        out.snapshot_interval = rec.usize("snapshot_interval");
                     }
-                    "generated" => {
-                        let pattern = obj
-                            .get("pattern")
-                            .and_then(JsonValue::as_str)
-                            .and_then(PatternId::from_label)
-                            .ok_or_else(|| format!("line {}: bad pattern", lineno + 1))?;
-                        let cases = get_usize(&obj, "cases")
-                            .ok_or_else(|| format!("line {}: missing cases", lineno + 1))?;
-                        out.generated.push((pattern, cases));
-                    }
-                    "stmt" => events.push(parse_event(&obj, lineno + 1)?),
+                    "generated" => out
+                        .generated
+                        .push((rec.label("pattern", PatternId::from_label)?, rec.count("cases")?)),
+                    "stmt" => events.push(parse_event(&rec)?),
                     "epoch" => {
-                        let (header, alloc) = EpochRealloc::parse_record(&obj, lineno + 1)?;
+                        let (header, alloc) = EpochRealloc::parse_record(&rec)?;
                         match out.epochs.last_mut() {
                             Some(last) if last.epoch == header.epoch => {
                                 last.allocations.push(alloc)
@@ -188,11 +176,9 @@ impl TraceFile {
                         }
                     }
                     "coverage" => out.coverage.push(CoveragePoint {
-                        statements: get_usize(&obj, "statements").ok_or_else(|| {
-                            format!("line {}: missing statements", lineno + 1)
-                        })?,
-                        functions: get_usize(&obj, "functions").unwrap_or(0),
-                        branches: get_usize(&obj, "branches").unwrap_or(0),
+                        statements: rec.count("statements")?,
+                        functions: rec.usize("functions").unwrap_or(0),
+                        branches: rec.usize("branches").unwrap_or(0),
                     }),
                     _ => {}
                 }
@@ -260,29 +246,15 @@ impl TraceFile {
     }
 }
 
-fn get_usize(obj: &BTreeMap<String, JsonValue>, key: &str) -> Option<usize> {
-    obj.get(key).and_then(JsonValue::as_num).and_then(|n| usize::try_from(n).ok())
-}
-
-fn parse_event(
-    obj: &BTreeMap<String, JsonValue>,
-    lineno: usize,
-) -> Result<StatementEvent, String> {
+fn parse_event(rec: &Record) -> Result<StatementEvent, String> {
     Ok(StatementEvent {
-        index: get_usize(obj, "index").ok_or_else(|| format!("line {lineno}: missing index"))?,
-        shard: get_usize(obj, "shard").unwrap_or(0),
-        seed: get_usize(obj, "seed"),
-        pattern: obj
-            .get("pattern")
-            .and_then(JsonValue::as_str)
-            .and_then(PatternId::from_label),
-        function: obj.get("function").and_then(JsonValue::as_str).map(Into::into),
-        outcome: obj
-            .get("outcome")
-            .and_then(JsonValue::as_str)
-            .and_then(OutcomeClass::from_label)
-            .ok_or_else(|| format!("line {lineno}: bad outcome"))?,
-        fault_id: obj.get("fault").and_then(JsonValue::as_str).map(Into::into),
+        index: rec.count("index")?,
+        shard: rec.usize("shard").unwrap_or(0),
+        seed: rec.usize("seed"),
+        pattern: rec.str("pattern").and_then(PatternId::from_label),
+        function: rec.str("function").map(Into::into),
+        outcome: rec.label("outcome", OutcomeClass::from_label)?,
+        fault_id: rec.str("fault").map(Into::into),
     })
 }
 

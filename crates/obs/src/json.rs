@@ -1,332 +1,142 @@
-//! Hand-rolled, std-only JSON helpers for the JSONL journal sink.
+//! The flat JSON records of the JSONL journal, bundle `meta.json`,
+//! repository `entry.json`/`repo.json` and the live plane's JSON payloads.
 //!
-//! The workspace is hermetic (no `serde`), so the journal uses the same
-//! idiom as `soft-bench`'s `BENCH_*.json` writer: strings are escaped by
-//! hand and records are assembled with `format!`. This module adds the
-//! *reader* side — a deliberately minimal parser for the flat (non-nested)
-//! one-line objects the journal emits — so `repro trace` can analyze a
-//! journal without any external crate.
+//! A record is one line holding one object whose values are strings, `i64`
+//! integers or null. This module writes its fields and reads it back; the
+//! JSON itself, string escapes included, is `soft_types::json`'s, the
+//! workspace's one JSON parser and escaper.
 //!
 //! The reader backs user-supplied files (`repro trace <path>`, forensics
-//! `meta.json`), so it is hardened rather than trusting: truncated `\u`
-//! escapes, raw control characters, lone surrogates, and duplicate keys are
-//! all structured [`JsonError`]s with a byte offset — never a panic, never a
-//! silent accept.
+//! `meta.json`, a seed repository), so it fails closed: what is not a flat
+//! record (nesting, arrays, booleans, fractions and exponents, integers past
+//! `i64`, a repeated key, trailing bytes) and what is not RFC 8259 JSON
+//! (truncated or invalid escapes, raw control characters, lone surrogates)
+//! is an error naming the record's source, with the byte offset of a syntax
+//! error — never a panic, never a silent accept.
 
-use std::collections::BTreeMap;
+use soft_types::json::{self, JsonValue};
 use std::fmt;
-
-/// A parsed JSON scalar. The journal only ever writes flat objects whose
-/// values are strings, integers, or `null`, so that is all the reader
-/// models.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A JSON string (unescaped).
-    Str(String),
-    /// A JSON number (the journal only writes integers, parsed as `i64`).
-    Num(i64),
-    /// JSON `null`.
-    Null,
-}
-
-impl JsonValue {
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_num(&self) -> Option<i64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// A structured parse error: what went wrong and the byte offset it went
-/// wrong at. Callers that know the line number prepend it (see
-/// `TraceFile::parse`), giving `line N: offset M: ...` diagnostics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset into the line where the error was detected.
-    pub offset: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl JsonError {
-    fn new(offset: usize, message: impl Into<String>) -> JsonError {
-        JsonError { offset, message: message.into() }
-    }
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "offset {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Escapes `s` for inclusion in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use std::fmt::Write as _;
 
 /// Renders one `"key": value` pair for a string value.
 pub fn str_field(key: &str, value: &str) -> String {
-    format!("\"{}\": \"{}\"", escape(key), escape(value))
+    let mut out = field(key);
+    json::write_escaped(&mut out, value);
+    out
 }
 
 /// Renders one `"key": value` pair for an integer value.
 pub fn num_field(key: &str, value: i64) -> String {
-    format!("\"{}\": {}", escape(key), value)
+    let mut out = field(key);
+    let _ = write!(out, "{value}");
+    out
 }
 
 /// Renders one `"key": null` pair.
 pub fn null_field(key: &str) -> String {
-    format!("\"{}\": null", escape(key))
+    let mut out = field(key);
+    out.push_str("null");
+    out
 }
 
-/// Parses one flat JSON object line (`{"k": "v", "n": 3, "x": null}`) into
-/// a key → value map. Rejects nesting, arrays, floats, duplicate keys, and
-/// trailing junk — the journal never writes them, and a reader that
-/// silently accepted a malformed journal would mask sink bugs.
-pub fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, JsonError> {
-    let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut out = BTreeMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key_offset = p.pos;
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.parse_value()?;
-            if out.insert(key.clone(), value).is_some() {
-                return Err(JsonError::new(key_offset, format!("duplicate key {key:?}")));
-            }
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => {
-                    return Err(JsonError::new(
-                        p.pos.saturating_sub(1),
-                        format!("expected ',' or '}}', got {}", describe(other)),
-                    ))
-                }
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(JsonError::new(p.pos, "trailing bytes after object"));
-    }
-    Ok(out)
+/// `"key": `, the start of every field.
+fn field(key: &str) -> String {
+    let mut out = String::with_capacity(key.len() + 24);
+    json::write_escaped(&mut out, key);
+    out.push_str(": ");
+    out
 }
 
-/// Renders a byte for error messages (`end of input` for `None`).
-fn describe(b: Option<u8>) -> String {
-    match b {
-        None => "end of input".into(),
-        Some(b) if b.is_ascii_graphic() || b == b' ' => format!("{:?}", b as char),
-        Some(b) => format!("byte 0x{b:02x}"),
-    }
+/// One flat record read back: its fields and where it came from.
+///
+/// Every error, [`Record::parse`]'s and the required getters', starts with
+/// the record's source (`line 3: ...`, `<path>: ...`), so a caller reports
+/// it as it is.
+#[derive(Debug)]
+pub struct Record {
+    source: String,
+    /// Sorted by key, no key twice.
+    fields: Vec<(String, JsonValue)>,
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+impl Record {
+    /// Parses `text` with `soft_types::json::parse` and requires a flat
+    /// record: a top-level object whose values are strings, integers that
+    /// fit an `i64`, or null, with no key repeated. `source` names the text
+    /// in errors.
+    pub fn parse(text: &str, source: impl fmt::Display) -> Result<Record, String> {
+        let source = source.to_string();
+        let value = soft_types::json::parse(text).map_err(|e| format!("{source}: {e}"))?;
+        let JsonValue::Object(mut fields) = value else {
+            return Err(format!("{source}: expected a JSON object, got {}", value.type_name()));
+        };
+        let flat = |value: &JsonValue| match value {
+            JsonValue::String(_) | JsonValue::Null => true,
+            JsonValue::Number(n) => n.parse::<i64>().is_ok(),
+            _ => false,
+        };
+        if let Some((key, _)) = fields.iter().find(|(_, value)| !flat(value)) {
+            return Err(format!("{source}: {key:?} is not a string, an i64 integer or null"));
+        }
+        fields.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if let Some(pair) = fields.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(format!("{source}: duplicate key {:?}", pair[0].0));
+        }
+        Ok(Record { source, fields })
     }
 
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
+    fn get(&self, key: &str) -> Option<&JsonValue> {
+        let i = self.fields.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()?;
+        Some(&self.fields[i].1)
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
+    /// The string at `key`, if `key` holds one.
+    pub fn str(&self, key: &str) -> Option<&str> {
+        match self.get(key)? {
+            JsonValue::String(s) => Some(s),
+            _ => None,
         }
     }
 
-    fn expect(&mut self, want: u8) -> Result<(), JsonError> {
-        let at = self.pos;
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(JsonError::new(
-                at,
-                format!("expected {:?}, got {}", want as char, describe(other)),
-            )),
+    /// The integer at `key`, if `key` holds one.
+    pub fn int(&self, key: &str) -> Option<i64> {
+        match self.get(key)? {
+            JsonValue::Number(n) => n.parse().ok(),
+            _ => None,
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(JsonValue::Null)
-                } else {
-                    Err(JsonError::new(self.pos, "bad literal (expected null)"))
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            other => {
-                Err(JsonError::new(self.pos, format!("unsupported value start {}", describe(other))))
-            }
-        }
+    /// The integer at `key`, if `key` holds one that fits a `usize`.
+    pub fn usize(&self, key: &str) -> Option<usize> {
+        self.int(key).and_then(|n| usize::try_from(n).ok())
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        // The slice is only ASCII digits (and a leading '-') by
-        // construction, so from_utf8 cannot fail.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| JsonError::new(start, "non-ascii number"))?;
-        text.parse::<i64>()
-            .map(JsonValue::Num)
-            .map_err(|e| JsonError::new(start, format!("bad number {text:?}: {e}")))
+    /// The string at `key`, or an error naming `key`.
+    pub fn string(&self, key: &str) -> Result<String, String> {
+        self.str(key).map(str::to_string).ok_or_else(|| self.missing("string", key))
     }
 
-    /// Reads the 4 hex digits of a `\u` escape (the `\u` already consumed).
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(JsonError::new(self.pos, "truncated \\u escape"));
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| JsonError::new(self.pos, "non-utf8 \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16)
-            .map_err(|e| JsonError::new(self.pos, format!("bad \\u escape {hex:?}: {e}")))?;
-        self.pos += 4;
-        Ok(code)
+    /// The integer at `key`, or an error naming `key`.
+    pub fn integer(&self, key: &str) -> Result<i64, String> {
+        self.int(key).ok_or_else(|| self.missing("integer", key))
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let at = self.pos;
-            match self.next() {
-                None => return Err(JsonError::new(at, "unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let code = self.parse_hex4()?;
-                        let c = match code {
-                            // High surrogate: a low surrogate escape MUST
-                            // follow, and the pair decodes to one scalar.
-                            0xd800..=0xdbff => {
-                                if self.next() != Some(b'\\') || self.next() != Some(b'u') {
-                                    return Err(JsonError::new(
-                                        at,
-                                        "lone high surrogate (expected \\u low surrogate)",
-                                    ));
-                                }
-                                let low = self.parse_hex4()?;
-                                if !(0xdc00..=0xdfff).contains(&low) {
-                                    return Err(JsonError::new(
-                                        at,
-                                        format!("bad low surrogate \\u{low:04x}"),
-                                    ));
-                                }
-                                let scalar =
-                                    0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                char::from_u32(scalar).ok_or_else(|| {
-                                    JsonError::new(at, "surrogate pair out of range")
-                                })?
-                            }
-                            0xdc00..=0xdfff => {
-                                return Err(JsonError::new(at, "lone low surrogate"))
-                            }
-                            _ => char::from_u32(code).ok_or_else(|| {
-                                JsonError::new(at, format!("invalid scalar \\u{code:04x}"))
-                            })?,
-                        };
-                        out.push(c);
-                    }
-                    other => {
-                        return Err(JsonError::new(
-                            at,
-                            format!("bad escape \\{}", describe(other)),
-                        ))
-                    }
-                },
-                // RFC 8259: control characters must be escaped inside
-                // strings; a raw one means the line was mangled.
-                Some(b) if b < 0x20 => {
-                    return Err(JsonError::new(
-                        at,
-                        format!("raw control character 0x{b:02x} in string"),
-                    ))
-                }
-                Some(b) => {
-                    // Re-decode the UTF-8 sequence starting at `b`.
-                    let len = utf8_len(b);
-                    let start = self.pos - 1;
-                    if start + len > self.bytes.len() {
-                        return Err(JsonError::new(start, "truncated utf-8 sequence"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..start + len])
-                        .map_err(|_| JsonError::new(start, "invalid utf-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
-            }
-        }
+    /// The non-negative integer at `key`, or an error naming `key`.
+    pub fn count(&self, key: &str) -> Result<usize, String> {
+        self.usize(key).ok_or_else(|| self.missing("count", key))
     }
-}
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+    /// The string at `key` read by `from_label`, or an error naming `key`
+    /// when it is absent or not a label `from_label` knows.
+    pub fn label<T>(&self, key: &str, from_label: fn(&str) -> Option<T>) -> Result<T, String> {
+        self.str(key).and_then(from_label).ok_or_else(|| self.missing("label", key))
+    }
+
+    /// The error for a required `key` that is absent (`missing`) or holds
+    /// a value that is not a `what` (`invalid`).
+    fn missing(&self, what: &str, key: &str) -> String {
+        let problem = if self.get(key).is_some() { "invalid" } else { "missing" };
+        format!("{}: {problem} {what} {key:?}", self.source)
     }
 }
 
@@ -334,22 +144,30 @@ fn utf8_len(first: u8) -> usize {
 mod tests {
     use super::*;
 
+    fn parse(line: &str) -> Result<Record, String> {
+        Record::parse(line, "line 1")
+    }
+
     #[test]
     fn escape_round_trips_through_the_parser() {
         let nasty = "a\"b\\c\nd\te\u{1}é—🦀";
         let line = format!("{{{}}}", str_field("k", nasty));
-        let obj = parse_object(&line).expect("parses");
-        assert_eq!(obj["k"].as_str(), Some(nasty));
+        assert_eq!(parse(&line).expect("parses").str("k"), Some(nasty));
     }
 
     #[test]
     fn parses_flat_objects_with_mixed_values() {
-        let obj = parse_object(r#"{"type": "stmt", "index": 42, "fault": null, "neg": -7}"#)
+        let rec = parse(r#"{"type": "stmt", "index": 42, "fault": null, "neg": -7}"#)
             .expect("parses");
-        assert_eq!(obj["type"].as_str(), Some("stmt"));
-        assert_eq!(obj["index"].as_num(), Some(42));
-        assert_eq!(obj["fault"], JsonValue::Null);
-        assert_eq!(obj["neg"].as_num(), Some(-7));
+        assert_eq!(rec.str("type"), Some("stmt"));
+        assert_eq!(rec.int("index"), Some(42));
+        assert_eq!(rec.get("fault"), Some(&JsonValue::Null));
+        assert_eq!(rec.int("neg"), Some(-7));
+        assert_eq!(rec.usize("neg"), None);
+        assert_eq!(rec.count("index"), Ok(42));
+        assert_eq!(rec.string("index"), Err("line 1: invalid string \"index\"".into()));
+        assert_eq!(rec.count("neg"), Err("line 1: invalid count \"neg\"".into()));
+        assert_eq!(rec.integer("gone"), Err("line 1: missing integer \"gone\"".into()));
     }
 
     #[test]
@@ -359,11 +177,18 @@ mod tests {
             "{\"a\" 1}",
             "{\"a\": 1} trailing",
             "{\"a\": [1]}",
+            "{\"a\": {\"b\": 1}}",
             "{\"a\": 1.5}",
+            "{\"a\": 1e3}",
+            "{\"a\": 9223372036854775808}",
+            "{\"a\": true}",
+            "[1]",
+            "\"a\"",
             "not json",
             "{\"a\": nul}",
         ] {
-            assert!(parse_object(bad).is_err(), "accepted {bad:?}");
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("line 1: "), "{bad:?} -> {err}");
         }
     }
 
@@ -375,63 +200,62 @@ mod tests {
             "{\"a\": \"\\u00",      // line ends inside the escape
             "{\"a\": \"\\q\"}",     // unknown escape letter
             "{\"a\": \"\\uzzzz\"}", // non-hex digits
+            "{\"a\": \"\\u+abc\"}", // a sign is not a hex digit
         ] {
-            let err = parse_object(bad).expect_err(bad);
-            assert!(err.message.contains("escape"), "{bad:?} -> {err}");
+            let err = parse(bad).expect_err(bad);
+            assert!(err.contains("escape"), "{bad:?} -> {err}");
         }
-        // The offset points into the line, and Display carries it.
-        let err = parse_object("{\"a\": \"\\u00\"}").expect_err("truncated");
-        assert!(err.offset > 0 && err.offset < 14, "offset {}", err.offset);
-        assert!(format!("{err}").starts_with(&format!("offset {}", err.offset)));
+        // The offset points into the line, after the source's prefix.
+        let err = parse("{\"a\": \"\\u00\"}").expect_err("truncated");
+        assert_eq!(err, "line 1: invalid JSON at byte 8: invalid \\u escape");
     }
 
     #[test]
     fn rejects_raw_control_characters() {
-        let bad = "{\"a\": \"x\u{1}y\"}";
-        let err = parse_object(bad).expect_err("raw control char");
-        assert!(err.message.contains("control character"), "{err}");
+        let err = parse("{\"a\": \"x\u{1}y\"}").expect_err("raw control char");
+        assert_eq!(err, "line 1: invalid JSON at byte 8: raw control character in string");
         // The escaped form of the same payload is fine.
         let ok = format!("{{{}}}", str_field("a", "x\u{1}y"));
-        assert_eq!(parse_object(&ok).expect("parses")["a"].as_str(), Some("x\u{1}y"));
+        assert_eq!(parse(&ok).expect("parses").str("a"), Some("x\u{1}y"));
     }
 
     #[test]
     fn rejects_duplicate_keys() {
-        let err = parse_object(r#"{"a": 1, "b": 2, "a": 3}"#).expect_err("dup key");
-        assert!(err.message.contains("duplicate key \"a\""), "{err}");
-        // The offset points at the second "a".
-        assert_eq!(err.offset, 17);
+        let err = parse(r#"{"a": 1, "b": 2, "a": 3}"#).expect_err("dup key");
+        assert_eq!(err, "line 1: duplicate key \"a\"");
     }
 
     #[test]
     fn surrogate_pairs_decode_and_lone_surrogates_are_errors() {
-        let obj = parse_object(r#"{"crab": "\ud83e\udd80"}"#).expect("pair decodes");
-        assert_eq!(obj["crab"].as_str(), Some("🦀"));
+        let rec = parse(r#"{"crab": "\ud83e\udd80"}"#).expect("pair decodes");
+        assert_eq!(rec.str("crab"), Some("🦀"));
         for bad in [
             r#"{"a": "\ud83e"}"#,        // lone high surrogate
             r#"{"a": "\ud83e x"}"#,      // high surrogate, then plain text
             r#"{"a": "\udd80"}"#,        // lone low surrogate
             r#"{"a": "\ud83e\u0041"}"#,  // high surrogate + non-surrogate
         ] {
-            let err = parse_object(bad).expect_err(bad);
-            assert!(err.message.contains("surrogate"), "{bad:?} -> {err}");
+            let err = parse(bad).expect_err(bad);
+            assert!(err.contains("surrogate"), "{bad:?} -> {err}");
         }
     }
 
     #[test]
     fn accepts_the_remaining_rfc_escapes() {
-        let obj = parse_object(r#"{"a": "\/\b\f"}"#).expect("parses");
-        assert_eq!(obj["a"].as_str(), Some("/\u{8}\u{c}"));
+        let rec = parse(r#"{"a": "\/\b\f"}"#).expect("parses");
+        assert_eq!(rec.str("a"), Some("/\u{8}\u{c}"));
     }
 
     #[test]
     fn null_field_renders_and_parses() {
         let line = format!("{{{}}}", null_field("gone"));
-        assert_eq!(parse_object(&line).expect("parses")["gone"], JsonValue::Null);
+        let rec = parse(&line).expect("parses");
+        assert_eq!(rec.get("gone"), Some(&JsonValue::Null));
+        assert_eq!(rec.str("gone"), None);
     }
 
     #[test]
     fn empty_object_parses() {
-        assert!(parse_object("{}").expect("parses").is_empty());
+        assert!(parse("{}").expect("parses").fields.is_empty());
     }
 }

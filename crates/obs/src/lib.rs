@@ -20,8 +20,10 @@
 //!   deterministic shard merge;
 //! * [`schedule`] — the feedback scheduler's deterministic epoch
 //!   reallocation records ([`EpochRealloc`]), journaled beside the events;
-//! * [`json`] — the hand-rolled std-only JSON helpers behind the JSONL
-//!   sink (the same idiom as `soft-bench`'s `BENCH_*.json` writer).
+//! * [`json`] — the flat JSONL records (journal lines, bundle and
+//!   repository metadata, live payloads): field writers and a
+//!   [`json::Record`] reader, both over `soft_types::json`, the
+//!   workspace's one JSON parser and escaper.
 //!
 //! On top of the deterministic plane sits the **live plane** — wall-clock
 //! observability that workers feed wait-free while the campaign runs and

@@ -632,7 +632,6 @@ impl LiveSnapshot {
     /// Flat on purpose: it parses with the same [`crate::json`] reader the
     /// journal uses.
     pub fn render_status_json(&self) -> String {
-        use crate::json::{num_field, str_field};
         let mut fields = vec![
             str_field("dialect", &self.dialect),
             num_field("elapsed_ms", self.elapsed_ms as i64),
@@ -653,7 +652,6 @@ impl LiveSnapshot {
     /// Renders the live growth curves as JSONL — the `/curve` payload, in
     /// the same record idiom as the campaign journal.
     pub fn render_curve_jsonl(&self) -> String {
-        use crate::json::{num_field, str_field};
         let mut out = String::new();
         for b in &self.bug_curve {
             let _ = writeln!(
@@ -704,6 +702,7 @@ impl LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Record;
 
     fn registry_with_activity() -> LiveMetrics {
         let m = LiveMetrics::new();
@@ -731,14 +730,14 @@ mod tests {
         let types: Vec<String> = lines
             .iter()
             .map(|l| {
-                let obj = crate::json::parse_object(l).expect("flat json event");
-                obj["type"].as_str().expect("type").to_string()
+                let rec = Record::parse(l, "event").expect("flat json event");
+                rec.str("type").expect("type").to_string()
             })
             .collect();
         assert_eq!(types, vec!["shard", "finding", "shard"]);
-        let finding = crate::json::parse_object(&lines[1]).expect("finding");
-        assert_eq!(finding["fault"].as_str(), Some("f-1"));
-        assert_eq!(finding["unique"].as_num(), Some(1));
+        let finding = Record::parse(&lines[1], "finding").expect("finding");
+        assert_eq!(finding.str("fault"), Some("f-1"));
+        assert_eq!(finding.int("unique"), Some(1));
 
         m.record_epoch(1, 65, 1000);
         m.record_stall(0, 3, 6000);
@@ -754,10 +753,10 @@ mod tests {
             })
             .collect();
         assert_eq!(rest_types, vec!["epoch", "stall", "done"]);
-        let done_line = crate::json::parse_object(&rest[2]).expect("done event");
-        assert_eq!(done_line["type"].as_str(), Some("done"));
-        assert_eq!(done_line["statements"].as_num(), Some(3));
-        assert_eq!(done_line["unique"].as_num(), Some(1));
+        let done_line = Record::parse(&rest[2], "done").expect("done event");
+        assert_eq!(done_line.str("type"), Some("done"));
+        assert_eq!(done_line.int("statements"), Some(3));
+        assert_eq!(done_line.int("unique"), Some(1));
         // Reads past the end are empty, not a panic.
         assert!(m.events_since(999).0.is_empty());
     }
@@ -818,11 +817,11 @@ mod tests {
     #[test]
     fn status_json_is_flat_parseable() {
         let s = registry_with_activity().snapshot();
-        let obj = crate::json::parse_object(s.render_status_json().trim()).expect("flat json");
-        assert_eq!(obj["dialect"].as_str(), Some("MonetDB"));
-        assert_eq!(obj["statements"].as_num(), Some(3));
-        assert_eq!(obj["unique_faults"].as_num(), Some(1));
-        assert_eq!(obj["crash"].as_num(), Some(1));
+        let rec = Record::parse(s.render_status_json().trim(), "status").expect("flat json");
+        assert_eq!(rec.str("dialect"), Some("MonetDB"));
+        assert_eq!(rec.int("statements"), Some(3));
+        assert_eq!(rec.int("unique_faults"), Some(1));
+        assert_eq!(rec.int("crash"), Some(1));
     }
 
     #[test]
@@ -831,12 +830,12 @@ mod tests {
         let text = s.render_curve_jsonl();
         let lines: Vec<_> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        let bug = crate::json::parse_object(lines[0]).expect("bug line");
-        assert_eq!(bug["type"].as_str(), Some("bug"));
-        assert_eq!(bug["fault"].as_str(), Some("f-1"));
-        let cov = crate::json::parse_object(lines[1]).expect("coverage line");
-        assert_eq!(cov["type"].as_str(), Some("coverage"));
-        assert_eq!(cov["functions"].as_num(), Some(1));
+        let bug = Record::parse(lines[0], "line 1").expect("bug line");
+        assert_eq!(bug.str("type"), Some("bug"));
+        assert_eq!(bug.str("fault"), Some("f-1"));
+        let cov = Record::parse(lines[1], "line 2").expect("coverage line");
+        assert_eq!(cov.str("type"), Some("coverage"));
+        assert_eq!(cov.int("functions"), Some(1));
     }
 
     #[test]

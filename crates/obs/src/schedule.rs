@@ -26,10 +26,9 @@
 //! Pre-scheduler readers ignore unknown record types, so journals with
 //! epoch records stay readable by older tooling and vice versa.
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, Record};
 use soft_engine::PatternId;
 use soft_types::category::FunctionCategory;
-use std::collections::BTreeMap;
 
 /// One arm's share of one epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,39 +87,19 @@ impl EpochRealloc {
     /// Parses one `"epoch"` journal record into its `(epoch header, arm
     /// allocation)` pair. The caller groups consecutive records by epoch
     /// number (see `TraceFile::parse`).
-    pub fn parse_record(
-        obj: &BTreeMap<String, JsonValue>,
-        lineno: usize,
-    ) -> Result<(EpochRealloc, ArmAlloc), String> {
-        let num = |key: &str| -> Result<usize, String> {
-            obj.get(key)
-                .and_then(JsonValue::as_num)
-                .and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| format!("line {lineno}: missing {key:?}"))
-        };
+    pub fn parse_record(rec: &Record) -> Result<(EpochRealloc, ArmAlloc), String> {
         let header = EpochRealloc {
-            epoch: num("epoch")?,
-            start_statement: num("start")?,
-            budget: num("budget")?,
+            epoch: rec.count("epoch")?,
+            start_statement: rec.count("start")?,
+            budget: rec.count("budget")?,
             allocations: Vec::new(),
         };
         let alloc = ArmAlloc {
-            pattern: obj
-                .get("pattern")
-                .and_then(JsonValue::as_str)
-                .and_then(PatternId::from_label)
-                .ok_or_else(|| format!("line {lineno}: bad pattern"))?,
-            category: obj
-                .get("category")
-                .and_then(JsonValue::as_str)
-                .and_then(FunctionCategory::from_label)
-                .ok_or_else(|| format!("line {lineno}: bad category"))?,
-            planned: num("planned")?,
-            executed: num("executed")?,
-            score_milli: obj
-                .get("score_milli")
-                .and_then(JsonValue::as_num)
-                .ok_or_else(|| format!("line {lineno}: missing \"score_milli\""))?,
+            pattern: rec.label("pattern", PatternId::from_label)?,
+            category: rec.label("category", FunctionCategory::from_label)?,
+            planned: rec.count("planned")?,
+            executed: rec.count("executed")?,
+            score_milli: rec.integer("score_milli")?,
         };
         Ok((header, alloc))
     }
@@ -161,9 +140,9 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         let mut rebuilt: Option<EpochRealloc> = None;
         for (i, line) in text.lines().enumerate() {
-            let obj = json::parse_object(line).expect("flat json");
-            assert_eq!(obj["type"].as_str(), Some("epoch"));
-            let (header, alloc) = EpochRealloc::parse_record(&obj, i + 1).expect("parses");
+            let rec = Record::parse(line, format_args!("line {}", i + 1)).expect("flat json");
+            assert_eq!(rec.str("type"), Some("epoch"));
+            let (header, alloc) = EpochRealloc::parse_record(&rec).expect("parses");
             let e = rebuilt.get_or_insert(header);
             e.allocations.push(alloc);
         }
@@ -174,15 +153,22 @@ mod tests {
     fn negative_scores_survive() {
         let e = sample();
         let line = e.to_jsonl().lines().nth(1).expect("two lines").to_string();
-        let obj = json::parse_object(&line).expect("parses");
-        let (_, alloc) = EpochRealloc::parse_record(&obj, 2).expect("parses");
+        let rec = Record::parse(&line, "line 2").expect("parses");
+        let (_, alloc) = EpochRealloc::parse_record(&rec).expect("parses");
         assert_eq!(alloc.score_milli, -12);
     }
 
     #[test]
     fn malformed_records_name_the_line() {
-        let obj = json::parse_object(r#"{"type": "epoch", "epoch": 0}"#).expect("parses");
-        let err = EpochRealloc::parse_record(&obj, 7).expect_err("incomplete");
-        assert!(err.contains("line 7"), "{err}");
+        let rec = Record::parse(r#"{"type": "epoch", "epoch": 0}"#, "line 7").expect("parses");
+        let err = EpochRealloc::parse_record(&rec).expect_err("incomplete");
+        assert_eq!(err, "line 7: missing count \"start\"");
+        let line = sample().to_jsonl().lines().next().expect("a line").replace(
+            &format!("\"{}\"", PatternId::P1_1.label()),
+            "\"P9.9\"",
+        );
+        let rec = Record::parse(&line, "line 7").expect("parses");
+        let err = EpochRealloc::parse_record(&rec).expect_err("unknown pattern");
+        assert_eq!(err, "line 7: invalid label \"pattern\"");
     }
 }

@@ -35,6 +35,7 @@
 //! journal, including ones recorded before spans existed.
 
 use crate::journal::TraceFile;
+use crate::json::str_field;
 use soft_types::json::JsonValue;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -156,8 +157,8 @@ impl SpanTrace {
         let mut rows: Vec<String> = Vec::with_capacity(self.spans.len() + tracks.len() + 1);
         rows.push(format!(
             "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            crate::json::escape(process_name)
+             \"args\": {{{}}}}}",
+            str_field("name", process_name)
         ));
         for &t in &tracks {
             rows.push(format!(
@@ -168,15 +169,14 @@ impl SpanTrace {
         }
         for s in &self.spans {
             let mut row = format!(
-                "{{\"name\": \"{}\", \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \
-                 \"ts\": {}, \"dur\": {}",
-                crate::json::escape(s.name),
+                "{{{}, \"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {}, \"dur\": {}",
+                str_field("name", s.name),
                 s.track,
                 micros(s.start_ns),
                 micros(s.dur_ns.max(1)),
             );
             if let Some(d) = &s.detail {
-                let _ = write!(row, ", \"args\": {{\"detail\": \"{}\"}}", crate::json::escape(d));
+                let _ = write!(row, ", \"args\": {{{}}}", str_field("detail", d));
             }
             row.push('}');
             rows.push(row);

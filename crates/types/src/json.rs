@@ -1,6 +1,14 @@
 //! A JSON value model with a depth-limited recursive-descent parser, a
 //! serializer, and a JSON-path subset.
 //!
+//! This is the workspace's one JSON parser and string escaper: the SQL
+//! `JSON_*` built-ins, the trace-export check and `soft_obs::json`'s record
+//! reader (journals, bundle and repository files) all use it. Strings are
+//! read as RFC 8259 requires, as MySQL and PostgreSQL read them: a raw
+//! control character is an error, a `\u` escape takes exactly four hex
+//! digits, and a surrogate pair decodes to one scalar while a lone
+//! surrogate is an error.
+//!
 //! PostgreSQL's CVE-2015-5289 — a stack overflow from `REPEAT('[', 1000)::json`
 //! because `parse_array` recursed once per `[` — is the canonical nested-
 //! function bug in the paper. This parser reproduces that code path: it is
@@ -225,7 +233,11 @@ fn escaped_len(s: &str) -> usize {
             .sum::<usize>()
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal, quotes included: `"`,
+/// `\\`, `\n`, `\r` and `\t` as two-byte escapes, every other control
+/// character as `\u00XX`, everything else as it is. The workspace's one JSON
+/// string escaper.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -383,21 +395,16 @@ impl<'a> Parser<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.text.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = &self.text.as_bytes()[self.pos + 1..self.pos + 5];
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
+                            out.push(self.unicode_escape()?);
+                            continue;
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
                 }
+                // RFC 8259: a control character inside a string must be
+                // escaped; MySQL and PostgreSQL reject a raw one too.
+                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
                     // Consume one UTF-8 scalar: decode only the next
                     // character, so a string parses in linear time.
@@ -408,6 +415,50 @@ impl<'a> Parser<'a> {
                 }
             }
         }
+    }
+
+    /// Decodes the `\u` escape whose `u` is at `pos`, leaving `pos` after
+    /// it: a BMP scalar, or a high surrogate joined with the low surrogate
+    /// escape that must follow it. A lone surrogate is an error, as RFC 8259
+    /// text must encode Unicode scalars.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let start = self.pos - 1;
+        let lone = || JsonError::Syntax {
+            message: "lone surrogate in \\u escape".into(),
+            offset: start,
+        };
+        let code = match self.hex4()? {
+            high @ 0xd800..=0xdbff => {
+                if !self.text.as_bytes()[self.pos..].starts_with(b"\\u") {
+                    return Err(lone());
+                }
+                self.pos += 1;
+                match self.hex4()? {
+                    low @ 0xdc00..=0xdfff => 0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00),
+                    _ => return Err(lone()),
+                }
+            }
+            0xdc00..=0xdfff => return Err(lone()),
+            code => code,
+        };
+        char::from_u32(code).ok_or_else(lone)
+    }
+
+    /// Reads the four hex digits after the `u` at `pos`, leaving `pos` after
+    /// them. Exactly four ASCII hex digits: no sign, no fewer.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos + 1..self.pos + 5)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let digit = char::from(d).to_digit(16).ok_or_else(|| self.err("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 5;
+        Ok(code)
     }
 
     fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
@@ -623,6 +674,28 @@ mod tests {
     fn string_escapes() {
         let v = parse(r#""a\nb\t\"c\" A""#).unwrap();
         assert_eq!(v, JsonValue::String("a\nb\t\"c\" A".into()));
+    }
+
+    #[test]
+    fn strings_are_rfc_8259_strict() {
+        // A surrogate pair is one scalar, not two U+FFFD.
+        assert_eq!(parse(r#""\ud83e\udd80""#).unwrap(), JsonValue::String("🦀".into()));
+        assert_eq!(parse(r#""\u00e9\u0041""#).unwrap(), JsonValue::String("éA".into()));
+        for (bad, offset, message) in [
+            ("\"a\u{1}b\"", 2, "raw control character in string"),
+            ("[\"\t\"]", 2, "raw control character in string"),
+            (r#""\ud83e""#, 1, "lone surrogate in \\u escape"),
+            (r#""\ud83e x""#, 1, "lone surrogate in \\u escape"),
+            (r#""\ud83e\u0041""#, 1, "lone surrogate in \\u escape"),
+            (r#""\udd80""#, 1, "lone surrogate in \\u escape"),
+            (r#""\u+abc""#, 2, "invalid \\u escape"),
+            (r#""\u00g0""#, 2, "invalid \\u escape"),
+            (r#""\u00""#, 2, "truncated \\u escape"),
+            (r#""\ud83e\u12"#, 8, "truncated \\u escape"),
+        ] {
+            let want = JsonError::Syntax { message: message.into(), offset };
+            assert_eq!(parse(bad), Err(want), "{bad:?}");
+        }
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! A built-in call does each step once: its name resolves at the call (no
 //! prepare-time dispatch table), its arguments coerce through one
 //! function, and its values carry a flat, `Copy` provenance tag.
-//! The flight recorder keeps one timing record, its spans, and reads its
-//! trace exports back with the workspace's one nested JSON parser.
+//! The flight recorder keeps one timing record, its spans. The workspace
+//! has one JSON parser and one string escaper, `soft_types::json`'s: the
+//! trace-export check and the journal, bundle and repository readers use
+//! them, and `soft_obs::json` is a flat-record layer over them.
 //! The tests read the source itself, so a removed path cannot quietly come
 //! back.
 
@@ -30,6 +32,7 @@ const BOUNDARY: &str = include_str!("../crates/types/src/boundary.rs");
 const EVAL: &str = include_str!("../crates/engine/src/eval.rs");
 const OBS_LIB: &str = include_str!("../crates/obs/src/lib.rs");
 const SPAN: &str = include_str!("../crates/obs/src/span.rs");
+const OBS_JSON: &str = include_str!("../crates/obs/src/json.rs");
 
 /// The part of a source file before its `#[cfg(test)]` module.
 fn non_test(src: &'static str) -> &'static str {
@@ -342,10 +345,23 @@ fn spans_are_the_only_timing_record() {
             assert!(!mentions(code, removed), "{path} names {removed} again");
         }
     }
-    // One nested JSON parser: the trace-export check reads the export with
+    // One JSON parser: the trace-export check reads the export with
     // `soft_types::json` instead of a second hand-written parser.
     let span = non_test(SPAN);
     assert!(!span.contains("struct Validator"), "span.rs has its own JSON parser again");
     let validate = fn_body(span, "validate_json", "");
     assert!(validate.contains("soft_types::json::parse("), "validate_json parses on its own");
+}
+
+#[test]
+fn one_json_parser() {
+    // The flat-record layer parses with `soft_types::json` and escapes with
+    // it; it declares no parser, value or error type and no escape loop of
+    // its own.
+    let json = non_test(OBS_JSON);
+    for second in ["struct Parser", "enum JsonValue", "JsonError", "fn escape"] {
+        assert!(!json.contains(second), "crates/obs/src/json.rs declares {second} again");
+    }
+    assert!(json.contains("soft_types::json::parse("), "the record reader parses on its own");
+    assert!(json.contains("json::write_escaped("), "the field writers escape on their own");
 }

@@ -70,12 +70,13 @@ fn every_campaign_finding_bundles_and_replays() {
     }
 
     // The batch replay API agrees.
-    assert_eq!(replay_all(&root), Ok(bundles.len()));
+    assert_eq!(replay_all(&bundles), Ok(bundles.len()));
 
     // Tampering is detected: breaking one PoC fails the batch.
     let victim = &dirs[0];
     std::fs::write(victim.join("poc.sql"), "SELECT 1\n").expect("tamper");
-    let failures = replay_all(&root).expect_err("tampered bundle must fail replay");
+    let tampered = Bundle::read_all(&root).expect("tampered root reads back");
+    let failures = replay_all(&tampered).expect_err("tampered bundle must fail replay");
     assert_eq!(failures.len(), 1);
     assert!(failures[0].contains("no longer crashes"), "{failures:?}");
 
@@ -122,7 +123,7 @@ fn logic_findings_bundle_with_oracle_provenance_and_replay() {
     }
 
     // One batch replay covers both planes.
-    assert_eq!(replay_all(&root), Ok(bundles.len()));
+    assert_eq!(replay_all(&bundles), Ok(bundles.len()));
     std::fs::remove_dir_all(&root).expect("cleanup");
 }
 
@@ -140,8 +141,9 @@ fn bundles_replay_for_a_second_dialect() {
     assert!(!report.findings.is_empty(), "campaign must find bugs to bundle");
     let root = temp_root("monetdb");
     write_campaign_bundles(&profile, &report, &root).expect("bundles written");
-    assert_eq!(replay_all(&root), Ok(report.findings.len()));
-    for bundle in Bundle::read_all(&root).expect("reads back") {
+    let bundles = Bundle::read_all(&root).expect("reads back");
+    assert_eq!(replay_all(&bundles), Ok(report.findings.len()));
+    for bundle in bundles {
         assert_eq!(bundle.dialect, "MonetDB");
         assert!(bundle.bucket.starts_with("monetdb/"));
     }

@@ -3,6 +3,7 @@
 //! live counters reconciled against the deterministic report.
 
 use soft_repro::dialects::{DialectId, DialectProfile};
+use soft_repro::obs::json::Record;
 use soft_repro::obs::{LiveMetrics, MetricsServer, WatchdogConfig};
 use soft_repro::soft::campaign::{run_soft_parallel_live, CampaignConfig, LivePlane};
 use soft_repro::soft::CampaignReport;
@@ -115,20 +116,20 @@ fn metrics_endpoint_serves_a_running_campaign_and_reconciles_at_the_end() {
     // The other two endpoints serve the same registry.
     let (status, body) = http_get(&addr, "/status");
     assert_eq!(status, "HTTP/1.1 200 OK");
-    let obj = soft_repro::obs::json::parse_object(body.trim()).expect("valid status JSON");
+    let snapshot = Record::parse(body.trim(), "/status").expect("valid status JSON");
     assert_eq!(
-        obj["statements"].as_num(),
+        snapshot.int("statements"),
         Some(report.statements_executed as i64)
     );
-    assert_eq!(obj["unique_faults"].as_num(), Some(report.findings.len() as i64));
-    assert_eq!(obj["dialect"].as_str(), Some("ClickHouse"));
+    assert_eq!(snapshot.int("unique_faults"), Some(report.findings.len() as i64));
+    assert_eq!(snapshot.str("dialect"), Some("ClickHouse"));
 
     let (status, curve) = http_get(&addr, "/curve");
     assert_eq!(status, "HTTP/1.1 200 OK");
     let bug_lines = curve.lines().filter(|l| l.contains("\"bug\"")).count();
     assert_eq!(bug_lines, report.findings.len());
     for line in curve.lines() {
-        soft_repro::obs::json::parse_object(line).expect("valid curve JSONL line");
+        Record::parse(line, "/curve").expect("valid curve JSONL line");
     }
 
     // Unknown paths 404; non-GET methods 405.
@@ -345,15 +346,15 @@ fn events_stream_reconciles_against_the_final_report() {
     let mut epochs = 0usize;
     let mut done_records = 0usize;
     for line in body.lines() {
-        let obj = soft_repro::obs::json::parse_object(line).expect("valid event JSON");
-        match obj["type"].as_str().expect("event type") {
-            "finding" => finding_faults.push(obj["fault"].as_str().expect("fault").to_string()),
-            "shard" if obj["state"].as_str() == Some("done") => shards_done += 1,
+        let event = Record::parse(line, "/events").expect("valid event JSON");
+        match event.str("type").expect("event type") {
+            "finding" => finding_faults.push(event.string("fault").expect("fault")),
+            "shard" if event.str("state") == Some("done") => shards_done += 1,
             "epoch" => epochs += 1,
             "done" => {
                 done_records += 1;
-                assert_eq!(obj["statements"].as_num(), Some(report.statements_executed as i64));
-                assert_eq!(obj["unique"].as_num(), Some(report.findings.len() as i64));
+                assert_eq!(event.int("statements"), Some(report.statements_executed as i64));
+                assert_eq!(event.int("unique"), Some(report.findings.len() as i64));
             }
             _ => {}
         }

@@ -192,6 +192,128 @@ fn json_roundtrip() {
     );
 }
 
+/// The JSONL readers under seeded mutation (their share of the self-fuzzing
+/// gate). A window of three consecutive lines of a scheduled, telemetry-on
+/// journal or of a bundle's `meta.json` has one line mutated: a byte
+/// overwritten by a structural byte, an escape's `u`, a raw U+0001 or a
+/// stray UTF-8 lead byte; a byte deleted; the line truncated; a
+/// `"key": value` pair repeated; or a lone-surrogate or signed `\u` escape
+/// inserted. The readers never panic; whatever the strict `TraceFile::parse`
+/// accepts, `parse_lenient` accepts with no line skipped and the same trace;
+/// and an accepted trace re-serialises to itself.
+#[test]
+fn record_readers_survive_mutated_lines() {
+    use soft_repro::dialects::{DialectId, DialectProfile};
+    use soft_repro::obs::{Bundle, TraceFile};
+    use soft_repro::soft::campaign::{run_soft_parallel, CampaignConfig};
+    use soft_repro::soft::{ScheduleConfig, ScheduleOptions, TelemetryConfig};
+
+    let profile = DialectProfile::build(DialectId::Clickhouse);
+    let cfg = CampaignConfig {
+        max_statements: 600,
+        per_seed_cap: 8,
+        telemetry: TelemetryConfig::with_interval(100),
+        schedule: ScheduleConfig::On(ScheduleOptions { epochs: 3 }),
+        ..CampaignConfig::default()
+    };
+    let report = run_soft_parallel(&profile, &cfg, 1);
+    let journal = report
+        .telemetry
+        .as_ref()
+        .expect("telemetry is on")
+        .to_trace(Some(profile.id.name()), report.statements_executed)
+        .to_jsonl();
+    assert!(journal.contains("\"type\": \"epoch\""), "the journal has no epoch record");
+    let meta = Bundle {
+        fault_id: "logic-multiform-tostring".into(),
+        dialect: "ClickHouse".into(),
+        kind: "LOGIC".into(),
+        stage: "execution".into(),
+        category: "Casting".into(),
+        credited_pattern: "P1.2".into(),
+        found_by_pattern: "P1.2".into(),
+        function: Some("toString".into()),
+        seed_function: None,
+        bucket: "clickhouse/execution/LOGIC/toString".into(),
+        statements_until_found: 1234,
+        fixed: false,
+        oracle: Some("multi-form".into()),
+        expected: Some("\"42\"\t\\é".into()),
+        actual: Some("42.0\u{1}🦀".into()),
+        replay: "repro replay findings/logic-multiform-tostring".into(),
+        poc: String::new(),
+        original: String::new(),
+    }
+    .render_meta();
+    let sources: Vec<Vec<String>> =
+        [journal, meta].iter().map(|t| t.lines().map(str::to_string).collect()).collect();
+
+    Check::<String>::new("record_readers_survive_mutated_lines")
+        .cases(20_000)
+        .shrink(|s| shrink_string(s))
+        .run(
+            |rng| {
+                let lines = &sources[rng.gen_range(0..sources.len())];
+                let start = rng.gen_range(0..lines.len());
+                let mut window = lines[start..lines.len().min(start + 3)].to_vec();
+                let victim = rng.gen_range(0..window.len());
+                window[victim] = mutate_record(rng, &window[victim]);
+                window.join("\n")
+            },
+            |text| {
+                let Ok(trace) = TraceFile::parse(text) else {
+                    let _ = TraceFile::parse_lenient(text);
+                    return Ok(());
+                };
+                match TraceFile::parse_lenient(text) {
+                    Ok((lenient, 0)) if lenient == trace => {}
+                    other => return Err(format!("strict parse accepted, lenient gave {other:?}")),
+                }
+                match TraceFile::parse(&trace.to_jsonl()) {
+                    Ok(again) if again == trace => Ok(()),
+                    other => Err(format!("the re-serialised trace reads back as {other:?}")),
+                }
+            },
+        );
+}
+
+/// One mutation of a flat JSON record line (see
+/// `record_readers_survive_mutated_lines`).
+fn mutate_record(rng: &mut Rng, line: &str) -> String {
+    const BYTES: [u8; 10] = [b'"', b'\\', b'{', b'}', b'[', b',', b':', b'u', 0x01, 0xc3];
+    const ESCAPES: [&str; 3] = ["\\ud83e", "\\udd80", "\\u+abc"];
+    let mut bytes = line.as_bytes().to_vec();
+    let at = rng.gen_range(0..bytes.len().max(1));
+    match rng.gen_range(0..5u32) {
+        0 if !bytes.is_empty() => bytes[at] = *rng.choose(&BYTES).expect("bytes"),
+        1 if !bytes.is_empty() => {
+            bytes.remove(at);
+        }
+        2 => bytes.truncate(at),
+        3 => {
+            // The pairs start after the `{` and after each `, "` separator.
+            let starts: Vec<usize> =
+                std::iter::once(1).chain(line.match_indices(", \"").map(|(i, _)| i + 2)).collect();
+            let k = rng.gen_range(0..starts.len());
+            let end = starts.get(k + 1).map_or(line.len().saturating_sub(1), |&next| next - 2);
+            if let (Some(pair), Some(head)) =
+                (line.get(starts[k]..end), line.get(..line.len().saturating_sub(1)))
+            {
+                return format!("{head}, {pair}}}");
+            }
+        }
+        _ => {
+            // After a quote, so the escape usually lands inside a string.
+            let quotes: Vec<usize> = line.match_indices('"').map(|(i, _)| i + 1).collect();
+            if let Some(&q) = rng.choose(&quotes) {
+                let escape = rng.choose(&ESCAPES).expect("escapes").as_bytes();
+                bytes.splice(q..q, escape.iter().copied());
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
 /// The parser's printer is an inverse: parse(print(parse(sql))) == parse(sql).
 #[test]
 fn parser_print_roundtrip() {
